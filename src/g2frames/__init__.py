@@ -46,8 +46,6 @@ from .bundle7 import (
     Profile,
     XSpaceChart,
     bs_profile,
-    build_chart_p,
-    build_chart_x,
     constant_profile,
     radial_geometry,
 )
@@ -95,8 +93,6 @@ __all__ = [
     "Profile",
     "XSpaceChart",
     "bs_profile",
-    "build_chart_p",
-    "build_chart_x",
     "constant_profile",
     "radial_geometry",
 ]

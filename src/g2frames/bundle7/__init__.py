@@ -1,5 +1,6 @@
 """Charts, structure forms, and torsion evaluators on the rank-3 bundles."""
 
+from .chart import Chart, torsion_gap
 from .profiles import (
     Profile,
     ProfileDomainError,
@@ -10,7 +11,7 @@ from .profiles import (
     random_smooth_profile,
     two_of_three_report,
 )
-from .pspace import CanonicalFormsP, ChartBoundError, PSpaceChart, build_chart_p, rotation_jets
+from .pspace import CanonicalFormsP, ChartBoundError, PSpaceChart, rotation_jets
 from .radial import (
     GeodesicTrace,
     RadialGeometry,
@@ -20,9 +21,11 @@ from .radial import (
     radius_length,
     radius_length_riemann,
 )
-from .xspace import CanonicalFormsX, DualityHypothesisError, FiberPointX, XSpaceChart, build_chart_x
+from .xspace import CanonicalFormsX, DualityHypothesisError, FiberPointX, XSpaceChart
 
 __all__ = [
+    "Chart",
+    "torsion_gap",
     "Profile",
     "ProfileDomainError",
     "bs_profile",
@@ -34,7 +37,6 @@ __all__ = [
     "CanonicalFormsP",
     "ChartBoundError",
     "PSpaceChart",
-    "build_chart_p",
     "rotation_jets",
     "GeodesicTrace",
     "RadialGeometry",
@@ -47,5 +49,4 @@ __all__ = [
     "DualityHypothesisError",
     "FiberPointX",
     "XSpaceChart",
-    "build_chart_x",
 ]

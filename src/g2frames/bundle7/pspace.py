@@ -21,13 +21,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exterior import JetForm, Multivector, check, combo_pos, row_wedge_col, row_wedge_matrix
+from ..exterior import (
+    JetForm,
+    MatrixForm,
+    Multivector,
+    check,
+    combo_pos,
+    hat,
+    matrix_wedge_col,
+    row_wedge_col,
+    row_wedge_matrix,
+)
 from ..g2point import G2Structure, TorsionForms, standard_phi, torsion_decompose
 from ..jets import Jet
 from ..models import ModelSpec
+from .chart import N, Chart, components, contract, promote
 
-N = 7
-_BASE_POSITIONS = (3, 4, 5, 6)
 CHART_BOUND = math.pi - 0.1
 
 
@@ -97,46 +106,36 @@ class _PChartJets:
         "rho_hat",
         "beta",
         "vol",
+        "eta_f",
+        "eta_om_f",
         "phi",
         "psi",
         "g_val",
     )
 
 
-def _promote(jf, offset=3):
-    return JetForm(
-        N,
-        jf.k,
-        {
-            tuple(l + offset for l in key): jet.embed(N, _BASE_POSITIONS)
-            for key, jet in jf.c.items()
-        },
-    )
+def _conjugate(m, g, dg=None):
+    """g^t . (m . g + dg) for a 3x3 matrix of jet forms m and a rotation g of
+    jets; the connection carries the g^t dg term, the curvature does not."""
+
+    def col(mat, j):
+        return [mat[l][j] for l in range(3)]
+
+    mg = [[contract(m[k], col(g, j)) for j in range(3)] for k in range(3)]
+    if dg is not None:
+        mg = [[a + d for a, d in zip(ra, rd)] for ra, rd in zip(mg, dg)]
+    return [[contract(col(mg, j), col(g, i)) for j in range(3)] for i in range(3)]
 
 
-class PSpaceChart:
+class PSpaceChart(Chart):
     """One branch of the duality coframe bundle with constant scales."""
 
     def __init__(self, model: ModelSpec, branch: int, lam: float, mu: float):
-        if branch not in (1, -1):
-            raise ValueError("branch must be +1 or -1")
+        super().__init__(model, branch)
         if lam <= 0 or mu <= 0:
             raise ValueError("scales lam, mu must be positive")
-        self.model = model
-        self.branch = branch
         self.lam = float(lam)
         self.mu = float(mu)
-        self.frame = model.bundle()
-        self._cache = {}
-
-    def jets(self, point, order: int = 1) -> _PChartJets:
-        key = (tuple(float(v) for v in point), order)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        data = self._build(key[0], order)
-        self._cache[key] = data
-        return data
 
     def _build(self, point, p):
         u = np.asarray(point[:3], dtype=float)
@@ -148,10 +147,8 @@ class PSpaceChart:
         eta4, conn4, rho4 = base.duality(self.branch)
         J = _PChartJets()
         J.order = p
-        J.theta = tuple(_promote(t) for t in base.theta_low)
-        eta_p = tuple(_promote(e) for e in eta4)
-        conn_p = check(list(_promote(w) for w in conn4))
-        rho_p = check(list(_promote(r) for r in rho4))
+        J.theta = tuple(promote(t) for t in base.theta_low)
+        eta_p = tuple(promote(e) for e in eta4)
 
         u_hi = tuple(Jet.variable(point[i], i, N, p + 1) for i in range(3))
         g_hi = rotation_jets(u_hi)
@@ -164,60 +161,23 @@ class PSpaceChart:
             ]
             for k in range(3)
         ]
-        # omega = g^t . conn_p . g + g^t . dg
-        mid = [[None] * 3 for _ in range(3)]
-        for k in range(3):
-            for j in range(3):
-                acc = conn_p[k, 0] * g[0][j]
-                for l in (1, 2):
-                    acc = acc + conn_p[k, l] * g[l][j]
-                mid[k][j] = acc
-        omega = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                acc = mid[0][j] * g[0][i] + dg[0][j] * g[0][i]
-                for k in (1, 2):
-                    acc = acc + mid[k][j] * g[k][i] + dg[k][j] * g[k][i]
-                omega[i][j] = acc
-        J.omega = omega
-        J.f = (omega[2][1], -omega[2][0], omega[1][0])
-        J.eta = tuple(
-            eta_p[0] * g[0][i] + eta_p[1] * g[1][i] + eta_p[2] * g[2][i] for i in range(3)
-        )
+        J.omega = _conjugate(check([promote(w) for w in conn4]).entries, g, dg)
+        J.f = hat(MatrixForm(J.omega))
+        J.eta = tuple(contract(eta_p, [g[k][i] for k in range(3)]) for i in range(3))
         if p >= 1:
             g_lo = [[e.truncate(p - 1) for e in row] for row in g]
-            midr = [[None] * 3 for _ in range(3)]
-            for k in range(3):
-                for j in range(3):
-                    acc = rho_p[k, 0] * g_lo[0][j]
-                    for l in (1, 2):
-                        acc = acc + rho_p[k, l] * g_lo[l][j]
-                    midr[k][j] = acc
-            rho = [[None] * 3 for _ in range(3)]
-            for i in range(3):
-                for j in range(3):
-                    acc = midr[0][j] * g_lo[0][i]
-                    for k in (1, 2):
-                        acc = acc + midr[k][j] * g_lo[k][i]
-                    rho[i][j] = acc
-            J.rho = rho
-            J.rho_hat = (rho[2][1], -rho[2][0], rho[1][0])
+            J.rho = _conjugate(check([promote(r) for r in rho4]).entries, g_lo)
+            J.rho_hat = hat(MatrixForm(J.rho))
         else:
             J.rho = None
             J.rho_hat = None
         J.beta = J.f[0].wedge(J.f[1]).wedge(J.f[2])
         J.vol = J.theta[0].wedge(J.theta[1]).wedge(J.theta[2]).wedge(J.theta[3])
-        mixed = row_wedge_col(list(J.eta), list(J.f))
-        eta_om = [None] * 3
-        for i in range(3):
-            acc = J.eta[0].wedge(omega[0][i])
-            for k in (1, 2):
-                acc = acc + J.eta[k].wedge(omega[k][i])
-            eta_om[i] = acc
-        eta_om_f = row_wedge_col(eta_om, list(J.f))
+        J.eta_f = row_wedge_col(J.eta, J.f)
+        J.eta_om_f = row_wedge_col(row_wedge_matrix(J.eta, MatrixForm(J.omega)), J.f)
         lam, mu, b = self.lam, self.mu, float(self.branch)
-        J.phi = J.beta * lam**3 - mixed * (b * lam * mu**2)
-        J.psi = J.vol * mu**4 - eta_om_f * (lam**2 * mu**2 / 2.0)
+        J.phi = J.beta * lam**3 - J.eta_f * (b * lam * mu**2)
+        J.psi = J.vol * mu**4 - J.eta_om_f * (lam**2 * mu**2 / 2.0)
         return J
 
     # -- contract surfaces ---------------------------------------------------
@@ -232,29 +192,6 @@ class PSpaceChart:
             omega=[[e.value() for e in row] for row in J.omega],
         )
 
-    def phi_at(self, point) -> Multivector:
-        return self.jets(point, 1).phi.value()
-
-    def psi_at(self, point) -> Multivector:
-        return self.jets(point, 1).psi.value()
-
-    def phi_field(self):
-        """The structure 3-form as a FormField over the chart."""
-        from .xspace import _chart_field
-
-        return _chart_field(self, "phi", 3)
-
-    def psi_field(self):
-        from .xspace import _chart_field
-
-        return _chart_field(self, "psi", 4)
-
-    def dphi_at(self, point) -> Multivector:
-        return self.jets(point, 1).phi.d_value()
-
-    def dpsi_at(self, point) -> Multivector:
-        return self.jets(point, 1).psi.d_value()
-
     def structure(self) -> G2Structure:
         return standard_phi(self.lam, self.mu, self.branch)
 
@@ -262,16 +199,8 @@ class PSpaceChart:
         """Rows of (f.g^t, theta): the coframe in which phi is standard."""
         J = self.jets(point, 1)
         g = J.g_val
-        e = np.zeros((N, N))
-        fcomp = np.zeros((3, N))
-        for i, jf in enumerate(J.f):
-            for (lab,), jet in jf.c.items():
-                fcomp[i, lab - 1] = jet.value
-        for j in range(3):
-            e[j] = sum(g[j][i] * fcomp[i] for i in range(3))
-        for a, jf in enumerate(J.theta):
-            for (lab,), jet in jf.c.items():
-                e[3 + a, lab - 1] = jet.value
+        e = components(J.f + J.theta)
+        e[:3] = [sum(g[j][i] * e[i] for i in range(3)) for j in range(3)]
         return e
 
     # -- identity block -------------------------------------------------------
@@ -280,58 +209,36 @@ class PSpaceChart:
         J = self.jets(point, 1)
         b = float(self.branch)
         f = [x.value() for x in J.f]
-        om = [[e.value() for e in row] for row in J.omega]
-        rho = [[e.value() for e in row] for row in J.rho]
+        om = MatrixForm([[e.value() for e in row] for row in J.omega])
+        rho = MatrixForm([[e.value() for e in row] for row in J.rho])
         rho_hat = [x.value() for x in J.rho_hat]
         eta = [x.value() for x in J.eta]
         beta = J.beta.value()
         vol = J.vol.value()
         st = self.frame.singer_thorpe(tuple(point[3:]))
 
-        def col(mat, column):
-            return [mat[i][column] for i in range(3)]
-
-        def mat_wedge(amat, bmat):
-            return [
-                [
-                    sum(
-                        (amat[i][k].wedge(bmat[k][j]) for k in range(1, 3)),
-                        amat[i][0].wedge(bmat[0][j]),
-                    )
-                    for j in range(3)
-                ]
-                for i in range(3)
-            ]
-
         res = {}
         # skewness of the total connection
         res["omega_skew"] = max(
-            (om[i][j] + om[j][i]).sup() for i in range(3) for j in range(i, 3)
+            (om[i, j] + om[j, i]).sup() for i in range(3) for j in range(i, 3)
         )
         # d eta = eta ^ omega
-        res["structure_eta"] = max(
-            (
-                J.eta[i].d_value()
-                - (eta[0].wedge(om[0][i]) + eta[1].wedge(om[1][i]) + eta[2].wedge(om[2][i]))
-            ).sup()
-            for i in range(3)
-        )
+        eta_om = row_wedge_matrix(eta, om)
+        res["structure_eta"] = max((J.eta[i].d_value() - eta_om[i]).sup() for i in range(3))
         # rho = d omega + omega ^ omega
-        omom = mat_wedge(om, om)
+        omom = om @ om
         res["curvature_def"] = max(
-            (J.omega[i][j].d_value() + omom[i][j] - rho[i][j]).sup()
+            (J.omega[i][j].d_value() + omom[i, j] - rho[i, j]).sup()
             for i in range(3)
             for j in range(3)
         )
         # eta ^ rho = 0
-        res["bianchi"] = max(
-            sum((eta[k].wedge(rho[k][j]) for k in (1, 2)), eta[0].wedge(rho[0][j])).sup()
-            for j in range(3)
-        )
+        res["bianchi"] = max(x.sup() for x in row_wedge_matrix(eta, rho))
         # (1/2) f omega = (om23, om31, om12) = hat(omega omega)
-        half_fom = [x * 0.5 for x in row_wedge_matrix(f, _as_matrixform(om))]
+        fom = row_wedge_matrix(f, om)
+        half_fom = [x * 0.5 for x in fom]
         direct = (f[1].wedge(f[2]), f[2].wedge(f[0]), f[0].wedge(f[1]))
-        hat_omom = (omom[2][1], -omom[2][0], omom[1][0])
+        hat_omom = hat(omom)
         res["half_f_omega"] = max(
             max((half_fom[i] - direct[i]).sup(), (half_fom[i] - hat_omom[i]).sup())
             for i in range(3)
@@ -341,49 +248,28 @@ class PSpaceChart:
             (J.f[i].d_value() + half_fom[i] - rho_hat[i]).sup() for i in range(3)
         )
         # omega rho_hat^t = -rho f^t
-        lhs = [
-            sum((om[i][k].wedge(rho_hat[k]) for k in (1, 2)), om[i][0].wedge(rho_hat[0]))
-            for i in range(3)
-        ]
-        rhs = [
-            sum((rho[i][k].wedge(f[k]) for k in (1, 2)), rho[i][0].wedge(f[0]))
-            for i in range(3)
-        ]
+        lhs = matrix_wedge_col(om, rho_hat)
+        rhs = matrix_wedge_col(rho, f)
         res["omega_rhohat"] = max((lhs[i] + rhs[i]).sup() for i in range(3))
         # beta = (1/6) f omega f^t
-        fom = row_wedge_matrix(f, _as_matrixform(om))
         res["beta_sixth"] = (row_wedge_col(fom, f) * (1.0 / 6.0) - beta).sup()
         # omega f^t f = 2 beta 1 = f^t f omega
-        omft = [
-            sum((om[i][k].wedge(f[k]) for k in (1, 2)), om[i][0].wedge(f[0]))
-            for i in range(3)
-        ]
+        omft = matrix_wedge_col(om, f)
         worst = 0.0
         for i in range(3):
+            ftf_om = row_wedge_matrix([f[i].wedge(fk) for fk in f], om)
             for j in range(3):
                 expect = beta * (2.0 if i == j else 0.0)
                 worst = max(worst, (omft[i].wedge(f[j]) - expect).sup())
-                ftf_om = sum(
-                    (f[i].wedge(f[k]).wedge(om[k][j]) for k in (1, 2)),
-                    f[i].wedge(f[0]).wedge(om[0][j]),
-                )
-                worst = max(worst, (ftf_om - expect).sup())
+                worst = max(worst, (ftf_om[j] - expect).sup())
         res["omega_ftf"] = worst
         # omega omega f^t = 0
-        res["omega_omega_ft"] = max(
-            sum((omom[i][k].wedge(f[k]) for k in (1, 2)), omom[i][0].wedge(f[0])).sup()
-            for i in range(3)
-        )
+        res["omega_omega_ft"] = max(x.sup() for x in matrix_wedge_col(omom, f))
         # -f rho f^t = f omega rho_hat^t = rho_hat omega f^t = 2 sum rho^i h^i
-        f_rho = row_wedge_matrix(f, _as_matrixform(rho))
-        f_rho_ft = row_wedge_col(f_rho, f)
-        f_om = fom
-        f_om_rh = row_wedge_col(f_om, rho_hat)
-        rh_om = row_wedge_matrix(rho_hat, _as_matrixform(om))
-        rh_om_ft = row_wedge_col(rh_om, f)
-        twist = (
-            rho_hat[0].wedge(direct[0]) + rho_hat[1].wedge(direct[1]) + rho_hat[2].wedge(direct[2])
-        ) * 2.0
+        f_rho_ft = row_wedge_col(row_wedge_matrix(f, rho), f)
+        f_om_rh = row_wedge_col(fom, rho_hat)
+        rh_om_ft = row_wedge_col(row_wedge_matrix(rho_hat, om), f)
+        twist = row_wedge_col(rho_hat, direct) * 2.0
         res["four_forms"] = max(
             (f_rho_ft + f_om_rh).sup(), (f_om_rh - rh_om_ft).sup(), (f_om_rh - twist).sup()
         )
@@ -391,32 +277,19 @@ class PSpaceChart:
         eta_ft = row_wedge_col(eta, f)
         eta_rh = row_wedge_col(eta, rho_hat)
         f_rh = row_wedge_col(f, rho_hat)
-        eta_om_row = row_wedge_matrix(eta, _as_matrixform(om))
-        eta_om_ft = row_wedge_col(eta_om_row, f)
+        eta_om_ft = row_wedge_col(eta_om, f)
         res["alg_frho_etaf"] = (f_rho_ft.wedge(eta_ft) + beta.wedge(eta_rh) * 2.0).sup()
         res["alg_etaomf_etaf"] = (eta_om_ft.wedge(eta_ft) - b * 12.0 * beta.wedge(vol)).sup()
         res["alg_etaf_sq"] = eta_ft.wedge(eta_ft).sup()
         res["alg_etarh_etaf"] = (eta_rh.wedge(eta_ft) - b * 2.0 * vol.wedge(f_rh)).sup()
         # derivative block
-        eta_ft_jets = row_wedge_col(list(J.eta), list(J.f))
-        half_col = [
-            sum((J.omega[i][k].wedge(J.f[k]) * 0.5 for k in (1, 2)), J.omega[i][0].wedge(J.f[0]) * 0.5)
-            for i in range(3)
-        ]
-        d_eta_ft_expect = None
-        for i in range(3):
-            term = eta[i].wedge(half_col[i].value() + rho_hat[i])
-            d_eta_ft_expect = term if d_eta_ft_expect is None else d_eta_ft_expect + term
-        res["d_eta_ft"] = (eta_ft_jets.d_value() - d_eta_ft_expect).sup()
+        half_col = matrix_wedge_col(MatrixForm(J.omega), J.f)
+        d_eta_ft_expect = row_wedge_col(
+            eta, [h.value() * 0.5 + r for h, r in zip(half_col, rho_hat)]
+        )
+        res["d_eta_ft"] = (J.eta_f.d_value() - d_eta_ft_expect).sup()
         res["dbeta"] = (J.beta.d_value() + f_rho_ft * 0.5).sup()
-        eta_om_f_jets = None
-        for i in range(3):
-            acc = J.eta[0].wedge(J.omega[0][i])
-            for k in (1, 2):
-                acc = acc + J.eta[k].wedge(J.omega[k][i])
-            term = acc.wedge(J.f[i])
-            eta_om_f_jets = term if eta_om_f_jets is None else eta_om_f_jets + term
-        res["d_eta_omega_ft"] = eta_om_f_jets.d_value().sup()
+        res["d_eta_omega_ft"] = J.eta_om_f.d_value().sup()
         # the trace identity eta rho_hat^t = -6 s vol
         res["remarkable_trace"] = (eta_rh + 6.0 * st.s * vol).sup()
         return res
@@ -442,13 +315,11 @@ class PSpaceChart:
         p = np.linalg.inv(self.adapted_coframe(point))
         t3a = tau3.transform(p)
         s7 = self.structure()
-        zero1 = Multivector(N, 1)
-        zero2 = Multivector(N, 2)
         mem3 = max(s7.gnorm(t3a.wedge(s7.phi)), s7.gnorm(t3a.wedge(s7.psi)))
         return TorsionForms(
             tau0=float(tau0),
-            tau1=zero1,
-            tau2=zero2,
+            tau1=Multivector(N, 1),
+            tau2=Multivector(N, 2),
             tau3=t3a,
             residual_phi=0.0,
             residual_psi=0.0,
@@ -457,21 +328,7 @@ class PSpaceChart:
         )
 
     def torsion_numeric(self, point, tol: float = 1e-9) -> TorsionForms:
-        J = self.jets(point, 1)
-        p = np.linalg.inv(self.adapted_coframe(point))
-        dphi = J.phi.d_value().transform(p)
-        dpsi = J.psi.d_value().transform(p)
-        return torsion_decompose(self.structure(), dphi, dpsi, tol)
-
-    def torsion_gap(self, point) -> float:
-        tc = self.torsion_closed(point)
-        tn = self.torsion_numeric(point)
-        return max(
-            abs(tc.tau0 - tn.tau0),
-            tn.tau1.sup(),
-            tn.tau2.sup(),
-            (tc.tau3 - tn.tau3).sup(),
-        )
+        return torsion_decompose(self.structure(), *self.adapted_derivatives(point), tol)
 
     def _star_horizontal(self, mv: Multivector, point) -> Multivector:
         """Base Hodge star on a purely horizontal 2-form, lifted to the chart."""
@@ -492,23 +349,5 @@ class PSpaceChart:
 
     def sample_points(self, count: int, rng, u_max: float = 2.2) -> np.ndarray:
         """Seeded probes: u in the exponential chart, base in the safe box."""
-        pts = np.empty((count, N))
-        got = 0
-        while got < count:
-            u = rng.uniform(-u_max, u_max, size=3)
-            if np.linalg.norm(u) >= min(u_max, CHART_BOUND):
-                continue
-            pts[got, :3] = u
-            pts[got, 3:] = self.model.sample_points(1, rng)[0]
-            got += 1
-        return pts
-
-
-def _as_matrixform(mat):
-    from ..exterior import MatrixForm
-
-    return MatrixForm(mat)
-
-
-def build_chart_p(model: ModelSpec, branch: int, lam: float, mu: float) -> PSpaceChart:
-    return PSpaceChart(model, branch, lam, mu)
+        bound = min(u_max, CHART_BOUND)
+        return self._sample(count, rng, u_max, lambda u: np.linalg.norm(u) < bound)

@@ -25,10 +25,7 @@ from ..exterior import JetForm, Multivector, check, row_wedge_col, row_wedge_mat
 from ..g2point import G2Structure, TorsionForms, standard_phi, torsion_decompose
 from ..jets import Jet
 from ..models import ModelSpec
-
-N = 7
-_BASE_POSITIONS = (3, 4, 5, 6)
-
+from .chart import N, Chart, components, contract, promote
 
 class DualityHypothesisError(ValueError):
     def __init__(self, branch, norm):
@@ -67,6 +64,7 @@ class _ChartJets:
         "h",
         "beta",
         "vol",
+        "eta_h",
         "phi",
         "psi",
         "a",
@@ -76,39 +74,13 @@ class _ChartJets:
     )
 
 
-def _promote(jf, offset=3):
-    return JetForm(
-        N,
-        jf.k,
-        {
-            tuple(l + offset for l in key): jet.embed(N, _BASE_POSITIONS)
-            for key, jet in jf.c.items()
-        },
-    )
-
-
-class XSpaceChart:
+class XSpaceChart(Chart):
     """One branch of the 2-form bundle over a catalog model, with a profile."""
 
     def __init__(self, model: ModelSpec, branch: int, profile, hyp_tol: float = 1e-7):
-        if branch not in (1, -1):
-            raise ValueError("branch must be +1 or -1")
-        self.model = model
-        self.branch = branch
+        super().__init__(model, branch)
         self.profile = profile
         self.hyp_tol = hyp_tol
-        self.frame = model.bundle()
-        self._cache = {}
-
-    # -- pipeline ---------------------------------------------------------
-    def jets(self, point, order: int = 1) -> _ChartJets:
-        key = (tuple(float(v) for v in point), order)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        data = self._build(key[0], order)
-        self._cache[key] = data
-        return data
 
     def _build(self, point, p):
         x = point[3:]
@@ -116,10 +88,10 @@ class XSpaceChart:
         eta4, conn4, rho4 = base.duality(self.branch)
         J = _ChartJets()
         J.order = p
-        J.theta = tuple(_promote(t) for t in base.theta_low)
-        J.eta = tuple(_promote(e) for e in eta4)
-        J.conn3 = tuple(_promote(w) for w in conn4)
-        J.rho3 = tuple(_promote(r) for r in rho4)
+        J.theta = tuple(promote(t) for t in base.theta_low)
+        J.eta = tuple(promote(e) for e in eta4)
+        J.conn3 = tuple(promote(w) for w in conn4)
+        J.rho3 = tuple(promote(r) for r in rho4)
         J.a = tuple(Jet.variable(point[i], i, N, p) for i in range(3))
         om = check(list(J.conn3))
         f = []
@@ -137,10 +109,10 @@ class XSpaceChart:
         mu1 = self.profile.mu_jet(J.r.value, p)
         J.lam = J.r.compose([lam1.coef[k] * _FACT[k] for k in range(p + 1)])
         J.mu = J.r.compose([mu1.coef[k] * _FACT[k] for k in range(p + 1)])
-        mixed = row_wedge_col(list(J.eta), list(J.f))
-        eta_h = row_wedge_col(list(J.eta), list(J.h))
+        mixed = row_wedge_col(J.eta, J.f)
+        J.eta_h = row_wedge_col(J.eta, J.h)
         J.phi = J.beta * (J.lam**3) - mixed * (J.lam * J.mu**2 * float(self.branch))
-        J.psi = J.vol * (J.mu**4) - eta_h * (J.lam**2 * J.mu**2)
+        J.psi = J.vol * (J.mu**4) - J.eta_h * (J.lam**2 * J.mu**2)
         return J
 
     # -- contract surfaces -------------------------------------------------
@@ -158,33 +130,10 @@ class XSpaceChart:
             vol=J.vol.value(),
         )
 
-    def phi_at(self, point) -> Multivector:
-        return self.jets(point, 1).phi.value()
-
-    def psi_at(self, point) -> Multivector:
-        return self.jets(point, 1).psi.value()
-
-    def phi_field(self):
-        """The structure 3-form as a FormField over the chart."""
-        return _chart_field(self, "phi", 3)
-
-    def psi_field(self):
-        return _chart_field(self, "psi", 4)
-
-    def dphi_at(self, point) -> Multivector:
-        return self.jets(point, 1).phi.d_value()
-
-    def dpsi_at(self, point) -> Multivector:
-        return self.jets(point, 1).psi.d_value()
-
     def adapted_coframe(self, point) -> np.ndarray:
         """Rows: components of (f1, f2, f3, theta4..theta7) over (da, dx)."""
         J = self.jets(point, 1)
-        e = np.zeros((N, N))
-        for i, jf in enumerate(tuple(J.f) + tuple(J.theta)):
-            for (lab,), jet in jf.c.items():
-                e[i, lab - 1] = jet.value
-        return e
+        return components(J.f + J.theta)
 
     def structure(self, point) -> G2Structure:
         J = self.jets(point, 1)
@@ -202,31 +151,21 @@ class XSpaceChart:
         b = float(self.branch)
 
         # d r = 2 f a^t
-        dr = _contract(f_val, a_val) * 2.0
+        dr = contract(f_val, a_val) * 2.0
         dr_direct = Multivector(N, 1, np.concatenate([2.0 * a_val, np.zeros(4)]))
         res = {"dr": (dr - dr_direct).sup()}
 
         # d(eta a^t) = eta ^ f^t
-        eta_at_jets = None
-        for e, aj in zip(J.eta, J.a):
-            term = e * aj
-            eta_at_jets = term if eta_at_jets is None else eta_at_jets + term
-        res["d_eta_at"] = (
-            eta_at_jets.d_value() - row_wedge_col(eta_val, f_val)
-        ).sup()
+        res["d_eta_at"] = (contract(J.eta, J.a).d_value() - row_wedge_col(eta_val, f_val)).sup()
 
         # d beta = h rho a^t
         h_rho = row_wedge_matrix(h_val, rho_m)
-        res["dbeta"] = (J.beta.d_value() - _contract(h_rho, a_val)).sup()
+        res["dbeta"] = (J.beta.d_value() - contract(h_rho, a_val)).sup()
 
         # d(eta h^t) = -eta fcheck rho a^t
-        eta_h_jets = None
-        for e, h in zip(J.eta, J.h):
-            term = e.wedge(h)
-            eta_h_jets = term if eta_h_jets is None else eta_h_jets + term
         eta_fc = row_wedge_matrix(eta_val, check(f_val))
         eta_fc_rho = row_wedge_matrix(eta_fc, rho_m)
-        res["d_eta_ht"] = (eta_h_jets.d_value() + _contract(eta_fc_rho, a_val)).sup()
+        res["d_eta_ht"] = (J.eta_h.d_value() + contract(eta_fc_rho, a_val)).sup()
 
         # closed structure system for d phi and d psi
         lam, mu = J.lam.value, J.mu.value
@@ -242,13 +181,13 @@ class XSpaceChart:
         beta = J.beta.value()
         dphi_closed = (
             dr.wedge(beta) * d_lam3
-            + _contract(h_rho, a_val) * lam**3
+            + contract(h_rho, a_val) * lam**3
             - b * d_lammu2 * dr.wedge(eta_f)
         )
         dpsi_closed = (
             dr.wedge(vol) * d_mu4
             - d_lam2mu2 * dr.wedge(eta_h)
-            + _contract(eta_fc_rho, a_val) * (lam**2 * mu**2)
+            + contract(eta_fc_rho, a_val) * (lam**2 * mu**2)
         )
         res["dphi_system"] = (self.dphi_at(point) - dphi_closed).sup()
         res["dpsi_system"] = (self.dpsi_at(point) - dpsi_closed).sup()
@@ -277,15 +216,15 @@ class XSpaceChart:
         mu1 = self.profile.mu_jet(J.r.value, 1)
         lam, mu = lam1.value, mu1.value
 
-        dr = _contract(f_val, a_val) * 2.0
+        dr = contract(f_val, a_val) * 2.0
         t1_coef = (2.0 / (3.0 * lam**2 * mu**4)) * (
             (lam1**2 * mu1**4).partial(0) - s * lam**4 * mu**2
         )
         tau1 = dr * t1_coef
 
         t2_coef = (mu1**2 / lam1**2).partial(0) - 2.0 * s
-        h_at = _contract(h_val, a_val)
-        eta_at = _contract(eta_val, a_val)
+        h_at = contract(h_val, a_val)
+        eta_at = contract(eta_val, a_val)
         tau2 = (h_at * (4.0 * lam**3 / (3.0 * mu**2)) + eta_at * (b * 2.0 * lam / 3.0)) * (
             -b * t2_coef
         )
@@ -294,7 +233,7 @@ class XSpaceChart:
         eta_m = check(eta_val)
         rho_b = rho_m + eta_m * (b * s)
         f_rho_b = row_wedge_matrix(f_val, rho_b)
-        tau3 = _contract(f_rho_b, a_val) * (-b * lam**2)
+        tau3 = contract(f_rho_b, a_val) * (-b * lam**2)
 
         p = np.linalg.inv(self.adapted_coframe(point))
         s7 = standard_phi(lam, mu, self.branch)
@@ -316,70 +255,14 @@ class XSpaceChart:
     def torsion_numeric(self, point, tol: float = 1e-9) -> TorsionForms:
         """Torsion via jet differentiation and the pointwise decomposition."""
         J = self.jets(point, 1)
-        p = np.linalg.inv(self.adapted_coframe(point))
         s7 = standard_phi(J.lam.value, J.mu.value, self.branch)
-        dphi = J.phi.d_value().transform(p)
-        dpsi = J.psi.d_value().transform(p)
-        return torsion_decompose(s7, dphi, dpsi, tol)
-
-    def torsion_gap(self, point) -> float:
-        """Componentwise gap between the closed and numeric torsion forms."""
-        tc = self.torsion_closed(point)
-        tn = self.torsion_numeric(point)
-        return max(
-            abs(tc.tau0 - tn.tau0),
-            (tc.tau1 - tn.tau1).sup(),
-            (tc.tau2 - tn.tau2).sup(),
-            (tc.tau3 - tn.tau3).sup(),
-        )
+        return torsion_decompose(s7, *self.adapted_derivatives(point), tol)
 
     def sample_points(self, count: int, rng, a_max: float = 1.2) -> np.ndarray:
         """Seeded probes: base in the model safe box, fiber within |a| <= a_max
         and inside the profile domain."""
-        pts = np.empty((count, N))
-        got = 0
-        while got < count:
-            a = rng.uniform(-a_max, a_max, size=3)
-            r = float(a @ a)
-            if not (self.profile.r_min <= r < self.profile.r_max):
-                continue
-            x = self.model.sample_points(1, rng)[0]
-            pts[got, :3] = a
-            pts[got, 3:] = x
-            got += 1
-        return pts
-
-
-def _contract(forms, weights):
-    """Linear combination sum_i weights[i] * forms[i]."""
-    acc = forms[0] * float(weights[0])
-    for f, w in zip(forms[1:], weights[1:]):
-        acc = acc + f * float(w)
-    return acc
-
-
-def _chart_field(chart, which, degree):
-    """FormField view into a cached chart pipeline (jets up to order 2)."""
-    from ..exterior import ScalarField, combos
-    from ..jets import Jet
-
-    def coeff(idx):
-        def jf(pt, order):
-            jets = getattr(chart.jets(pt, max(order, 1)), which)
-            got = jets.c.get(idx)
-            if got is None:
-                return Jet.constant(0.0, N, order)
-            return got.truncate(order)
-
-        return ScalarField(N, jet_fn=jf)
-
-    from ..exterior import FormField
-
-    return FormField(N, degree, {idx: coeff(idx) for idx in combos(N, degree)})
+        prof = self.profile
+        return self._sample(count, rng, a_max, lambda a: prof.r_min <= float(a @ a) < prof.r_max)
 
 
 _FACT = (1.0, 1.0, 2.0, 6.0)
-
-
-def build_chart_x(model: ModelSpec, branch: int, profile) -> XSpaceChart:
-    return XSpaceChart(model, branch, profile)

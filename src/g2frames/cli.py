@@ -19,10 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bundle7.chart import torsion_gap
 from .bundle7.profiles import Profile, bs_profile, constant_profile, two_of_three_report
 from .bundle7.pspace import PSpaceChart
 from .bundle7.radial import radius_length, radius_length_riemann
 from .bundle7.xspace import XSpaceChart
+from .exterior import Multivector
 from .frames4 import pairing_sign, predicates
 from .g2point import classify_norms, standard_phi
 from .models import MODEL_NAMES, get_model
@@ -261,14 +263,7 @@ def _x_records(cfg: RunConfig, spec, chart: XSpaceChart, rng, workers):
         tn = chart.torsion_numeric(pt)
         tc = chart.torsion_closed(pt)
         s7 = chart.structure(pt)
-        gap = max(
-            abs(tc.tau0 - tn.tau0),
-            (tc.tau1 - tn.tau1).sup(),
-            (tc.tau2 - tn.tau2).sup(),
-            (tc.tau3 - tn.tau3).sup(),
-        )
-        norms = tn.norms(s7.g_diag)
-        return res, gap, abs(tn.tau0), norms
+        return res, torsion_gap(tc, tn), abs(tn.tau0), tn.norms(s7.g_diag)
 
     rows = _pmap(probe, [tuple(p) for p in points], workers)
     worst = {
@@ -310,25 +305,20 @@ def _p_records(cfg: RunConfig, spec, chart: PSpaceChart, rng, workers):
     def probe(pt):
         pt = tuple(pt)
         ids = chart.identity_residuals(pt)
-        p = np.linalg.inv(chart.adapted_coframe(pt))
-        dphi = chart.dphi_at(pt).transform(p)
-        dpsi = chart.dpsi_at(pt).transform(p)
+        dphi, dpsi = chart.adapted_derivatives(pt)
         tn = chart.torsion_numeric(pt)
         tc = chart.torsion_closed(pt)
-        gap = max(abs(tc.tau0 - tn.tau0), tn.tau1.sup(), tn.tau2.sup(), (tc.tau3 - tn.tau3).sup())
         out = {
             "identities": max(ids.values()),
             "dpsi": s7.gnorm(dpsi),
             "dphi": s7.gnorm(dphi),
             "tau0_gap": abs(tc.tau0 - tn.tau0),
-            "gap": gap,
+            "gap": torsion_gap(tc, tn),
             "norms": tn.norms(s7.g_diag),
             "nearly": (dphi - b * (6.0 / (5.0 * lam)) * s7.psi).sup(),
             "tau3_w3": 0.0,
         }
         if spec.expected.einstein:
-            from .exterior import Multivector
-
             beta_ad = Multivector.basis(7, (1, 2, 3))
             pred = (b / (2.0 * lam)) * (s7.phi - 7.0 * lam**3 * beta_ad)
             out["tau3_w3"] = (tn.tau3 - pred).sup()
