@@ -58,28 +58,6 @@ class JetTable:
         self.mul_j = np.array(jj, dtype=np.intp)
         self.mul_k = np.array(kk, dtype=np.intp)
         self._deriv = None
-        self._quad = None
-
-    def quad_maps(self):
-        """Variable-pair index arrays for the order-2 product fast path."""
-        if self._quad is None:
-            qi, qj, qpos, qdiag = [], [], [], []
-            for i in range(self.nvars):
-                for j in range(i, self.nvars):
-                    exp = tuple(
-                        int(v == i) + int(v == j) for v in range(self.nvars)
-                    )
-                    qi.append(i)
-                    qj.append(j)
-                    qpos.append(self.pos[exp])
-                    qdiag.append(i == j)
-            self._quad = (
-                np.array(qi, dtype=np.intp),
-                np.array(qj, dtype=np.intp),
-                np.array(qpos, dtype=np.intp),
-                np.array(qdiag, dtype=bool),
-            )
-        return self._quad
 
     def deriv_maps(self):
         """Per-variable (src, dst, factor) arrays mapping into order-1 table."""
@@ -249,26 +227,8 @@ class Jet:
         if other.table is not self.table:
             raise ValueError("jets from different tables")
         tab = self.table
-        a, b = self.coef, other.coef
-        if tab.order == 0:
-            return Jet(tab, a * b)
-        if tab.order == 1:
-            out = a * b[0] + b * a[0]
-            out[0] = a[0] * b[0]
-            return Jet(tab, out)
-        if tab.order == 2:
-            out = a * b[0] + b * a[0]
-            out[0] = a[0] * b[0]
-            qi, qj, qpos, qdiag = tab.quad_maps()
-            ga, gb = a[tab.unit_pos], b[tab.unit_pos]
-            q = np.outer(ga, gb)
-            vals = q[qi, qj] + q[qj, qi]
-            vals[qdiag] *= 0.5
-            out[qpos] += vals
-            return Jet(tab, out)
-        out = np.zeros(tab.size)
-        np.add.at(out, tab.mul_k, a[tab.mul_i] * b[tab.mul_j])
-        return Jet(tab, out)
+        prod = self.coef[tab.mul_i] * other.coef[tab.mul_j]
+        return Jet(tab, np.bincount(tab.mul_k, prod, tab.size))
 
     def __rmul__(self, other):
         return Jet(self.table, self.coef * float(other))
