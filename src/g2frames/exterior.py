@@ -230,9 +230,8 @@ class Multivector:
         if k > self.n:
             return Multivector(self.n, k)
         sign, target = _wedge_table(self.n, self.k, other.k)
-        out = np.zeros(len(combos(self.n, k)))
         prod = np.outer(self.coef, other.coef) * sign
-        np.add.at(out, target.ravel(), prod.ravel())
+        out = np.bincount(target.ravel(), prod.ravel(), len(combos(self.n, k)))
         return Multivector(self.n, k, out)
 
     def interior(self, vector) -> "Multivector":
@@ -243,8 +242,7 @@ class Multivector:
         if self.k == 0:
             return Multivector(self.n, 0)
         src, lab, sgn, dst = _interior_table(self.n, self.k)
-        out = np.zeros(len(combos(self.n, self.k - 1)))
-        np.add.at(out, dst, sgn * v[lab] * self.coef[src])
+        out = np.bincount(dst, sgn * v[lab] * self.coef[src], len(combos(self.n, self.k - 1)))
         return Multivector(self.n, self.k - 1, out)
 
     def evaluate(self, *vectors) -> float:
