@@ -52,10 +52,9 @@ def _radius_integrand(profile: Profile, r0: float):
 
     def f(theta):
         c = np.cos(theta)
-        if c <= 0.0:
-            return 0.0  # boundary limit: cos factor kills the lam blow-up
         r = r0 * np.sin(theta) ** 2
-        r = min(r, np.nextafter(profile.r_max, -np.inf)) if np.isfinite(profile.r_max) else r
+        if c <= 0.0 or r >= profile.r_max:
+            return 0.0  # boundary limit: cos factor kills the lam blow-up
         return profile.lam(r) * tmax * c
 
     return f

@@ -83,3 +83,17 @@ def test_radial_geometry_bundle():
     assert geo.trace.inside
     with pytest.raises(ValueError):
         radial_geometry(bs_profile(1.0, 1.0, 1.0), 1.0)
+
+
+@pytest.mark.parametrize(
+    "c0, c1",
+    [(1.250183769974063, 1.220767396896792), (0.8575349681910281, 1.1980007867243783)],
+)
+def test_length_at_disk_edge_where_mu_rounds_to_zero(c0, c1):
+    # next to r0 these profiles round c1 - 2 c0^2 r to 0, so the integrand
+    # must take its boundary limit there instead of evaluating lam
+    p = bs_profile(-1.0, c0, c1)
+    main = radius_length(p, p.r0)
+    oracle = radius_length_riemann(p, p.r0, n=60_000)
+    assert np.isfinite(main)
+    assert abs(main - oracle) < 1e-6
