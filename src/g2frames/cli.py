@@ -51,6 +51,30 @@ _PROFILE_KEYS = {
     "constant": {"lam": float, "mu": float},
 }
 
+_PARAM_KEYS = {"kappa": float}
+
+_TYPE_NAMES = {
+    int: "an integer",
+    float: "a finite number",
+    str: "a string",
+    dict: "an object",
+    (str, type(None)): "a string or null",
+}
+
+
+def _check_type(key: str, value, kind):
+    """Raise a ConfigError naming ``key`` unless ``value`` has the declared type."""
+    if kind in (int, float) and isinstance(value, bool):
+        ok = False
+    elif kind is int:
+        ok = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    elif kind is float:
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"invalid value for key {key!r}: {value!r} is not {_TYPE_NAMES[kind]}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -72,6 +96,8 @@ class RunConfig:
         for key in ("model", "space", "branch", "profile"):
             if key not in raw:
                 raise ConfigError(f"missing config key {key!r}")
+        for key, value in raw.items():
+            _check_type(key, value, _CONFIG_KEYS[key])
         if raw["model"] not in MODEL_NAMES:
             raise ConfigError(f"invalid value for key 'model': {raw['model']!r}")
         if raw["space"] not in ("X", "P"):
@@ -80,14 +106,21 @@ class RunConfig:
             raise ConfigError(f"invalid value for key 'branch': {raw['branch']!r} (use 1 or -1)")
         prof = raw["profile"]
         kind = prof.get("kind")
-        if kind not in _PROFILE_KEYS:
+        if not isinstance(kind, str) or kind not in _PROFILE_KEYS:
             raise ConfigError(f"invalid value for key 'profile.kind': {kind!r}")
         for pkey in prof:
             if pkey != "kind" and pkey not in _PROFILE_KEYS[kind]:
                 raise ConfigError(f"unknown config key 'profile.{pkey}'")
-        for pkey in _PROFILE_KEYS[kind]:
+        for pkey, ptype in _PROFILE_KEYS[kind].items():
             if pkey not in prof:
                 raise ConfigError(f"missing config key 'profile.{pkey}'")
+            _check_type(f"profile.{pkey}", prof[pkey], ptype)
+        for pkey, value in raw.get("params", {}).items():
+            if pkey not in _PARAM_KEYS:
+                raise ConfigError(f"unknown config key 'params.{pkey}'")
+            _check_type(f"params.{pkey}", value, _PARAM_KEYS[pkey])
+            if value <= 0:
+                raise ConfigError(f"invalid value for key 'params.{pkey}': must be positive")
         cfg = RunConfig(
             model=raw["model"],
             space=raw["space"],
@@ -101,8 +134,14 @@ class RunConfig:
         )
         if cfg.probes < 1:
             raise ConfigError("invalid value for key 'probes': must be >= 1")
+        if cfg.seed < 0:
+            raise ConfigError("invalid value for key 'seed': must be >= 0")
         if cfg.tol <= 0:
             raise ConfigError("invalid value for key 'tol': must be positive")
+        try:
+            cfg.make_profile()
+        except ValueError as exc:
+            raise ConfigError(f"invalid value for key 'profile': {exc}") from None
         return cfg
 
     def to_dict(self) -> dict:

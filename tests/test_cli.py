@@ -163,3 +163,33 @@ def test_list_suites_mentions_core_checks(capsys):
     assert "x/radial-incompleteness" in text
     assert main(["list-suites"]) == 0
     assert "frames/cartan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"branch": True}, "branch"),
+        ({"probes": 2.7}, "probes"),
+        ({"probes": "abc"}, "probes"),
+        ({"seed": -1}, "seed"),
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": "x"}, "tol"),
+        ({"report": 3}, "report"),
+        ({"profile": "bs"}, "profile"),
+        ({"profile": {"kind": "bs", "s": 1.0, "c0": True, "c1": 1.0}}, "profile.c0"),
+        ({"profile": {"kind": "bs", "s": 1.0, "c0": 0.0, "c1": 1.0}}, "profile"),
+        ({"profile": {"kind": "bs", "s": -1.0, "c0": 1.0, "c1": -1.0}}, "profile"),
+        ({"space": "P", "profile": {"kind": "constant", "lam": 1.0, "mu": 0.0}}, "profile"),
+        ({"params": []}, "params"),
+        ({"params": {"foo": 1}}, "params.foo"),
+        ({"params": {"kappa": 0}}, "params.kappa"),
+        ({"params": {"kappa": "big"}}, "params.kappa"),
+    ],
+)
+def test_main_rejects_mistyped_config(tmp_path, capsys, change, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(BS_SPHERE, **change)))
+    assert main(["run", "--config", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err
+    assert "Traceback" not in err
