@@ -122,7 +122,7 @@ def _conjugate(m, g, dg=None):
         return [mat[l][j] for l in range(3)]
 
     mg = [[contract(m[k], col(g, j)) for j in range(3)] for k in range(3)]
-    if dg is not None:
+    if dg is not None:  # base labels in m . g, fiber labels in dg: the sums stay disjoint
         mg = [[a + d for a, d in zip(ra, rd)] for ra, rd in zip(mg, dg)]
     return [[contract(col(mg, j), col(g, i)) for j in range(3)] for i in range(3)]
 

@@ -27,6 +27,7 @@ from ..jets import Jet
 from ..models import ModelSpec
 from .chart import N, Chart, components, contract, promote
 
+
 class DualityHypothesisError(ValueError):
     def __init__(self, branch, norm):
         side = "anti-self-dual (W+ = 0)" if branch == 1 else "self-dual (W- = 0)"
