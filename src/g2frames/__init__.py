@@ -16,16 +16,9 @@ from .exterior import (
     wedge,
 )
 from .frames4 import (
-    ConnectionMatrix,
-    Coframe,
-    CurvatureMatrix,
     FrameBundle,
     SingerThorpe,
-    curvature,
     curvature_oracle,
-    duality_bases,
-    levi_civita,
-    orthonormal_coframe,
     pairing_sign,
     predicates,
 )
@@ -64,16 +57,9 @@ __all__ = [
     "hodge",
     "interior",
     "wedge",
-    "ConnectionMatrix",
-    "Coframe",
-    "CurvatureMatrix",
     "FrameBundle",
     "SingerThorpe",
-    "curvature",
     "curvature_oracle",
-    "duality_bases",
-    "levi_civita",
-    "orthonormal_coframe",
     "pairing_sign",
     "predicates",
     "G2Structure",

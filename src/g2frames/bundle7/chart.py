@@ -9,41 +9,39 @@ derivatives off them, and compares closed and numeric torsion.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from ..exterior import FormField, JetForm, ScalarField, combos
+from ..exterior import FormField, JetForm, ScalarField, combo_pos, combos
 from ..g2point import TorsionForms
-from ..jets import Jet
+from ..jets import _embed_index
+from ..jets import table as jet_table
 from ..models import ModelSpec
 
 N = 7
 _BASE_POSITIONS = (3, 4, 5, 6)
 
 
+@lru_cache(maxsize=None)
+def _promoted_rows(k: int) -> np.ndarray:
+    """Chart positions of the base k-indices, labels shifted by 3."""
+    pos = combo_pos(N, k)
+    return np.array([pos[tuple(l + 3 for l in key)] for key in combos(4, k)], dtype=np.intp)
+
+
 def promote(jf: JetForm) -> JetForm:
     """Lift a base jet form (labels 1..4) to the chart (labels 4..7)."""
-    return JetForm(
-        N,
-        jf.k,
-        {tuple(l + 3 for l in key): jet.embed(N, _BASE_POSITIONS) for key, jet in jf.c.items()},
-    )
-
-
-def contract(forms, weights):
-    """Linear combination sum_i weights[i] * forms[i], added left to right."""
-    acc = forms[0] * weights[0]
-    for f, w in zip(forms[1:], weights[1:]):
-        acc = acc + f * w
-    return acc
+    order = jf.table.order
+    out = JetForm(N, jf.k, table=jet_table(N, order))
+    cols = _embed_index(jf.table.nvars, order, N, _BASE_POSITIONS)
+    out.coef[np.ix_(_promoted_rows(jf.k), cols)] = jf.coef
+    return out
 
 
 def components(forms) -> np.ndarray:
     """Rows: values of the 1-forms' components over (dx1, ..., dx7)."""
-    e = np.zeros((len(forms), N))
-    for i, jf in enumerate(forms):
-        for (lab,), jet in jf.c.items():
-            e[i, lab - 1] = jet.value
-    return e
+    return np.array([jf.coef[:, 0] for jf in forms])
 
 
 def torsion_gap(closed: TorsionForms, numeric: TorsionForms) -> float:
@@ -103,10 +101,7 @@ class Chart:
 
         def coeff(idx):
             def jf(pt, order):
-                got = getattr(self.jets(pt, max(order, 1)), which).c.get(idx)
-                if got is None:
-                    return Jet.constant(0.0, N, order)
-                return got.truncate(order)
+                return getattr(self.jets(pt, max(order, 1)), which).jet(idx).truncate(order)
 
             return ScalarField(N, jet_fn=jf)
 

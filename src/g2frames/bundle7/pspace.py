@@ -27,6 +27,7 @@ from ..exterior import (
     Multivector,
     check,
     combo_pos,
+    contract,
     hat,
     matrix_wedge_col,
     row_wedge_col,
@@ -35,7 +36,7 @@ from ..exterior import (
 from ..g2point import G2Structure, TorsionForms, standard_phi, torsion_decompose
 from ..jets import Jet
 from ..models import ModelSpec
-from .chart import N, Chart, components, contract, promote
+from .chart import N, Chart, components, promote
 
 CHART_BOUND = math.pi - 0.1
 

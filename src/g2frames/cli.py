@@ -20,18 +20,36 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle7.chart import torsion_gap
-from .bundle7.profiles import Profile, bs_profile, constant_profile, two_of_three_report
-from .bundle7.pspace import PSpaceChart
-from .bundle7.radial import radius_length, radius_length_riemann
+from .bundle7.profiles import (
+    Profile,
+    ProfileDomainError,
+    bs_profile,
+    constant_profile,
+    two_of_three_report,
+)
+from .bundle7.pspace import ChartBoundError, PSpaceChart
+from .bundle7.radial import QuadratureError, radius_length, radius_length_riemann
 from .bundle7.xspace import XSpaceChart
 from .exterior import Multivector
-from .frames4 import pairing_sign, predicates
-from .g2point import classify_norms, standard_phi
+from .frames4 import NonSPDMetricError, ResidualError, pairing_sign, predicates
+from .g2point import DecompositionError, DegeneratePhiError, classify_norms, standard_phi
 from .models import MODEL_NAMES, get_model
 
 
 class ConfigError(ValueError):
     pass
+
+
+# failures of the numerics on a valid config: exit 1 with one line, no traceback
+NUMERICAL_ERRORS = (
+    ResidualError,
+    DecompositionError,
+    DegeneratePhiError,
+    QuadratureError,
+    NonSPDMetricError,
+    ProfileDomainError,
+    ChartBoundError,
+)
 
 
 _CONFIG_KEYS = {
@@ -104,6 +122,14 @@ class RunConfig:
             raise ConfigError(f"invalid value for key 'space': {raw['space']!r} (use 'X' or 'P')")
         if raw["branch"] not in (1, -1):
             raise ConfigError(f"invalid value for key 'branch': {raw['branch']!r} (use 1 or -1)")
+        if raw["space"] == "X":
+            exp = get_model(raw["model"]).expected
+            if not (exp.asd if raw["branch"] == 1 else exp.sd):
+                side = "anti-self-dual (W+ = 0)" if raw["branch"] == 1 else "self-dual (W- = 0)"
+                raise ConfigError(
+                    f"invalid value for key 'branch': 2-form bundle runs on branch "
+                    f"{raw['branch']:+d} need the base model to be {side}; {raw['model']!r} is not"
+                )
         prof = raw["profile"]
         kind = prof.get("kind")
         if not isinstance(kind, str) or kind not in _PROFILE_KEYS:
@@ -466,6 +492,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except NUMERICAL_ERRORS as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
     if not args.quiet:
         for rec in report.records:
             stamp = "pass" if rec.passed else "FAIL"

@@ -4,8 +4,10 @@ Three layers share one set of combinatorial tables:
 
 * ``Multivector`` -- a form with float coefficients at one point;
 * ``JetForm``     -- a form whose coefficients are jets at one point, the
-  working currency of the chart pipelines (its ``d_value`` is the exterior
-  derivative at the point);
+  working currency of the chart pipelines: a dense ``(C(n, k), jet size)``
+  array whose wedge and exterior derivative are one gather over the tables
+  below and one ``np.bincount`` (its ``d_value`` is the exterior derivative
+  at the point);
 * ``FormField``   -- a form whose coefficients are scalar fields over a
   chart, evaluable to either of the above.
 
@@ -22,7 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jets import Jet, variables
+from .jets import Jet, JetOrderError, variables
+from .jets import table as jet_table
 
 MAX_DIM = 8
 
@@ -318,99 +321,132 @@ def interior(vector, a: Multivector) -> Multivector:
 
 
 class JetForm:
-    """Degree-k form whose coefficients are jets at a single chart point."""
+    """Degree-k form whose coefficients are jets at a single chart point.
 
-    __slots__ = ("n", "k", "c")
+    ``coef`` has shape ``(C(n, k), table.size)``: row ``I`` holds the jet of
+    the ``e^I`` coefficient.  ``JetForm(n, k, {idx: jet})`` builds one from
+    components; ``table`` gives the jet table of an empty one.
+    """
 
-    def __init__(self, n: int, k: int, c: dict | None = None):
-        self.n = n
-        self.k = k
-        self.c = dict(c) if c else {}
+    __slots__ = ("n", "k", "table", "coef")
+
+    def __init__(self, n: int, k: int, c: dict | None = None, table=None):
+        c = c or {}
+        self.n, self.k = n, k
+        self.table = next(iter(c.values())).table if c else table
+        self.coef = np.zeros((len(combos(n, k)), self.table.size))
+        for idx, jet in c.items():
+            s, key = _canonical(idx)
+            if s:
+                self.coef[combo_pos(n, k)[key]] += s * jet.coef
 
     @staticmethod
-    def from_jet(n: int, idx, jet: Jet) -> "JetForm":
-        s, key = _canonical(idx)
-        if not s:
-            return JetForm(n, len(tuple(idx)))
-        return JetForm(n, len(key), {key: jet * s if s != 1 else jet})
+    def _of(n: int, k: int, table, coef: np.ndarray) -> "JetForm":
+        out = JetForm.__new__(JetForm)
+        out.n, out.k, out.table, out.coef = n, k, table, coef
+        return out
 
     def zero_like(self) -> "JetForm":
-        return JetForm(self.n, self.k)
+        return JetForm._of(self.n, self.k, self.table, np.zeros_like(self.coef))
+
+    def jet(self, idx) -> Jet:
+        """The jet of the ``e^idx`` coefficient."""
+        s, key = _canonical(idx)
+        if not s:
+            return Jet(self.table, np.zeros(self.table.size))
+        return Jet(self.table, s * self.coef[combo_pos(self.n, self.k)[key]])
+
+    def truncate(self, order: int) -> "JetForm":
+        """The same form with its coefficient jets cut to a lower order."""
+        if order == self.table.order:
+            return self
+        if order > self.table.order:
+            raise JetOrderError(order)
+        low = jet_table(self.table.nvars, order)
+        return JetForm._of(self.n, self.k, low, self.coef[:, : low.size].copy())
+
+    def _check(self, other):
+        if self.n != other.n or self.k != other.k or self.table is not other.table:
+            raise DimensionMismatch("jet form mismatch")
 
     def __add__(self, other):
-        if self.n != other.n or self.k != other.k:
-            raise DimensionMismatch("jet form mismatch")
-        out = dict(self.c)
-        for key, jet in other.c.items():
-            out[key] = out[key] + jet if key in out else jet
-        return JetForm(self.n, self.k, out)
+        self._check(other)
+        return JetForm._of(self.n, self.k, self.table, self.coef + other.coef)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return JetForm._of(self.n, self.k, self.table, self.coef - other.coef)
 
     def __neg__(self):
-        return JetForm(self.n, self.k, {k: -v for k, v in self.c.items()})
+        return JetForm._of(self.n, self.k, self.table, -self.coef)
 
     def __mul__(self, s):
-        """Scale by a float or a jet."""
-        return JetForm(self.n, self.k, {k: v * s for k, v in self.c.items()})
+        """Scale by a float or a jet (the wedge with a 0-form)."""
+        if isinstance(s, Jet):
+            return _jet_wedge(self, JetForm._of(self.n, 0, s.table, s.coef[None, :]))
+        return JetForm._of(self.n, self.k, self.table, self.coef * float(s))
 
     __rmul__ = __mul__
 
     def wedge(self, other: "JetForm") -> "JetForm":
-        if self.n != other.n:
-            raise DimensionMismatch("different ambient dimensions")
-        k = self.k + other.k
-        out = JetForm(self.n, k)
-        if k > self.n:
-            return out
-        for a, ja in self.c.items():
-            sa = set(a)
-            for b, jb in other.c.items():
-                if sa.isdisjoint(b):
-                    s, merged = merge_sign(a, b)
-                    term = ja * jb
-                    if s != 1:
-                        term = -term
-                    out.c[merged] = out.c[merged] + term if merged in out.c else term
-        return out
+        return _jet_wedge(self, other)
 
     def value(self) -> Multivector:
-        out = Multivector(self.n, self.k)
-        pos = combo_pos(self.n, self.k)
-        for key, jet in self.c.items():
-            out.coef[pos[key]] = jet.value
-        return out
+        return Multivector(self.n, self.k, self.coef[:, 0].copy())
 
     def d_value(self) -> Multivector:
         """Exterior derivative at the point (coefficients need order >= 1)."""
-        out = Multivector(self.n, self.k + 1)
-        if self.k + 1 > self.n:
-            return out
-        pos = combo_pos(self.n, self.k + 1)
-        for key, jet in self.c.items():
-            for v in range(self.n):
-                lab = v + 1
-                if lab in key:
-                    continue
-                s, merged = merge_sign((lab,), key)
-                out.coef[pos[merged]] += s * jet.partial(v)
-        return out
+        return self.d_jets().value()
 
     def d_jets(self) -> "JetForm":
         """Exterior derivative with jet coefficients (one order lower)."""
-        out = JetForm(self.n, self.k + 1)
-        for key, jet in self.c.items():
-            for v in range(self.n):
-                lab = v + 1
-                if lab in key:
-                    continue
-                s, merged = merge_sign((lab,), key)
-                term = jet.derivative(v)
-                if s != 1:
-                    term = -term
-                out.c[merged] = out.c[merged] + term if merged in out.c else term
-        return out
+        if self.table.order < 1:
+            raise JetOrderError(1)
+        src, dst, w, low = _jet_d_index(self.n, self.k, self.table.nvars, self.table.order)
+        rows = len(combos(self.n, self.k + 1))
+        out = np.bincount(dst, self.coef.ravel()[src] * w, rows * low.size)
+        return JetForm._of(self.n, self.k + 1, low, out.reshape(rows, low.size))
+
+
+@lru_cache(maxsize=None)
+def _jet_wedge_index(n: int, j: int, k: int, nvars: int, order: int):
+    """Flat (src_a, src_b, sign, dst) arrays of the jet-form wedge: the
+    nonzero pairs of ``_wedge_table`` crossed with the jet product terms."""
+    tab = jet_table(nvars, order)
+    sign, target = _wedge_table(n, j, k)
+    ia, ib = np.nonzero(sign)
+    src_a = (ia[:, None] * tab.size + tab.mul_i).ravel()
+    src_b = (ib[:, None] * tab.size + tab.mul_j).ravel()
+    dst = (target[ia, ib][:, None] * tab.size + tab.mul_k).ravel()
+    return src_a, src_b, np.repeat(sign[ia, ib].astype(float), len(tab.mul_i)), dst
+
+
+def _jet_wedge(a: JetForm, b: JetForm) -> JetForm:
+    if a.n != b.n:
+        raise DimensionMismatch("different ambient dimensions")
+    if a.table is not b.table:
+        raise ValueError("jets from different tables")
+    tab, k = a.table, a.k + b.k
+    src_a, src_b, sign, dst = _jet_wedge_index(a.n, a.k, b.k, tab.nvars, tab.order)
+    rows = len(combos(a.n, k))
+    out = np.bincount(dst, a.coef.ravel()[src_a] * b.coef.ravel()[src_b] * sign, rows * tab.size)
+    return JetForm._of(a.n, k, tab, out.reshape(rows, tab.size))
+
+
+@lru_cache(maxsize=None)
+def _jet_d_index(n: int, k: int, nvars: int, order: int):
+    """Flat (src, dst, weight) arrays of the jet-form exterior derivative,
+    d(w)[J] = sum over x in J of sgn * (d/dx) w[J - x], and the lower jet
+    table: ``_interior_table(n, k + 1)`` crossed with ``deriv_maps``."""
+    tab, low = jet_table(nvars, order), jet_table(nvars, order - 1)
+    outer, lab, sgn, inner = _interior_table(n, k + 1)
+    src, dst, w = [], [], []
+    for v, (d_src, d_dst, fac) in enumerate(tab.deriv_maps()):
+        sel = lab == v
+        src.append((inner[sel, None] * tab.size + d_src).ravel())
+        dst.append((outer[sel, None] * low.size + d_dst).ravel())
+        w.append((sgn[sel, None] * fac).ravel())
+    return np.concatenate(src), np.concatenate(dst), np.concatenate(w), low
 
 
 # ----------------------------------------------------------------------
@@ -518,10 +554,8 @@ class FormField:
         return FormField(self.n, self.k)
 
     def jets(self, point, order: int) -> JetForm:
-        out = JetForm(self.n, self.k)
-        for key, field in self.coeffs.items():
-            out.c[key] = field.jet(point, order)
-        return out
+        jets = {key: field.jet(point, order) for key, field in self.coeffs.items()}
+        return JetForm(self.n, self.k, jets, jet_table(len(point), order))
 
     def at(self, point) -> Multivector:
         return self.jets(point, 0).value()
@@ -687,39 +721,24 @@ def hat(m: MatrixForm):
     return (m[2, 1], -m[2, 0], m[1, 0])
 
 
+def contract(forms, weights):
+    """Linear combination sum_i weights[i] * forms[i], added left to right."""
+    acc = forms[0] * weights[0]
+    for f, w in zip(forms[1:], weights[1:]):
+        acc = acc + f * w
+    return acc
+
+
 def row_wedge_matrix(row, m: MatrixForm):
     """(row . M)_j = sum_k row_k ^ M[k, j]."""
-    r, c = m.shape
-    if len(row) != r:
-        raise ShapeMismatch("row length does not match matrix rows")
-    out = []
-    for j in range(c):
-        acc = row[0].wedge(m[0, j])
-        for k in range(1, r):
-            acc = acc + row[k].wedge(m[k, j])
-        out.append(acc)
-    return out
+    return (MatrixForm([row]) @ m).entries[0]
 
 
 def matrix_wedge_col(m: MatrixForm, col):
     """(M . col)_i = sum_k M[i, k] ^ col_k."""
-    r, c = m.shape
-    if len(col) != c:
-        raise ShapeMismatch("column length does not match matrix columns")
-    out = []
-    for i in range(r):
-        acc = m[i, 0].wedge(col[0])
-        for k in range(1, c):
-            acc = acc + m[i, k].wedge(col[k])
-        out.append(acc)
-    return out
+    return [r[0] for r in (m @ MatrixForm([[c] for c in col])).entries]
 
 
 def row_wedge_col(row, col):
     """Pairing sum_k row_k ^ col_k."""
-    if len(row) != len(col):
-        raise ShapeMismatch("row/column length mismatch")
-    acc = row[0].wedge(col[0])
-    for k in range(1, len(row)):
-        acc = acc + row[k].wedge(col[k])
-    return acc
+    return (MatrixForm([row]) @ MatrixForm([[c] for c in col]))[0, 0]

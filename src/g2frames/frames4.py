@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import FormField, JetForm, MatrixForm, ScalarField, check
+from .exterior import JetForm, MatrixForm, ScalarField, check, combos, contract, row_wedge_matrix
 from .jets import Jet
 
 DIM = 4
@@ -203,10 +203,7 @@ class FrameBundle:
             JetForm(DIM, 1, {(i + 1,): coeff[a][i] for i in range(DIM) if i >= a})
             for a in range(DIM)
         ]
-        theta_low = [
-            JetForm(DIM, 1, {(i + 1,): coeff_low[a][i] for i in range(DIM) if i >= a})
-            for a in range(DIM)
-        ]
+        theta_low = [t.truncate(low) for t in theta]
         # structure constants d(theta)^a = 1/2 c[a][b][c] theta^b ^ theta^c
         dtheta = [theta[a].d_jets() for a in range(DIM)]
         c = [[[None] * DIM for _ in range(DIM)] for _ in range(DIM)]
@@ -217,42 +214,28 @@ class FrameBundle:
                         val = Jet.constant(0.0, DIM, low)
                     else:
                         val = None
-                        for (i, j), jet in dtheta[a].c.items():
-                            term = jet * (
+                        for i, j in combos(DIM, 2):
+                            term = dtheta[a].jet((i, j)) * (
                                 inv_low[i - 1][b] * inv_low[j - 1][e]
                                 - inv_low[j - 1][b] * inv_low[i - 1][e]
                             )
                             val = term if val is None else val + term
-                        if val is None:
-                            val = Jet.constant(0.0, DIM, low)
                     c[a][b][e] = val
                     if b != e:
                         c[a][e][b] = -val
         # omega^a_b = sum_e A[a][b][e] theta^e, A = -1/2 (c_abe + c_bea - c_eab)
-        conn = [[None] * DIM for _ in range(DIM)]
-        for a in range(DIM):
-            for b in range(DIM):
-                coeffs = {}
-                for e in range(DIM):
-                    aabe = (c[a][b][e] + c[b][e][a] - c[e][a][b]) * -0.5
-                    for i in range(DIM):
-                        if i >= e:
-                            term = aabe * coeff_low[e][i]
-                            key = (i + 1,)
-                            coeffs[key] = coeffs[key] + term if key in coeffs else term
-                conn[b][a] = JetForm(DIM, 1, coeffs)
+        conn = [
+            [
+                contract(theta_low, [(c[a][b][e] + c[b][e][a] - c[e][a][b]) * -0.5 for e in range(DIM)])
+                for a in range(DIM)
+            ]
+            for b in range(DIM)
+        ]
         curv = [[None] * DIM for _ in range(DIM)]
         if order >= 2:
-            conn_low = [
-                [JetForm(DIM, 1, {k: v.truncate(low - 1) for k, v in conn[b][a].c.items()}) for a in range(DIM)]
-                for b in range(DIM)
-            ]
-            for b in range(DIM):
-                for a in range(DIM):
-                    acc = conn[b][a].d_jets()
-                    for e in range(DIM):
-                        acc = acc + conn_low[b][e].wedge(conn_low[e][a])
-                    curv[b][a] = acc
+            om = MatrixForm([[w.truncate(low - 1) for w in row] for row in conn])
+            om2 = om @ om
+            curv = [[conn[b][a].d_jets() + om2[b, a] for a in range(DIM)] for b in range(DIM)]
         return BaseData(point, order, theta, theta_low, coeff, coeff_val, frame_val, conn, curv)
 
     # -- residual diagnostics -------------------------------------------
@@ -271,18 +254,10 @@ class FrameBundle:
         """Structure equation and algebraic Bianchi residuals on one branch."""
         bd = self.base(point, 2)
         eta, conn3, rho3 = bd.duality(branch)
-        m3 = check([c.value() for c in conn3])
         eta_val = [e.value() for e in eta]
-        struct = 0.0
-        for i in range(3):
-            lhs = eta[i].d_value()
-            rhs = eta_val[0].wedge(m3[0, i]) + eta_val[1].wedge(m3[1, i]) + eta_val[2].wedge(m3[2, i])
-            struct = max(struct, (lhs - rhs).sup())
-        r3 = check([r.value() for r in rho3])
-        bianchi = 0.0
-        for i in range(3):
-            acc = eta_val[0].wedge(r3[0, i]) + eta_val[1].wedge(r3[1, i]) + eta_val[2].wedge(r3[2, i])
-            bianchi = max(bianchi, acc.sup())
+        rhs = row_wedge_matrix(eta_val, check([c.value() for c in conn3]))
+        struct = max((eta[i].d_value() - rhs[i]).sup() for i in range(3))
+        bianchi = max(x.sup() for x in row_wedge_matrix(eta_val, check([r.value() for r in rho3])))
         return {"structure": struct, "bianchi": bianchi}
 
     # -- curvature blocks --------------------------------------------------
@@ -467,130 +442,3 @@ def sectional(oracle: dict, u, v) -> float:
     uv = float(u @ g @ v)
     num = float(np.einsum("ijkl,i,j,k,l->", r, u, v, u, v))
     return num / (uu * vv - uv * uv)
-
-
-# ----------------------------------------------------------------------
-# field-level wrapper types
-
-
-@dataclass(frozen=True)
-class Coframe:
-    theta: tuple
-    bundle: FrameBundle
-
-
-@dataclass(frozen=True)
-class ConnectionMatrix:
-    omega: MatrixForm
-    bundle: FrameBundle
-
-
-@dataclass(frozen=True)
-class CurvatureMatrix:
-    rho: MatrixForm
-    bundle: FrameBundle
-
-
-@dataclass(frozen=True)
-class DualityBases:
-    eta: tuple
-    omega: MatrixForm
-    rho: MatrixForm
-    branch: int
-    bundle: FrameBundle
-
-
-def _field_from(bundle, extract, base_order_for):
-    """ScalarField view into the cached pipeline of ``bundle``."""
-
-    def jf(pt, order):
-        bd = bundle.base(pt, base_order_for(order))
-        return extract(bd, order)
-
-    return ScalarField(DIM, jet_fn=jf)
-
-
-def _theta_field(bundle, a, i):
-    return _field_from(
-        bundle,
-        lambda bd, order: bd.theta[a].c.get((i + 1,), Jet.constant(0.0, DIM, bd.order)).truncate(order),
-        lambda order: max(order, 1),
-    )
-
-
-def _conn_field(bundle, b, a, i):
-    return _field_from(
-        bundle,
-        lambda bd, order: bd.conn[b][a].c.get((i + 1,), Jet.constant(0.0, DIM, bd.order - 1)).truncate(order),
-        lambda order: order + 1,
-    )
-
-
-def _curv_field(bundle, b, a, idx):
-    return _field_from(
-        bundle,
-        lambda bd, order: bd.curv[b][a].c.get(idx, Jet.constant(0.0, DIM, bd.order - 2)).truncate(order),
-        lambda order: order + 2,
-    )
-
-
-def orthonormal_coframe(metric, name: str = "chart") -> Coframe:
-    """Coframe fields theta with sum theta^a x theta^a = g, from one Cholesky
-    factorization per point; fails on a non-SPD probe with the point named."""
-    bundle = metric if isinstance(metric, FrameBundle) else FrameBundle(metric, name)
-    theta = tuple(
-        FormField(DIM, 1, {(i + 1,): _theta_field(bundle, a, i) for i in range(DIM) if i >= a})
-        for a in range(DIM)
-    )
-    return Coframe(theta=theta, bundle=bundle)
-
-
-def levi_civita(coframe: Coframe) -> ConnectionMatrix:
-    bundle = coframe.bundle
-    rows = []
-    for b in range(DIM):
-        rows.append(
-            [
-                FormField(DIM, 1, {(i + 1,): _conn_field(bundle, b, a, i) for i in range(DIM)})
-                for a in range(DIM)
-            ]
-        )
-    return ConnectionMatrix(omega=MatrixForm(rows), bundle=bundle)
-
-
-def curvature(conn: ConnectionMatrix) -> CurvatureMatrix:
-    bundle = conn.bundle
-    two_idx = [(i + 1, j + 1) for i in range(DIM) for j in range(i + 1, DIM)]
-    rows = []
-    for b in range(DIM):
-        rows.append(
-            [
-                FormField(DIM, 2, {idx: _curv_field(bundle, b, a, idx) for idx in two_idx})
-                for a in range(DIM)
-            ]
-        )
-    return CurvatureMatrix(rho=MatrixForm(rows), bundle=bundle)
-
-
-def duality_bases(coframe: Coframe, branch: int) -> DualityBases:
-    """Tautological 2-forms and induced connection/curvature on one branch."""
-    bundle = coframe.bundle
-    th = coframe.theta
-    b = float(branch)
-    eta = tuple(
-        th[p[0]].wedge(th[p[1]]) + th[q[0]].wedge(th[q[1]]) * (b * s)
-        for (p, q), s in zip(_DUALITY_PAIRS, _DUALITY_SIGNS)
-    )
-    om = levi_civita(coframe).omega
-    w = (
-        om[3, 2] + b * om[1, 0],
-        om[1, 3] - b * om[0, 2],
-        om[2, 1] + b * om[3, 0],
-    )
-    rh = curvature(levi_civita(coframe)).rho
-    r = (
-        rh[3, 2] + b * rh[1, 0],
-        rh[1, 3] - b * rh[0, 2],
-        rh[2, 1] + b * rh[3, 0],
-    )
-    return DualityBases(eta=eta, omega=check(list(w)), rho=check(list(r)), branch=branch, bundle=bundle)

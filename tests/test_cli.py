@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from g2frames import cli
+from g2frames.bundle7.profiles import ProfileDomainError
+from g2frames.bundle7.pspace import ChartBoundError
+from g2frames.bundle7.radial import QuadratureError
 from g2frames.cli import ConfigError, RunConfig, SUITES, list_suites, main, run
+from g2frames.frames4 import NonSPDMetricError, ResidualError
+from g2frames.g2point import DecompositionError, DegeneratePhiError
 
 BS_SPHERE = {
     "model": "sphere4",
@@ -184,6 +190,8 @@ def test_list_suites_mentions_core_checks(capsys):
         ({"params": {"foo": 1}}, "params.foo"),
         ({"params": {"kappa": 0}}, "params.kappa"),
         ({"params": {"kappa": "big"}}, "params.kappa"),
+        ({"model": "fubiniStudy", "branch": 1}, "branch"),
+        ({"model": "complexHyperbolic", "branch": 1}, "branch"),
     ],
 )
 def test_main_rejects_mistyped_config(tmp_path, capsys, change, key):
@@ -193,3 +201,44 @@ def test_main_rejects_mistyped_config(tmp_path, capsys, change, key):
     err = capsys.readouterr().err
     assert f"'{key}'" in err
     assert "Traceback" not in err
+
+
+def test_coframe_bundle_runs_need_no_duality_hypothesis():
+    # the Kaehler models are not anti-self-dual: only the 2-form bundle's branch +1 is out
+    for model in ("fubiniStudy", "complexHyperbolic"):
+        assert RunConfig.from_dict(dict(P_HYPER, model=model, branch=1)).branch == 1
+
+
+def test_main_numerical_failure_is_one_line(tmp_path, capsys):
+    # a tiny curvature radius trips the absolute block-symmetry bound
+    cfg = dict(BS_SPHERE, params={"kappa": 1e-3}, profile={"kind": "bs", "s": 1e6, "c0": 1.0, "c1": 1.0})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        ResidualError("curvature blocks not symmetric (1.00e-05)"),
+        DecompositionError(1e-7, 0.0, 0.0, 0.0),
+        DegeneratePhiError(5),
+        QuadratureError("quadrature failed to converge on [0, 1]"),
+        NonSPDMetricError((0.1, 0.2, 0.3, 0.4), "(pivot 2)"),
+        ProfileDomainError("r = 0.65 outside the profile domain"),
+        ChartBoundError(3.1),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_main_maps_numerical_errors_to_exit_1(tmp_path, capsys, monkeypatch, error):
+    def fail(config, workers=1):
+        raise error
+
+    monkeypatch.setattr(cli, "run", fail)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BS_SPHERE))
+    assert main(["run", "--config", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"numerical failure: {error}\n"

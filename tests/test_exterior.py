@@ -20,7 +20,8 @@ from g2frames.exterior import (
     hat,
     merge_sign,
 )
-from g2frames.jets import JetOrderError
+from g2frames.jets import Jet, JetOrderError
+from g2frames.jets import table as jet_table
 
 
 def rand_mv(rng, n, k):
@@ -394,3 +395,58 @@ def test_basis_canonicalization():
     assert (Multivector.basis(4, (2, 1)) + Multivector.basis(4, (1, 2))).sup() == 0.0
     assert Multivector.from_terms(4, 2, {(3, 3): 5.0}).sup() == 0.0
     assert Multivector.basis(4, (3, 1, 2)).coeff((1, 2, 3)) == 1.0
+
+
+# ----------------------------------------------------------------------
+# jet forms: the dense wedge and d kernels on full jet coefficients
+
+DEGREE_PAIRS = [(j, k) for j in range(5) for k in range(5) if j + k <= 4]
+
+
+def rand_jetform(rng, k, order=2):
+    tab = jet_table(4, order)
+    jets = {idx: Jet(tab, rng.normal(size=tab.size)) for idx in combos(4, k)}
+    return JetForm(4, k, jets)
+
+
+def test_jetform_leibniz_rule_on_jets():
+    rng = np.random.default_rng(31)
+    for j, k in DEGREE_PAIRS:
+        a, b = rand_jetform(rng, j), rand_jetform(rng, k)
+        lhs = a.wedge(b).d_jets()
+        rhs = a.d_jets().wedge(b.truncate(1)) + a.truncate(1).wedge(b.d_jets()) * float((-1) ** j)
+        assert lhs.k == j + k + 1 and lhs.table.order == 1
+        assert np.allclose(lhs.coef, rhs.coef, rtol=0.0, atol=1e-12), (j, k)
+
+
+def test_jetform_d_squared_vanishes_on_jets():
+    rng = np.random.default_rng(32)
+    for k in range(5):
+        a = rand_jetform(rng, k)
+        dd = a.d_jets().d_jets()
+        assert dd.table.order == 0
+        assert np.max(np.abs(dd.coef), initial=0.0) < 1e-12, k
+
+
+def test_jetform_scaling_is_wedge_with_zero_form():
+    rng = np.random.default_rng(33)
+    tab = jet_table(4, 2)
+    for k in range(5):
+        a = rand_jetform(rng, k)
+        s = Jet(tab, rng.normal(size=tab.size))
+        scaled = a * s
+        assert np.array_equal(scaled.coef, a.wedge(JetForm(4, 0, {(): s})).coef)
+        assert np.array_equal((s * a).coef, scaled.coef)
+        for idx in combos(4, k):
+            assert np.allclose(scaled.jet(idx).coef, (a.jet(idx) * s).coef, rtol=0.0, atol=1e-14)
+
+
+def test_jetform_wedge_of_one_forms_on_jets():
+    # (a ^ b)_{ij} = a_i b_j - a_j b_i, jet by jet
+    rng = np.random.default_rng(34)
+    a, b = rand_jetform(rng, 1), rand_jetform(rng, 1)
+    ab = a.wedge(b)
+    for i, j in combos(4, 2):
+        expect = a.jet((i,)) * b.jet((j,)) - a.jet((j,)) * b.jet((i,))
+        assert np.allclose(ab.jet((i, j)).coef, expect.coef, rtol=0.0, atol=1e-14)
+        assert np.array_equal(ab.jet((j, i)).coef, -ab.jet((i, j)).coef)

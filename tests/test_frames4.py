@@ -7,11 +7,7 @@ from g2frames.exterior import Multivector, ScalarField
 from g2frames.frames4 import (
     FrameBundle,
     NonSPDMetricError,
-    curvature,
     curvature_oracle,
-    duality_bases,
-    levi_civita,
-    orthonormal_coframe,
     pairing_sign,
     predicates,
     sectional,
@@ -31,21 +27,21 @@ def test_pairing_sign_anchored_by_sphere():
 
 def test_flat_coframe_is_coordinate_differentials():
     spec = get_model("flat")
-    cf = orthonormal_coframe(spec.metric)
-    pt = (0.3, -0.8, 0.1, 0.6)
+    bd = spec.bundle().base((0.3, -0.8, 0.1, 0.6), 1)
     for a in range(4):
-        got = cf.theta[a].at(pt)
+        got = bd.theta[a].value()
         assert (got - Multivector.basis(4, (a + 1,))).sup() == 0.0
 
 
 @pytest.mark.parametrize("name,sign", [("sphere4", 1.0), ("hyperbolic4", -1.0)])
 def test_conformal_coframes(name, sign):
     spec = get_model(name)
-    cf = orthonormal_coframe(spec.metric)
+    fb = spec.bundle()
     for pt in _probe(spec, 4):
         c = 2.0 / (1.0 + sign * sum(x * x for x in pt))
+        bd = fb.base(pt, 1)
         for a in range(4):
-            got = cf.theta[a].at(pt)
+            got = bd.theta[a].value()
             assert (got - c * Multivector.basis(4, (a + 1,))).sup() < 1e-12
 
 
@@ -269,27 +265,16 @@ def test_s_constant_across_points():
         assert max(vals) - min(vals) < 1e-7, name
 
 
-def test_field_level_wrappers_match_pipeline():
+def test_connection_skew_and_curvature_definition():
     spec = get_model("hyperbolic4")
-    cf = orthonormal_coframe(spec.metric)
-    conn = levi_civita(cf)
-    curv = curvature(conn)
-    fb = cf.bundle
-    pt = _probe(spec, 1)[0]
-    bd = fb.base(pt, 2)
+    bd = spec.bundle().base(_probe(spec, 1)[0], 2)
+    om = [[bd.conn[b][a].value() for a in range(4)] for b in range(4)]
     for b in range(4):
         for a in range(4):
-            assert (conn.omega[b, a].at(pt) - bd.conn[b][a].value()).sup() < 1e-14
-            assert (curv.rho[b, a].at(pt) - bd.curv[b][a].value()).sup() < 1e-14
             # skewness of the connection matrix, identically
-            assert (conn.omega[b, a].at(pt) + conn.omega[a, b].at(pt)).sup() < 1e-14
-    db = duality_bases(cf, -1)
-    eta, conn3, rho3 = bd.duality(-1)
-    for i in range(3):
-        assert (db.eta[i].at(pt) - eta[i].value()).sup() < 1e-14
-    # curvature field = d of connection field + wedge square, at the point
-    rho_from_fields = conn.omega[1, 0].d_at(pt)
-    acc = rho_from_fields
-    for e in range(4):
-        acc = acc + conn.omega[1, e].at(pt).wedge(conn.omega[e, 0].at(pt))
-    assert (acc - bd.curv[1][0].value()).sup() < 1e-12
+            assert (om[b][a] + om[a][b]).sup() < 1e-14
+            # rho = d(omega) + omega ^ omega, at the point
+            acc = bd.conn[b][a].d_value()
+            for e in range(4):
+                acc = acc + om[b][e].wedge(om[e][a])
+            assert (acc - bd.curv[b][a].value()).sup() < 1e-12
