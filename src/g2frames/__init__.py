@@ -9,11 +9,7 @@ from .exterior import (
     Multivector,
     ScalarField,
     check,
-    dform,
     hat,
-    hodge,
-    interior,
-    wedge,
 )
 from .frames4 import (
     FrameBundle,
@@ -52,11 +48,7 @@ __all__ = [
     "Multivector",
     "ScalarField",
     "check",
-    "dform",
     "hat",
-    "hodge",
-    "interior",
-    "wedge",
     "FrameBundle",
     "SingerThorpe",
     "curvature_oracle",

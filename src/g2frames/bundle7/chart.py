@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..exterior import FormField, JetForm, ScalarField, combo_pos, combos
+from ..exterior import FormField, JetForm, combo_pos, combos
 from ..g2point import TorsionForms
 from ..jets import _embed_index
 from ..jets import table as jet_table
@@ -98,14 +98,9 @@ class Chart:
 
     def _field(self, which, degree):
         """FormField view into the cached chart pipeline (jets up to order 2)."""
-
-        def coeff(idx):
-            def jf(pt, order):
-                return getattr(self.jets(pt, max(order, 1)), which).jet(idx).truncate(order)
-
-            return ScalarField(N, jet_fn=jf)
-
-        return FormField(N, degree, {idx: coeff(idx) for idx in combos(N, degree)})
+        return FormField(
+            N, degree, jets=lambda pt, o: getattr(self.jets(pt, max(o, 1)), which).truncate(o)
+        )
 
     def adapted_derivatives(self, point):
         """(d phi, d psi) in the adapted coframe, where phi is standard."""

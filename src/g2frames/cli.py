@@ -190,7 +190,7 @@ class RunConfig:
         return constant_profile(self.profile["lam"], self.profile["mu"])
 
 
-# check id -> (anchor, tolerance scaling role)
+# check id -> anchor: the identity the check verifies
 SUITES = {
     "frames/cartan": "first structure equation: d(theta) + theta^omega = 0",
     "frames/duality-structure": "induced connection: d(eta) = eta^omega on the duality bundle",
@@ -401,16 +401,14 @@ def _p_records(cfg: RunConfig, spec, chart: PSpaceChart, rng, workers):
     duality_ok = spec.expected.asd if chart.branch == 1 else spec.expected.sd
     if abs(mu**2 - 5.0 * s_model * lam**2) < 1e-9 and spec.expected.einstein and duality_ok:
         records.append(_record("p/nearly-parallel", max(r["nearly"] for r in rows), 1e-8))
+    norms = {k: max(r["norms"][k] for r in rows) for k in ("tau0", "tau1", "tau2", "tau3")}
+    cls = classify_norms(norms, tol=1e-6)
     if abs(mu**2 + 2.0 * s_model * lam**2) < 1e-9:
-        agg = {k: max(r["norms"][k] for r in rows) for k in ("tau0", "tau1", "tau2", "tau3")}
-        cls = classify_norms(agg, tol=1e-6)
         w3_err = 0.0 if (cls.pure == "W3" and cls.cocalibrated) else 1.0
-        records.append(_record("p/pure-w3", max(agg["tau0"], w3_err), 1e-8))
+        records.append(_record("p/pure-w3", max(norms["tau0"], w3_err), 1e-8))
         if spec.expected.einstein and duality_ok:
             records.append(_record("p/w3-closed-form", max(r["tau3_w3"] for r in rows), 1e-8))
-    agg_norms = {k: max(r["norms"][k] for r in rows) for k in ("tau0", "tau1", "tau2", "tau3")}
-    label = classify_norms(agg_norms, tol=1e-6).label
-    return records, label
+    return records, cls.label
 
 
 def run(config: RunConfig, workers: int = 1) -> Report:

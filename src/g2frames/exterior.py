@@ -8,8 +8,10 @@ Three layers share one set of combinatorial tables:
   array whose wedge and exterior derivative are one gather over the tables
   below and one ``np.bincount`` (its ``d_value`` is the exterior derivative
   at the point);
-* ``FormField``   -- a form whose coefficients are scalar fields over a
-  chart, evaluable to either of the above.
+* ``FormField``   -- a form over a chart, held lazily as one function
+  ``jets(point, order)`` that returns it as a ``JetForm``; its exterior
+  derivative, wedge and arithmetic are views that apply the ``JetForm``
+  operations, so the rules live in one place.
 
 Basis labels are the opaque integers 1..n.  Multi-indices are strictly
 increasing tuples of labels; permutation signs are normalized once at
@@ -304,18 +306,6 @@ class Multivector:
         return f"Multivector({body})"
 
 
-def wedge(a: Multivector, b: Multivector) -> Multivector:
-    return a.wedge(b)
-
-
-def hodge(a: Multivector, metric_diag, orientation: int = 1) -> Multivector:
-    return a.hodge(metric_diag, orientation)
-
-
-def interior(vector, a: Multivector) -> Multivector:
-    return a.interior(vector)
-
-
 # ----------------------------------------------------------------------
 # jet-coefficient forms
 
@@ -462,14 +452,13 @@ class ScalarField:
     combine freely.
     """
 
-    __slots__ = ("nvars", "_fn", "_jet_fn")
+    __slots__ = ("nvars", "_jet_fn")
 
     def __init__(self, nvars: int, fn=None, jet_fn=None):
         if (fn is None) == (jet_fn is None):
             raise ValueError("provide exactly one of fn, jet_fn")
         self.nvars = nvars
-        self._fn = fn
-        self._jet_fn = jet_fn
+        self._jet_fn = jet_fn if fn is None else lambda pt, o: fn(*variables(pt, o))
 
     @staticmethod
     def constant(nvars: int, value: float) -> "ScalarField":
@@ -483,9 +472,7 @@ class ScalarField:
         return ScalarField(nvars, jet_fn=jf)
 
     def jet(self, point, order: int) -> Jet:
-        if self._jet_fn is not None:
-            return self._jet_fn(tuple(point), order)
-        return self._fn(*variables(point, order))
+        return self._jet_fn(tuple(point), order)
 
     def __call__(self, point) -> float:
         return self.jet(point, 0).value
@@ -497,7 +484,9 @@ class ScalarField:
             return ScalarField(
                 self.nvars, jet_fn=lambda pt, o: op(self.jet(pt, o), other.jet(pt, o))
             )
-        return ScalarField(self.nvars, jet_fn=lambda pt, o: op(self.jet(pt, o), other))
+        if isinstance(other, (int, float, np.integer, np.floating)):
+            return ScalarField(self.nvars, jet_fn=lambda pt, o: op(self.jet(pt, o), other))
+        return NotImplemented
 
     def __add__(self, other):
         return self._combine(other, lambda a, b: a + b)
@@ -526,36 +515,28 @@ class ScalarField:
 
 
 class FormField:
-    """Differential form on a chart: multi-index -> ScalarField coefficients."""
+    """Differential k-form on an n-dimensional chart, evaluated lazily.
 
-    __slots__ = ("n", "k", "coeffs")
+    ``jets(point, order)`` returns the form at a point as a ``JetForm``.
+    ``FormField(n, k, {idx: ScalarField})`` builds it from coefficient
+    fields, ``FormField(n, k, jets=fn)`` from a whole-form jet function;
+    ``d``, ``wedge`` and the arithmetic return views that apply the
+    ``JetForm`` operations to the operands' jets.
+    """
 
-    def __init__(self, n: int, k: int, coeffs: dict | None = None):
+    __slots__ = ("n", "k", "jets")
+
+    def __init__(self, n: int, k: int, coeffs: dict | None = None, jets=None):
         self.n = n
         self.k = k
-        self.coeffs = {}
-        if coeffs:
-            for idx, field in coeffs.items():
-                s, key = _canonical(idx)
-                if not s:
-                    continue
-                field = field if s == 1 else field * float(s)
-                self.coeffs[key] = self.coeffs[key] + field if key in self.coeffs else field
+        if jets is None:
+            coeffs = dict(coeffs or {})
 
-    @staticmethod
-    def zero(n: int, k: int) -> "FormField":
-        return FormField(n, k)
+            def jets(point, order):
+                c = {idx: field.jet(point, order) for idx, field in coeffs.items()}
+                return JetForm(n, k, c, jet_table(len(point), order))
 
-    @staticmethod
-    def coordinate_differential(n: int, label: int) -> "FormField":
-        return FormField(n, 1, {(label,): ScalarField.constant(n, 1.0)})
-
-    def zero_like(self) -> "FormField":
-        return FormField(self.n, self.k)
-
-    def jets(self, point, order: int) -> JetForm:
-        jets = {key: field.jet(point, order) for key, field in self.coeffs.items()}
-        return JetForm(self.n, self.k, jets, jet_table(len(point), order))
+        self.jets = jets
 
     def at(self, point) -> Multivector:
         return self.jets(point, 0).value()
@@ -566,78 +547,38 @@ class FormField:
 
     def d(self) -> "FormField":
         """Exterior derivative as a field (coefficients one jet order deeper)."""
-        parent = self
+        return FormField(self.n, self.k + 1, jets=lambda pt, o: self.jets(pt, o + 1).d_jets())
 
-        def coeff_field(key):
-            def jf(pt, order):
-                acc = None
-                for slot, lab in enumerate(key):
-                    rest = key[:slot] + key[slot + 1 :]
-                    src = parent.coeffs.get(rest)
-                    if src is None:
-                        continue
-                    term = src.jet(pt, order + 1).derivative(lab - 1)
-                    if slot % 2:
-                        term = -term
-                    acc = term if acc is None else acc + term
-                if acc is None:
-                    return Jet.constant(0.0, parent.n, order)
-                return acc
-
-            return ScalarField(parent.n, jet_fn=jf)
-
-        out = FormField(self.n, self.k + 1)
-        if self.k + 1 > self.n:
-            return out
-        present = set()
-        for key in self.coeffs:
-            for lab in range(1, self.n + 1):
-                if lab not in key:
-                    present.add(tuple(sorted(key + (lab,))))
-        for key in present:
-            out.coeffs[key] = coeff_field(key)
-        return out
-
-    def __add__(self, other):
+    def _check(self, other):
         if self.n != other.n or self.k != other.k:
             raise DimensionMismatch("form field mismatch")
-        out = FormField(self.n, self.k, dict(self.coeffs))
-        for key, field in other.coeffs.items():
-            out.coeffs[key] = out.coeffs[key] + field if key in out.coeffs else field
-        return out
+
+    def __add__(self, other):
+        self._check(other)
+        return FormField(self.n, self.k, jets=lambda pt, o: self.jets(pt, o) + other.jets(pt, o))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return FormField(self.n, self.k, jets=lambda pt, o: self.jets(pt, o) - other.jets(pt, o))
 
     def __neg__(self):
-        return FormField(self.n, self.k, {k: -v for k, v in self.coeffs.items()})
+        return FormField(self.n, self.k, jets=lambda pt, o: -self.jets(pt, o))
 
     def __mul__(self, s):
         """Scale by a float or a ScalarField."""
-        return FormField(self.n, self.k, {k: v * s for k, v in self.coeffs.items()})
+        if isinstance(s, ScalarField):
+            return FormField(self.n, self.k, jets=lambda pt, o: self.jets(pt, o) * s.jet(pt, o))
+        s = float(s)
+        return FormField(self.n, self.k, jets=lambda pt, o: self.jets(pt, o) * s)
 
     __rmul__ = __mul__
 
     def wedge(self, other: "FormField") -> "FormField":
         if self.n != other.n:
             raise DimensionMismatch("different ambient dimensions")
-        out = FormField(self.n, self.k + other.k)
-        if out.k > self.n:
-            return out
-        for a, fa in self.coeffs.items():
-            sa = set(a)
-            for b, fb in other.coeffs.items():
-                if sa.isdisjoint(b):
-                    s, merged = merge_sign(a, b)
-                    term = fa * fb if s == 1 else fa * fb * -1.0
-                    out.coeffs[merged] = (
-                        out.coeffs[merged] + term if merged in out.coeffs else term
-                    )
-        return out
-
-
-def dform(field: FormField, point) -> Multivector:
-    return field.d_at(point)
+        return FormField(
+            self.n, self.k + other.k, jets=lambda pt, o: self.jets(pt, o).wedge(other.jets(pt, o))
+        )
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ from g2frames.exterior import (
     ScalarField,
     check,
     combos,
-    dform,
     hat,
     merge_sign,
 )
@@ -295,9 +294,9 @@ def test_transform_respects_wedge():
 def test_dform_constant_and_polynomial():
     n = 4
     const = FormField(n, 2, {(1, 2): ScalarField.constant(n, 3.5)})
-    assert dform(const, (0.3, 0.4, 0.1, 0.9)).sup() == 0.0
+    assert const.d_at((0.3, 0.4, 0.1, 0.9)).sup() == 0.0
     x1_dx2 = FormField(n, 1, {(2,): ScalarField.coordinate(n, 0)})
-    got = dform(x1_dx2, (0.7, -0.3, 0.2, 0.5))
+    got = x1_dx2.d_at((0.7, -0.3, 0.2, 0.5))
     assert (got - Multivector.basis(n, (1, 2))).sup() == 0.0
 
 
@@ -338,6 +337,84 @@ def test_d_leibniz_pointwise():
     lhs = a.wedge(b).d_at(pt)
     rhs = a.d_at(pt).wedge(b.at(pt)) - a.at(pt).wedge(b.d_at(pt))
     assert (lhs - rhs).sup() < 1e-10
+
+
+def _random_scalar_field(rng, n):
+    c = rng.normal(size=n)
+
+    def fn(*jets):
+        acc = jets[0] * 0.0 + 1.5
+        for i in range(n):
+            acc = acc + float(c[i]) * jets[i] * jets[(i + 1) % n]
+        return acc
+
+    return ScalarField(n, fn=fn)
+
+
+def test_form_field_arithmetic_matches_jetform():
+    rng = np.random.default_rng(19)
+    n, k, order = 4, 2, 2
+    a = _random_polynomial_field(rng, n, k)
+    b = _random_polynomial_field(rng, n, k)
+    f = _random_scalar_field(rng, n)
+    pt = (0.3, -0.6, 0.2, 0.8)
+    ja, jb, jf = a.jets(pt, order), b.jets(pt, order), f.jet(pt, order)
+    cases = [
+        (a + b, ja + jb),
+        (a - b, ja - jb),
+        (-a, -ja),
+        (a * 2.5, ja * 2.5),
+        (2.5 * a, ja * 2.5),
+        (a * f, ja * jf),
+    ]
+    for field, expect in cases:
+        assert isinstance(field, FormField) and field.k == k
+        got = field.jets(pt, order)
+        assert got.table is expect.table
+        assert np.allclose(got.coef, expect.coef, rtol=0.0, atol=1e-13)
+
+
+def test_form_field_zero_form_leibniz():
+    rng = np.random.default_rng(20)
+    n = 4
+    a = _random_polynomial_field(rng, n, 2)
+    f = _random_scalar_field(rng, n)
+    f0 = FormField(n, 0, {(): f})
+    pt = (-0.2, 0.5, 0.4, -0.7)
+    lhs = (a * f).d_at(pt)
+    rhs = f0.d_at(pt).wedge(a.at(pt)) + a.d_at(pt) * f(pt)
+    assert lhs.k == 3
+    assert (lhs - rhs).sup() < 1e-12
+
+
+def test_form_field_degree_overflow_is_zero_form():
+    rng = np.random.default_rng(21)
+    n = 4
+    top = _random_polynomial_field(rng, n, n)
+    pt = (0.1, 0.2, -0.3, 0.4)
+    cases = [(top.d(), n + 1), (_random_polynomial_field(rng, n, 3).wedge(top), n + 3)]
+    for field, k in cases:
+        assert field.k == k
+        value = field.at(pt)
+        assert value.k == field.k and value.coef.shape == (0,)
+        assert field.jets(pt, 1).coef.shape == (0, jet_table(n, 1).size)
+
+
+def test_scalar_field_defers_to_form_field_and_rejects_other_operands():
+    rng = np.random.default_rng(22)
+    n = 4
+    f = _random_scalar_field(rng, n)
+    form = _random_polynomial_field(rng, n, 1)
+    pt = (0.4, 0.1, -0.5, 0.3)
+    left = f * form
+    assert isinstance(left, FormField)
+    assert (left.at(pt) - (form * f).at(pt)).sup() == 0.0
+    with pytest.raises(TypeError):
+        f + "oops"
+    with pytest.raises(TypeError):
+        f * [1.0]
+    assert (f * np.float64(2.0))(pt) == pytest.approx(2.0 * f(pt), abs=1e-14)
+    assert (f + np.int64(3))(pt) == pytest.approx(f(pt) + 3.0, abs=1e-14)
 
 
 def test_dform_missing_jet_order_reported():
