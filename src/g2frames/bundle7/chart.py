@@ -21,6 +21,12 @@ from ..models import ModelSpec
 
 N = 7
 _BASE_POSITIONS = (3, 4, 5, 6)
+# consecutive rejected fiber draws after which sampling gives up
+MAX_REJECTED_DRAWS = 10_000
+
+
+class SamplingError(ValueError):
+    """No fiber draw lands in the accepted region."""
 
 
 @lru_cache(maxsize=None)
@@ -113,13 +119,18 @@ class Chart:
 
     def _sample(self, count: int, rng, bound: float, accept) -> np.ndarray:
         """Seeded probes: fiber coordinates uniform in [-bound, bound]^3 and
-        kept when ``accept`` holds, base in the model safe box."""
+        kept when ``accept`` holds, base in the model safe box.  Raises
+        ``SamplingError`` after ``MAX_REJECTED_DRAWS`` rejections in a row."""
         pts = np.empty((count, N))
-        got = 0
+        got = rejected = 0
         while got < count:
             v = rng.uniform(-bound, bound, size=3)
             if not accept(v):
+                rejected += 1
+                if rejected == MAX_REJECTED_DRAWS:
+                    raise SamplingError(f"{rejected} fiber draws in a row from [-{bound}, {bound}]^3 missed")
                 continue
+            rejected = 0
             pts[got, :3] = v
             pts[got, 3:] = self.model.sample_points(1, rng)[0]
             got += 1

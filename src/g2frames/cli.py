@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundle7.chart import torsion_gap
+from .bundle7.chart import SamplingError, torsion_gap
 from .bundle7.profiles import (
     Profile,
     ProfileDomainError,
@@ -317,7 +317,10 @@ def _frame_records(spec, bundle, points, tol, workers) -> list:
 
 
 def _x_records(cfg: RunConfig, spec, chart: XSpaceChart, rng, workers):
-    points = chart.sample_points(cfg.probes, rng)
+    try:
+        points = chart.sample_points(cfg.probes, rng)
+    except SamplingError as exc:
+        raise ConfigError(f"invalid value for key 'profile': no probe in its domain ({exc})") from None
     records = []
     norm_keys = ("tau0", "tau1", "tau2", "tau3")
     g_diag = None
@@ -479,6 +482,9 @@ def main(argv=None) -> int:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    if not isinstance(raw, dict):
+        print(f"config error: the top level is {type(raw).__name__}, not a JSON object", file=sys.stderr)
         return 2
     overrides = {"seed": args.seed, "probes": args.probes, "tol": args.tol}
     for key, val in overrides.items():

@@ -160,10 +160,6 @@ class Multivector:
 
     # -- constructors ---------------------------------------------------
     @staticmethod
-    def zero(n: int, k: int) -> "Multivector":
-        return Multivector(n, k)
-
-    @staticmethod
     def scalar(n: int, value: float) -> "Multivector":
         return Multivector(n, 0, np.array([float(value)]))
 
@@ -194,15 +190,8 @@ class Multivector:
     def terms(self):
         return {c: float(v) for c, v in zip(combos(self.n, self.k), self.coef) if v != 0.0}
 
-    def norm(self) -> float:
-        """Euclidean coefficient norm (orthonormal-basis inner product)."""
-        return float(np.sqrt(np.dot(self.coef, self.coef)))
-
     def sup(self) -> float:
         return float(np.max(np.abs(self.coef))) if self.coef.size else 0.0
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.sup() <= tol
 
     # -- linear structure ---------------------------------------------------
     def _check(self, other):
@@ -636,10 +625,6 @@ class MatrixForm:
         return MatrixForm([[a * s for a in row] for row in self.entries])
 
     __rmul__ = __mul__
-
-    def transpose(self) -> "MatrixForm":
-        r, c = self.shape
-        return MatrixForm([[self.entries[i][j] for i in range(r)] for j in range(c)])
 
     def map(self, fn) -> "MatrixForm":
         return MatrixForm([[fn(a) for a in row] for row in self.entries])

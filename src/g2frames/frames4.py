@@ -114,6 +114,9 @@ def _truncate_matrix(m, order):
 
 _DUALITY_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 _DUALITY_SIGNS = (1.0, -1.0, 1.0)
+# positions in combos(4, 2) of the first and second pair of each duality pair
+_PAIR_ROWS = ([0, 1, 2], [5, 4, 3])
+_SIGN_ROW = np.array(_DUALITY_SIGNS)
 
 
 class BaseData:
@@ -128,7 +131,6 @@ class BaseData:
         "order",
         "theta",
         "theta_low",
-        "coeff",
         "coeff_val",
         "frame_val",
         "conn",
@@ -136,12 +138,11 @@ class BaseData:
         "_duality",
     )
 
-    def __init__(self, point, order, theta, theta_low, coeff, coeff_val, frame_val, conn, curv):
+    def __init__(self, point, order, theta, theta_low, coeff_val, frame_val, conn, curv):
         self.point = point
         self.order = order
         self.theta = theta
         self.theta_low = theta_low
-        self.coeff = coeff
         self.coeff_val = coeff_val
         self.frame_val = frame_val
         self.conn = conn
@@ -204,25 +205,14 @@ class FrameBundle:
             for a in range(DIM)
         ]
         theta_low = [t.truncate(low) for t in theta]
-        # structure constants d(theta)^a = 1/2 c[a][b][c] theta^b ^ theta^c
-        dtheta = [theta[a].d_jets() for a in range(DIM)]
-        c = [[[None] * DIM for _ in range(DIM)] for _ in range(DIM)]
+        # d(theta)^a = 1/2 c[a][b][e] theta^b ^ theta^e: substitute
+        # dx^i = sum_b inv_low[i][b] theta^b into d(theta)^a and read c off
+        rows = [JetForm(DIM, 1, {(b + 1,): inv_low[i][b] for b in range(DIM)}) for i in range(DIM)]
+        minors = [rows[i - 1].wedge(rows[j - 1]) for i, j in combos(DIM, 2)]
+        c = []
         for a in range(DIM):
-            for b in range(DIM):
-                for e in range(b, DIM):
-                    if b == e:
-                        val = Jet.constant(0.0, DIM, low)
-                    else:
-                        val = None
-                        for i, j in combos(DIM, 2):
-                            term = dtheta[a].jet((i, j)) * (
-                                inv_low[i - 1][b] * inv_low[j - 1][e]
-                                - inv_low[j - 1][b] * inv_low[i - 1][e]
-                            )
-                            val = term if val is None else val + term
-                    c[a][b][e] = val
-                    if b != e:
-                        c[a][e][b] = -val
+            form = contract(minors, [theta[a].d_jets().jet(ij) for ij in combos(DIM, 2)])
+            c.append([[form.jet((b + 1, e + 1)) for e in range(DIM)] for b in range(DIM)])
         # omega^a_b = sum_e A[a][b][e] theta^e, A = -1/2 (c_abe + c_bea - c_eab)
         conn = [
             [
@@ -236,7 +226,7 @@ class FrameBundle:
             om = MatrixForm([[w.truncate(low - 1) for w in row] for row in conn])
             om2 = om @ om
             curv = [[conn[b][a].d_jets() + om2[b, a] for a in range(DIM)] for b in range(DIM)]
-        return BaseData(point, order, theta, theta_low, coeff, coeff_val, frame_val, conn, curv)
+        return BaseData(point, order, theta, theta_low, coeff_val, frame_val, conn, curv)
 
     # -- residual diagnostics -------------------------------------------
     def cartan_residual(self, point) -> float:
@@ -266,27 +256,18 @@ class FrameBundle:
         return _assemble_blocks(raw, pairing_sign())
 
     def _blocks_raw(self, point):
+        """(A~, B~ on branch +1, B~, C~ on branch -1): the curvature rows read
+        on the duality pairs of frame vectors, halved into their sums and
+        differences with the twin pairs."""
         bd = self.base(point, 2)
-        frame = bd.frame_val  # columns are the frame vectors
-        tilde = {}
+        blocks = []
         for branch in (1, -1):
             _, _, rho3 = bd.duality(branch)
-            rho_vals = [r.value() for r in rho3]
-            mat_p = np.zeros((3, 3))
-            mat_m = np.zeros((3, 3))
-            for i in range(3):
-                for j in range(3):
-                    (p, q), sgn = _DUALITY_PAIRS[j], _DUALITY_SIGNS[j]
-                    base_pair = rho_vals[i].evaluate(frame[:, p[0]], frame[:, p[1]])
-                    twin_pair = rho_vals[i].evaluate(frame[:, q[0]], frame[:, q[1]])
-                    mat_p[i, j] = 0.5 * (base_pair + sgn * twin_pair)
-                    mat_m[i, j] = 0.5 * (base_pair - sgn * twin_pair)
-            tilde[branch] = (mat_p, mat_m)
-        a_t = tilde[1][0]
-        bb_t = tilde[1][1]
-        b_t = tilde[-1][0]
-        c_t = tilde[-1][1]
-        return a_t, bb_t, b_t, c_t
+            # in the theta basis, rho(e_p, e_q) is the theta^pq coefficient
+            rho = np.array([r.value().transform(bd.frame_val).coef for r in rho3])
+            pair, twin = rho[:, _PAIR_ROWS[0]], _SIGN_ROW * rho[:, _PAIR_ROWS[1]]
+            blocks += [0.5 * (pair + twin), 0.5 * (pair - twin)]
+        return tuple(blocks)
 
 
 @dataclass(frozen=True)

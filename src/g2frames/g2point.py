@@ -137,9 +137,6 @@ class G2Structure:
     def gnorm(self, a: Multivector) -> float:
         return a.gnorm(self.g_diag)
 
-    def volume_form(self) -> Multivector:
-        return Multivector.basis(7, tuple(range(1, 8))) * self.m
-
     @property
     def w14_eigenvalue(self) -> float:
         return _unit_structure_split(self.branch)[0]

@@ -157,11 +157,6 @@ class Jet:
             raise JetOrderError(1)
         return float(self.coef[self.table.unit_pos[v]])
 
-    def gradient(self) -> np.ndarray:
-        if self.order < 1:
-            raise JetOrderError(1)
-        return self.coef[self.table.unit_pos].copy()
-
     def derivative(self, v: int) -> "Jet":
         """Jet of the partial derivative; one order lower."""
         if self.order < 1:
@@ -306,10 +301,6 @@ def variables(point, order: int):
     """Seed jets for the coordinates of ``point``."""
     n = len(point)
     return tuple(Jet.variable(float(x), i, n, order) for i, x in enumerate(point))
-
-
-def constant(value: float, nvars: int, order: int) -> Jet:
-    return Jet.constant(value, nvars, order)
 
 
 def fd_partial(f, point, v: int, h: float = 1e-5) -> float:

@@ -192,6 +192,11 @@ def test_list_suites_mentions_core_checks(capsys):
         ({"params": {"kappa": "big"}}, "params.kappa"),
         ({"model": "fubiniStudy", "branch": 1}, "branch"),
         ({"model": "complexHyperbolic", "branch": 1}, "branch"),
+        ({"profile": {"kind": "bs", "s": 1.0, "c0": 1.0, "c1": -100.0}}, "profile"),
+        (
+            {"model": "hyperbolic4", "profile": {"kind": "bs", "s": -1.0, "c0": 1.0, "c1": 1e-12}},
+            "profile",
+        ),
     ],
 )
 def test_main_rejects_mistyped_config(tmp_path, capsys, change, key):
@@ -200,6 +205,17 @@ def test_main_rejects_mistyped_config(tmp_path, capsys, change, key):
     assert main(["run", "--config", str(path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert f"'{key}'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("top", ["null", "42", '"abc"', "[]"])
+@pytest.mark.parametrize("override", [[], ["--seed", "3"], ["--probes", "2"], ["--tol", "1e-6"]])
+def test_main_rejects_non_object_config(tmp_path, capsys, top, override):
+    path = tmp_path / "cfg.json"
+    path.write_text(top)
+    assert main(["run", "--config", str(path), "--quiet", *override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -278,3 +278,56 @@ def test_connection_skew_and_curvature_definition():
             for e in range(4):
                 acc = acc + om[b][e].wedge(om[e][a])
             assert (acc - bd.curv[b][a].value()).sup() < 1e-12
+
+
+ALL_MODELS = ("flat", "sphere4", "hyperbolic4", "fubiniStudy", "complexHyperbolic", "productS2H2")
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_cartan_equation_on_full_jets(name, order):
+    # d(theta) + theta ^ omega = 0 for every Taylor coefficient, not only the value
+    spec = get_model(name)
+    fb = spec.bundle()
+    for pt in _probe(spec, 2):
+        bd = fb.base(pt, order)
+        for a in range(4):
+            dtheta = bd.theta[a].d_jets()
+            acc = dtheta
+            scale = np.max(np.abs(dtheta.coef))
+            for b in range(4):
+                term = bd.theta_low[b].wedge(bd.conn[b][a])
+                acc = acc + term
+                scale = max(scale, np.max(np.abs(term.coef)))
+            assert np.max(np.abs(acc.coef)) <= 1e-12 * scale, (name, a)
+
+
+def _blocks_by_evaluation(bd):
+    """The raw blocks read by evaluating rho on pairs of frame vectors."""
+    frame = bd.frame_val
+    tilde = {}
+    for branch in (1, -1):
+        _, _, rho3 = bd.duality(branch)
+        mat_p, mat_m = np.zeros((3, 3)), np.zeros((3, 3))
+        for i, r in enumerate(rho3):
+            rho = r.value()
+            for j, (p, sgn) in enumerate(zip(((0, 1), (0, 2), (0, 3)), (1.0, -1.0, 1.0))):
+                q = tuple(x for x in range(4) if x not in p)
+                base_pair = rho.evaluate(frame[:, p[0]], frame[:, p[1]])
+                twin_pair = rho.evaluate(frame[:, q[0]], frame[:, q[1]])
+                mat_p[i, j] = 0.5 * (base_pair + sgn * twin_pair)
+                mat_m[i, j] = 0.5 * (base_pair - sgn * twin_pair)
+        tilde[branch] = (mat_p, mat_m)
+    return tilde[1][0], tilde[1][1], tilde[-1][0], tilde[-1][1]
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_blocks_match_frame_vector_evaluation(name):
+    spec = get_model(name)
+    fb = spec.bundle()
+    for pt in _probe(spec, 3):
+        got = fb._blocks_raw(pt)
+        ref = _blocks_by_evaluation(fb.base(pt, 2))
+        scale = max(np.max(np.abs(m)) for m in ref)
+        for g, r in zip(got, ref):
+            assert np.max(np.abs(g - r)) <= 1e-12 * scale, name
