@@ -26,7 +26,6 @@ from ..exterior import (
     MatrixForm,
     Multivector,
     check,
-    combo_pos,
     contract,
     hat,
     matrix_wedge_col,
@@ -36,7 +35,7 @@ from ..exterior import (
 from ..g2point import G2Structure, TorsionForms, standard_phi, torsion_decompose
 from ..jets import Jet
 from ..models import ModelSpec
-from .chart import N, Chart, components, promote
+from .chart import N, Chart, _promoted_rows, components, promote
 
 CHART_BOUND = math.pi - 0.1
 
@@ -334,18 +333,13 @@ class PSpaceChart(Chart):
     def _star_horizontal(self, mv: Multivector, point) -> Multivector:
         """Base Hodge star on a purely horizontal 2-form, lifted to the chart."""
         bd = self.frame.base(tuple(point[3:]), 2)
-        m4 = Multivector(4, 2)
-        pos4 = combo_pos(4, 2)
-        for idx, val in mv.terms().items():
-            if any(l <= 3 for l in idx):
-                raise ValueError("form is not horizontal")
-            m4.coef[pos4[(idx[0] - 3, idx[1] - 3)]] = val
-        in_frame = m4.transform(bd.frame_val)
+        rows = _promoted_rows(2)
+        if np.delete(mv.coef, rows).any():
+            raise ValueError("form is not horizontal")
+        in_frame = Multivector(4, 2, mv.coef[rows]).transform(bd.frame_val)
         starred = in_frame.hodge(np.ones(4), 1).transform(bd.coeff_val)
         out = Multivector(N, 2)
-        pos7 = combo_pos(N, 2)
-        for idx, val in starred.terms().items():
-            out.coef[pos7[(idx[0] + 3, idx[1] + 3)]] = val
+        out.coef[rows] = starred.coef
         return out
 
     def sample_points(self, count: int, rng, u_max: float = 2.2) -> np.ndarray:

@@ -14,11 +14,15 @@ import numpy as np
 from .profiles import Profile
 
 
+# bisection depth after which adaptive Simpson gives up
+MAX_DEPTH = 40
+
+
 class QuadratureError(RuntimeError):
     pass
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8, max_depth: int = 40) -> float:
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8) -> float:
     """Classic adaptive Simpson with Richardson correction."""
 
     def simpson(x0, x2, f0, f1, f2):
@@ -35,7 +39,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8, max_depth: int = 
         delta = left + right - whole
         if abs(delta) <= 15.0 * eps or (x2 - x0) < 1e-13:
             return left + right + delta / 15.0
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             raise QuadratureError(f"quadrature failed to converge on [{x0}, {x2}]")
         return recurse(x0, xm, f0, fl, f1, left, eps * half, depth + 1) + recurse(
             xm, x2, f1, fr, f2, right, eps * half, depth + 1

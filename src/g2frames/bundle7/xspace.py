@@ -27,6 +27,9 @@ from ..jets import Jet
 from ..models import ModelSpec
 from .chart import N, Chart, components, promote
 
+# largest Weyl norm on the side the branch needs to vanish
+HYP_TOL = 1e-7
+
 
 class DualityHypothesisError(ValueError):
     def __init__(self, branch, norm):
@@ -78,10 +81,9 @@ class _ChartJets:
 class XSpaceChart(Chart):
     """One branch of the 2-form bundle over a catalog model, with a profile."""
 
-    def __init__(self, model: ModelSpec, branch: int, profile, hyp_tol: float = 1e-7):
+    def __init__(self, model: ModelSpec, branch: int, profile):
         super().__init__(model, branch)
         self.profile = profile
-        self.hyp_tol = hyp_tol
 
     def _build(self, point, p):
         x = point[3:]
@@ -194,7 +196,7 @@ class XSpaceChart(Chart):
         st = self.frame.singer_thorpe(tuple(point[3:]))
         wrong = st.wplus if self.branch == 1 else st.wminus
         norm = float(np.max(np.abs(wrong)))
-        if norm > self.hyp_tol:
+        if norm > HYP_TOL:
             raise DualityHypothesisError(self.branch, norm)
         return st
 

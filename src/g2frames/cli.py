@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -231,7 +232,8 @@ class Record:
         return {
             "check": self.check,
             "anchor": self.anchor,
-            "maxResidual": self.value,
+            # strict JSON has no NaN or Infinity; such a value fails its record anyway
+            "maxResidual": self.value if math.isfinite(self.value) else None,
             "tolerance": self.tolerance,
             "comparison": self.comparison,
             "pass": self.passed,

@@ -1,17 +1,22 @@
 """Dense exterior algebra on small oriented inner-product spaces (n <= 8).
 
-Three layers share one set of combinatorial tables:
+One algebra in two representations, over one set of combinatorial tables:
 
-* ``Multivector`` -- a form with float coefficients at one point;
 * ``JetForm``     -- a form whose coefficients are jets at one point, the
   working currency of the chart pipelines: a dense ``(C(n, k), jet size)``
   array whose wedge and exterior derivative are one gather over the tables
   below and one ``np.bincount`` (its ``d_value`` is the exterior derivative
   at the point);
-* ``FormField``   -- a form over a chart, held lazily as one function
-  ``jets(point, order)`` that returns it as a ``JetForm``; its exterior
-  derivative, wedge and arithmetic are views that apply the ``JetForm``
-  operations, so the rules live in one place.
+* ``Multivector`` -- a form with float coefficients at one point, one flat
+  vector over ``combos(n, k)``: the order-0 case of ``JetForm``.  Both run
+  one wedge kernel, one linear structure and one term scatter; the float
+  form adds the metric operations (Hodge star, inner and interior product,
+  change of basis).
+
+``FormField`` is a form over a chart, held lazily as one function
+``jets(point, order)`` that returns it as a ``JetForm``; its exterior
+derivative, wedge and arithmetic are views that apply the ``JetForm``
+operations, so the rules live in one place.
 
 Basis labels are the opaque integers 1..n.  Multi-indices are strictly
 increasing tuples of labels; permutation signs are normalized once at
@@ -76,22 +81,6 @@ def merge_sign(a, b):
 
 
 @lru_cache(maxsize=None)
-def _wedge_table(n: int, j: int, k: int):
-    ca, cb = combos(n, j), combos(n, k)
-    sign = np.zeros((len(ca), len(cb)), dtype=np.int8)
-    target = np.zeros((len(ca), len(cb)), dtype=np.intp)
-    pos = combo_pos(n, j + k) if j + k <= n else {}
-    for ia, a in enumerate(ca):
-        sa = set(a)
-        for ib, b in enumerate(cb):
-            if sa.isdisjoint(b):
-                s, merged = merge_sign(a, b)
-                sign[ia, ib] = s
-                target[ia, ib] = pos[merged]
-    return sign, target
-
-
-@lru_cache(maxsize=None)
 def _hodge_table(n: int, k: int):
     """Complement position and sign of e^I -> e^{I^c} for each I."""
     cs = combos(n, k)
@@ -137,13 +126,107 @@ def _canonical(idx):
 
 
 # ----------------------------------------------------------------------
+# the shared kernels
+
+
+def _scatter(n: int, k: int, terms, tail=()) -> np.ndarray:
+    """Dense coefficient rows from ``(multi-index, value)`` pairs; each index
+    is normalized by ``_canonical`` and each value is a float or an array of
+    shape ``tail``."""
+    coef = np.zeros((len(combos(n, k)),) + tail)
+    pos = combo_pos(n, k)
+    for idx, val in terms:
+        s, key = _canonical(idx)
+        if s:
+            coef[pos[key]] += s * val
+    return coef
+
+
+@lru_cache(maxsize=None)
+def _jet_wedge_index(n: int, j: int, k: int, nvars: int, order: int):
+    """Flat (src_a, src_b, sign, dst) arrays of the wedge of a j-form and a
+    k-form: the disjoint pairs of multi-indices crossed with the product
+    terms of the jet table ``(nvars, order)``."""
+    tab = jet_table(nvars, order)
+    pos = combo_pos(n, j + k)
+    ia, ib, sign, target = [], [], [], []
+    for x, a in enumerate(combos(n, j)):
+        for y, b in enumerate(combos(n, k)):
+            if set(a).isdisjoint(b):
+                s, merged = merge_sign(a, b)
+                ia.append(x)
+                ib.append(y)
+                sign.append(float(s))
+                target.append(pos[merged])
+    ia, ib, target = (np.array(v, dtype=np.intp)[:, None] for v in (ia, ib, target))
+    src_a = (ia * tab.size + tab.mul_i).ravel()
+    src_b = (ib * tab.size + tab.mul_j).ravel()
+    dst = (target * tab.size + tab.mul_k).ravel()
+    return src_a, src_b, np.repeat(sign, len(tab.mul_i)), dst
+
+
+def _wedge(a, b):
+    """Wedge of two forms of one kind: one gather over ``_jet_wedge_index``
+    and one ``np.bincount``.  A float form is the order-0 case."""
+    if a.n != b.n:
+        raise DimensionMismatch("different ambient dimensions")
+    if a.table is not b.table:
+        raise ValueError("jets from different tables")
+    tab, k = a.table, a.k + b.k
+    src_a, src_b, sign, dst = _jet_wedge_index(a.n, a.k, b.k, tab.nvars, tab.order)
+    rows = len(combos(a.n, k))
+    out = np.bincount(dst, a.coef.ravel()[src_a] * b.coef.ravel()[src_b] * sign, rows * tab.size)
+    return a._new(k, out.reshape((rows,) + a.coef.shape[1:]))
+
+
+class _Form:
+    """Linear structure of ``Multivector`` and ``JetForm``: both carry ``n``,
+    ``k``, a jet ``table`` and ``coef`` (first axis over ``combos(n, k)``), and
+    ``_new(k, coef)`` builds a form of the same kind, dimension and table."""
+
+    __slots__ = ()
+
+    def _check(self, other):
+        if self.n != other.n:
+            raise DimensionMismatch("different ambient dimensions")
+        if self.k != other.k:
+            raise DimensionMismatch("different degrees")
+        if self.table is not other.table:
+            raise DimensionMismatch("different jet tables")
+
+    def zero_like(self):
+        return self._new(self.k, np.zeros_like(self.coef))
+
+    def __add__(self, other):
+        self._check(other)
+        return self._new(self.k, self.coef + other.coef)
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._new(self.k, self.coef - other.coef)
+
+    def __neg__(self):
+        return self._new(self.k, -self.coef)
+
+    def __mul__(self, c):
+        return self._new(self.k, self.coef * float(c))
+
+    __rmul__ = __mul__
+
+
+# ----------------------------------------------------------------------
 # pointwise forms
 
 
-class Multivector:
-    """Degree-k form with float coefficients over basis labels 1..n."""
+class Multivector(_Form):
+    """Degree-k form with float coefficients over basis labels 1..n.
+
+    ``coef`` is one flat vector over ``combos(n, k)``: the one-column case
+    of a ``JetForm``, whose wedge kernel it runs at the order-0 jet table.
+    """
 
     __slots__ = ("n", "k", "coef")
+    table = jet_table(1, 0)
 
     def __init__(self, n: int, k: int, coef=None):
         if n > MAX_DIM:
@@ -158,6 +241,9 @@ class Multivector:
             if self.coef.shape != (size,):
                 raise DimensionMismatch("coefficient vector of wrong size")
 
+    def _new(self, k, coef):
+        return Multivector(self.n, k, coef)
+
     # -- constructors ---------------------------------------------------
     @staticmethod
     def scalar(n: int, value: float) -> "Multivector":
@@ -169,16 +255,7 @@ class Multivector:
 
     @staticmethod
     def from_terms(n: int, k: int, terms: dict) -> "Multivector":
-        out = Multivector(n, k)
-        pos = combo_pos(n, k)
-        for idx, val in terms.items():
-            s, key = _canonical(idx)
-            if s:
-                out.coef[pos[key]] += s * val
-        return out
-
-    def zero_like(self) -> "Multivector":
-        return Multivector(self.n, self.k)
+        return Multivector(n, k, _scatter(n, k, terms.items()))
 
     # -- queries ----------------------------------------------------------
     def coeff(self, idx) -> float:
@@ -193,40 +270,9 @@ class Multivector:
     def sup(self) -> float:
         return float(np.max(np.abs(self.coef))) if self.coef.size else 0.0
 
-    # -- linear structure ---------------------------------------------------
-    def _check(self, other):
-        if self.n != other.n:
-            raise DimensionMismatch("different ambient dimensions")
-        if self.k != other.k:
-            raise DimensionMismatch("different degrees")
-
-    def __add__(self, other):
-        self._check(other)
-        return Multivector(self.n, self.k, self.coef + other.coef)
-
-    def __sub__(self, other):
-        self._check(other)
-        return Multivector(self.n, self.k, self.coef - other.coef)
-
-    def __neg__(self):
-        return Multivector(self.n, self.k, -self.coef)
-
-    def __mul__(self, c):
-        return Multivector(self.n, self.k, self.coef * float(c))
-
-    __rmul__ = __mul__
-
     # -- algebra ---------------------------------------------------------
     def wedge(self, other: "Multivector") -> "Multivector":
-        if self.n != other.n:
-            raise DimensionMismatch("different ambient dimensions")
-        k = self.k + other.k
-        if k > self.n:
-            return Multivector(self.n, k)
-        sign, target = _wedge_table(self.n, self.k, other.k)
-        prod = np.outer(self.coef, other.coef) * sign
-        out = np.bincount(target.ravel(), prod.ravel(), len(combos(self.n, k)))
-        return Multivector(self.n, k, out)
+        return _wedge(self, other)
 
     def interior(self, vector) -> "Multivector":
         """Contraction with a vector given by frame components."""
@@ -299,7 +345,7 @@ class Multivector:
 # jet-coefficient forms
 
 
-class JetForm:
+class JetForm(_Form):
     """Degree-k form whose coefficients are jets at a single chart point.
 
     ``coef`` has shape ``(C(n, k), table.size)``: row ``I`` holds the jet of
@@ -313,11 +359,7 @@ class JetForm:
         c = c or {}
         self.n, self.k = n, k
         self.table = next(iter(c.values())).table if c else table
-        self.coef = np.zeros((len(combos(n, k)), self.table.size))
-        for idx, jet in c.items():
-            s, key = _canonical(idx)
-            if s:
-                self.coef[combo_pos(n, k)[key]] += s * jet.coef
+        self.coef = _scatter(n, k, ((idx, jet.coef) for idx, jet in c.items()), (self.table.size,))
 
     @staticmethod
     def _of(n: int, k: int, table, coef: np.ndarray) -> "JetForm":
@@ -325,8 +367,8 @@ class JetForm:
         out.n, out.k, out.table, out.coef = n, k, table, coef
         return out
 
-    def zero_like(self) -> "JetForm":
-        return JetForm._of(self.n, self.k, self.table, np.zeros_like(self.coef))
+    def _new(self, k, coef):
+        return JetForm._of(self.n, k, self.table, coef)
 
     def jet(self, idx) -> Jet:
         """The jet of the ``e^idx`` coefficient."""
@@ -344,31 +386,16 @@ class JetForm:
         low = jet_table(self.table.nvars, order)
         return JetForm._of(self.n, self.k, low, self.coef[:, : low.size].copy())
 
-    def _check(self, other):
-        if self.n != other.n or self.k != other.k or self.table is not other.table:
-            raise DimensionMismatch("jet form mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return JetForm._of(self.n, self.k, self.table, self.coef + other.coef)
-
-    def __sub__(self, other):
-        self._check(other)
-        return JetForm._of(self.n, self.k, self.table, self.coef - other.coef)
-
-    def __neg__(self):
-        return JetForm._of(self.n, self.k, self.table, -self.coef)
-
     def __mul__(self, s):
         """Scale by a float or a jet (the wedge with a 0-form)."""
         if isinstance(s, Jet):
-            return _jet_wedge(self, JetForm._of(self.n, 0, s.table, s.coef[None, :]))
-        return JetForm._of(self.n, self.k, self.table, self.coef * float(s))
+            return _wedge(self, JetForm._of(self.n, 0, s.table, s.coef[None, :]))
+        return _Form.__mul__(self, s)
 
     __rmul__ = __mul__
 
     def wedge(self, other: "JetForm") -> "JetForm":
-        return _jet_wedge(self, other)
+        return _wedge(self, other)
 
     def value(self) -> Multivector:
         return Multivector(self.n, self.k, self.coef[:, 0].copy())
@@ -385,31 +412,6 @@ class JetForm:
         rows = len(combos(self.n, self.k + 1))
         out = np.bincount(dst, self.coef.ravel()[src] * w, rows * low.size)
         return JetForm._of(self.n, self.k + 1, low, out.reshape(rows, low.size))
-
-
-@lru_cache(maxsize=None)
-def _jet_wedge_index(n: int, j: int, k: int, nvars: int, order: int):
-    """Flat (src_a, src_b, sign, dst) arrays of the jet-form wedge: the
-    nonzero pairs of ``_wedge_table`` crossed with the jet product terms."""
-    tab = jet_table(nvars, order)
-    sign, target = _wedge_table(n, j, k)
-    ia, ib = np.nonzero(sign)
-    src_a = (ia[:, None] * tab.size + tab.mul_i).ravel()
-    src_b = (ib[:, None] * tab.size + tab.mul_j).ravel()
-    dst = (target[ia, ib][:, None] * tab.size + tab.mul_k).ravel()
-    return src_a, src_b, np.repeat(sign[ia, ib].astype(float), len(tab.mul_i)), dst
-
-
-def _jet_wedge(a: JetForm, b: JetForm) -> JetForm:
-    if a.n != b.n:
-        raise DimensionMismatch("different ambient dimensions")
-    if a.table is not b.table:
-        raise ValueError("jets from different tables")
-    tab, k = a.table, a.k + b.k
-    src_a, src_b, sign, dst = _jet_wedge_index(a.n, a.k, b.k, tab.nvars, tab.order)
-    rows = len(combos(a.n, k))
-    out = np.bincount(dst, a.coef.ravel()[src_a] * b.coef.ravel()[src_b] * sign, rows * tab.size)
-    return JetForm._of(a.n, k, tab, out.reshape(rows, tab.size))
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import JetForm, MatrixForm, ScalarField, check, combos, contract, row_wedge_matrix
+from .exterior import JetForm, MatrixForm, ScalarField, check, combo_pos, combos, contract, row_wedge_matrix
 from .jets import Jet
 
 DIM = 4
@@ -117,6 +117,11 @@ _DUALITY_SIGNS = (1.0, -1.0, 1.0)
 # positions in combos(4, 2) of the first and second pair of each duality pair
 _PAIR_ROWS = ([0, 1, 2], [5, 4, 3])
 _SIGN_ROW = np.array(_DUALITY_SIGNS)
+# (row in combos(4, 2), sign) of the theta^{be} coefficient of a 2-form, by (b, e)
+_ANTISYM = [
+    [(combo_pos(DIM, 2).get((min(b, e) + 1, max(b, e) + 1)), (b < e) - (b > e)) for e in range(DIM)]
+    for b in range(DIM)
+]
 
 
 class BaseData:
@@ -178,9 +183,8 @@ class BaseData:
 class FrameBundle:
     """Frame calculus over one chart metric."""
 
-    def __init__(self, metric, name: str = "chart"):
+    def __init__(self, metric):
         self.metric = metric
-        self.name = name
         self._cache = {}
 
     def base(self, point, order: int) -> BaseData:
@@ -211,8 +215,11 @@ class FrameBundle:
         minors = [rows[i - 1].wedge(rows[j - 1]) for i, j in combos(DIM, 2)]
         c = []
         for a in range(DIM):
-            form = contract(minors, [theta[a].d_jets().jet(ij) for ij in combos(DIM, 2)])
-            c.append([[form.jet((b + 1, e + 1)) for e in range(DIM)] for b in range(DIM)])
+            d_theta = theta[a].d_jets()
+            tab = d_theta.table
+            form = contract(minors, [Jet(tab, row) for row in d_theta.coef])
+            zero = Jet(tab, np.zeros(tab.size))
+            c.append([[Jet(tab, s * form.coef[r]) if s else zero for r, s in row] for row in _ANTISYM])
         # omega^a_b = sum_e A[a][b][e] theta^e, A = -1/2 (c_abe + c_bea - c_eab)
         conn = [
             [
@@ -318,7 +325,7 @@ def pairing_sign() -> int:
     The one free sign in reading the curvature 2-forms against the dual
     bivectors is chosen so the unit round sphere gets s = +1, and asserted.
     """
-    bundle = FrameBundle(_unit_sphere_metric(), name="anchor-sphere")
+    bundle = FrameBundle(_unit_sphere_metric())
     raw = bundle._blocks_raw((0.12, -0.07, 0.23, 0.18))
     trace = -float(np.trace(raw[0]))  # tr(A) for sign +1
     if abs(abs(trace) - 3.0) > 1e-8:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import Multivector, combos
+from .exterior import Multivector, _label_array, combos, row_wedge_col
 
 VERT = (1, 2, 3)
 HORIZ = (4, 5, 6, 7)
@@ -49,8 +49,17 @@ def duality_pairing(branch: int):
     return (e1, e2, e3)
 
 
-def _f(i: int) -> Multivector:
-    return Multivector.basis(7, (i,))
+@lru_cache(maxsize=None)
+def _unit_forms(branch: int):
+    """(degree, coefficients, vertical label count of each row) of phi and psi
+    at lam = mu = 1; a row with v vertical and h horizontal labels scales by
+    lam**v * mu**h."""
+    f = [Multivector.basis(7, (i,)) for i in VERT]
+    h = [f[1].wedge(f[2]), f[2].wedge(f[0]), f[0].wedge(f[1])]
+    eta = duality_pairing(branch)
+    phi = f[0].wedge(h[0]) - branch * row_wedge_col(eta, f)
+    psi = Multivector.basis(7, HORIZ) - row_wedge_col(eta, h)
+    return tuple((m.k, m.coef, np.sum(_label_array(7, m.k) < 3, axis=1)) for m in (phi, psi))
 
 
 @lru_cache(maxsize=None)
@@ -64,10 +73,7 @@ def _unit_structure_split(branch: int):
     """
     s = standard_phi(1.0, 1.0, branch)
     ones = np.ones(7)
-    two = combos(7, 2)
-    lmat = np.zeros((len(two), len(two)))
-    for c, idx in enumerate(two):
-        lmat[:, c] = Multivector.basis(7, idx).wedge(s.phi).hodge(ones).coef
+    lmat = np.array([Multivector.basis(7, idx).wedge(s.phi).hodge(ones).coef for idx in combos(7, 2)]).T
     asym = np.max(np.abs(lmat - lmat.T))
     if asym > 1e-12:
         raise AssertionError(f"wedge-star operator not symmetric ({asym:.2e})")
@@ -80,25 +86,14 @@ def _unit_structure_split(branch: int):
     v14 = evecs[:, rounded == e14]
     proj14 = v14 @ v14.T
 
-    three = combos(7, 3)
-    rows = []
-    for idx in three:
-        b3 = Multivector.basis(7, idx)
-        rows.append(np.concatenate([b3.wedge(s.phi).coef, b3.wedge(s.psi).coef]))
-    constraints = np.array(rows).T  # (8, 35)
+    basis3 = [Multivector.basis(7, idx) for idx in combos(7, 3)]
+    constraints = np.array([np.concatenate([b.wedge(s.phi).coef, b.wedge(s.psi).coef]) for b in basis3]).T
     _, sv, vt = np.linalg.svd(constraints)
     null = vt[int(np.sum(sv > 1e-10)) :]
     proj27 = null.T @ null
     if null.shape[0] != 27:
         raise AssertionError(f"3-form kernel has dimension {null.shape[0]}, not 27")
     return float(e14), proj14, proj27
-
-
-@lru_cache(maxsize=None)
-def _weight_cache(lam: float, mu: float, k: int):
-    g = np.array([lam**2] * 3 + [mu**2] * 4)
-    idx = np.array(combos(7, k)) - 1
-    return np.sqrt(np.prod(g[idx], axis=1))
 
 
 class G2Structure:
@@ -109,30 +104,19 @@ class G2Structure:
             raise ValueError("positive definiteness requires lam, mu > 0")
         if branch not in (1, -1):
             raise ValueError("branch must be +1 or -1")
-        self.lam = float(lam)
-        self.mu = float(mu)
+        self.lam = lam = float(lam)
+        self.mu = mu = float(mu)
         self.branch = branch
-        self.sign = branch
         self.g_diag = np.array([lam**2] * 3 + [mu**2] * 4)
         self.m = lam**3 * mu**4
-        self.orientation = 1
-        e = duality_pairing(branch)
-        self.e_pairing = e
-        phi = self.lam**3 * _f(1).wedge(_f(2)).wedge(_f(3))
-        mixed = _f(1).wedge(e[0]) + _f(2).wedge(e[1]) + _f(3).wedge(e[2])
-        phi = phi - branch * self.lam * self.mu**2 * mixed
-        self.phi = phi
-        vol4 = Multivector.basis(7, HORIZ)
-        f23 = _f(2).wedge(_f(3))
-        f31 = _f(3).wedge(_f(1))
-        f12 = _f(1).wedge(_f(2))
-        self.psi = self.mu**4 * vol4 - self.lam**2 * self.mu**2 * (
-            e[0].wedge(f23) + e[1].wedge(f31) + e[2].wedge(f12)
+        self.phi, self.psi = (
+            Multivector(7, k, coef * np.array([lam**v * mu ** (k - v) for v in range(k + 1)])[vert])
+            for k, coef, vert in _unit_forms(branch)
         )
 
     # -- conveniences ----------------------------------------------------
     def hodge(self, a: Multivector) -> Multivector:
-        return a.hodge(self.g_diag, self.orientation)
+        return a.hodge(self.g_diag)
 
     def gnorm(self, a: Multivector) -> float:
         return a.gnorm(self.g_diag)
@@ -142,9 +126,8 @@ class G2Structure:
         return _unit_structure_split(self.branch)[0]
 
     def _scaled_proj(self, which: int, k: int):
-        parts = _unit_structure_split(self.branch)
-        w = _weight_cache(self.lam, self.mu, k)
-        return (w[:, None] * parts[which]) / w[None, :]
+        w = np.sqrt(np.prod(self.g_diag[_label_array(7, k)], axis=1))
+        return (w[:, None] * _unit_structure_split(self.branch)[which]) / w[None, :]
 
     def project_w14(self, a: Multivector) -> Multivector:
         return Multivector(7, 2, self._scaled_proj(1, 2) @ a.coef)
@@ -282,11 +265,15 @@ def classify(t: TorsionForms, g_diag, tol: float = 1e-6) -> TorsionClass:
 
 
 def classify_norms(norms: dict, tol: float = 1e-6) -> TorsionClass:
-    """Classification from (possibly aggregated) torsion component norms."""
+    """Classification from (possibly aggregated) torsion component norms.
+
+    A component is inactive only when its norm is at most ``tol``, so a NaN
+    norm counts as active.
+    """
     active = tuple(
         name
         for name, key in (("W0", "tau0"), ("W1", "tau1"), ("W2", "tau2"), ("W3", "tau3"))
-        if norms[key] > tol
+        if not norms[key] <= tol
     )
     calibrated = all(n not in active for n in ("W0", "W1", "W3"))
     cocalibrated = all(n not in active for n in ("W1", "W2"))

@@ -53,7 +53,7 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
     def bundle(self) -> FrameBundle:
-        return FrameBundle(self.metric, self.name)
+        return FrameBundle(self.metric)
 
     def sample_points(self, count: int, rng) -> np.ndarray:
         lo = np.array([b[0] for b in self.safe_box])

@@ -258,3 +258,37 @@ def test_main_maps_numerical_errors_to_exit_1(tmp_path, capsys, monkeypatch, err
     path.write_text(json.dumps(BS_SPHERE))
     assert main(["run", "--config", str(path), "--quiet"]) == 1
     assert capsys.readouterr().err == f"numerical failure: {error}\n"
+
+
+# lam = 1e77 overflows the torsion of a valid coframe-bundle config to NaN
+P_OVERFLOW = {
+    "model": "sphere4",
+    "space": "P",
+    "branch": -1,
+    "profile": {"kind": "constant", "lam": 1e77, "mu": 1.0},
+    "probes": 3,
+    "seed": 1,
+}
+
+
+def test_nan_torsion_is_not_labelled_parallel():
+    with np.errstate(all="ignore"):
+        report = run(RunConfig.from_dict(P_OVERFLOW))
+    assert not report.passed
+    assert report.torsion_label != "parallel"
+
+
+def test_non_finite_values_are_written_as_null(tmp_path, capsys):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(P_OVERFLOW))
+    out = tmp_path / "report.json"
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", str(path), "--json", str(out), "--quiet"]) == 1
+    capsys.readouterr()
+    data = json.loads(out.read_text(), parse_constant=reject)
+    nulls = [r for r in data["records"] if r["maxResidual"] is None]
+    assert nulls and all(r["pass"] is False for r in nulls)
+

@@ -59,7 +59,7 @@ def test_coframe_reproduces_metric():
 def test_non_spd_metric_rejected_with_point():
     bad = [[ScalarField.constant(4, 1.0 if i == j else 0.0) for j in range(4)] for i in range(4)]
     bad[2][2] = ScalarField.constant(4, -2.0)
-    fb = FrameBundle(bad, "bad")
+    fb = FrameBundle(bad)
     with pytest.raises(NonSPDMetricError) as err:
         fb.base((0.1, 0.2, 0.3, 0.4), 2)
     assert err.value.point == (0.1, 0.2, 0.3, 0.4)
@@ -248,7 +248,7 @@ def test_conformally_flat_smoke():
     f = ScalarField(4, fn=factor)
     z = ScalarField.constant(4, 0.0)
     metric = [[f if i == j else z for j in range(4)] for i in range(4)]
-    fb = FrameBundle(metric, "conformal-flat")
+    fb = FrameBundle(metric)
     for _ in range(5):
         pt = tuple(rng.uniform(-0.5, 0.5, size=4))
         st = fb.singer_thorpe(pt)

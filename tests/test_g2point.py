@@ -10,6 +10,7 @@ from g2frames.g2point import (
     DecompositionError,
     DegeneratePhiError,
     classify,
+    classify_norms,
     duality_pairing,
     metric_from_phi,
     standard_phi,
@@ -217,3 +218,30 @@ def test_membership_projectors():
     tau3 = s.project_w27(raw3)
     assert tau3.wedge(s.phi).sup() < 1e-12
     assert tau3.wedge(s.psi).sup() < 1e-12
+
+
+def test_standard_phi_is_the_wedge_formula():
+    # phi = lam^3 f123 -+ lam mu^2 eta.f^t and psi = mu^4 vol - lam^2 mu^2 eta.h^t
+    rng = np.random.default_rng(21)
+    f = [Multivector.basis(7, (i,)) for i in (1, 2, 3)]
+    h = [f[1].wedge(f[2]), f[2].wedge(f[0]), f[0].wedge(f[1])]
+    vol = Multivector.basis(7, (4, 5, 6, 7))
+    for _ in range(20):
+        lam, mu = rng.uniform(0.3, 3.0, size=2)
+        for branch in (1, -1):
+            eta = duality_pairing(branch)
+            eta_f = eta[0].wedge(f[0]) + eta[1].wedge(f[1]) + eta[2].wedge(f[2])
+            eta_h = eta[0].wedge(h[0]) + eta[1].wedge(h[1]) + eta[2].wedge(h[2])
+            phi = lam**3 * f[0].wedge(f[1]).wedge(f[2]) - branch * lam * mu**2 * eta_f
+            psi = mu**4 * vol - lam**2 * mu**2 * eta_h
+            s = standard_phi(lam, mu, branch)
+            assert (s.phi - phi).sup() <= 1e-14 * max(1.0, lam**3, lam * mu**2)
+            assert (s.psi - psi).sup() <= 1e-14 * max(1.0, mu**4, lam**2 * mu**2)
+
+
+def test_nan_norm_is_not_torsion_free():
+    norms = {"tau0": 0.0, "tau1": 0.0, "tau2": float("nan"), "tau3": 0.0}
+    cls = classify_norms(norms)
+    assert cls.active == ("W2",)
+    assert not cls.parallel and cls.label != "parallel"
+    assert classify_norms(dict(norms, tau2=0.0)).label == "parallel"

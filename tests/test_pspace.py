@@ -184,3 +184,13 @@ def test_canonical_forms_exposed():
     for i in range(3):
         for j in range(3):
             assert (forms.omega[i][j] + forms.omega[j][i]).sup() < 1e-12
+
+
+def test_star_horizontal_rejects_vertical_component():
+    chart = make_chart("sphere4", 1)
+    pt = tuple(chart.sample_points(1, np.random.default_rng(SEED))[0])
+    horizontal = Multivector.basis(7, (4, 5))
+    assert chart._star_horizontal(horizontal, pt).sup() > 0.0
+    for idx in ((1, 4), (2, 3)):
+        with pytest.raises(ValueError, match="not horizontal"):
+            chart._star_horizontal(horizontal + Multivector.basis(7, idx), pt)
