@@ -2,8 +2,8 @@
 
 Both are 7-dimensional charts with fiber coordinates first (labels 1..3) and
 base coordinates last (labels 4..7).  A subclass builds every chart quantity
-at one point as 7-variable jet forms (``_build``); this base caches those
-builds per ``(point, order)``, reads the structure forms and their exterior
+at one point as 7-variable jet forms (``_build``); this base keeps only the
+latest ``(point, order)`` build, reads the structure forms and their exterior
 derivatives off them, and compares closed and numeric torsion.
 """
 
@@ -45,6 +45,13 @@ def promote(jf: JetForm) -> JetForm:
     return out
 
 
+def fiber_form(jets) -> JetForm:
+    """The 1-form sum_v jets[v] du^v over the three fiber coordinates."""
+    coef = np.zeros((N, jets[0].table.size))
+    coef[:3] = [j.coef for j in jets]
+    return JetForm._of(N, 1, jets[0].table, coef)
+
+
 def components(forms) -> np.ndarray:
     """Rows: values of the 1-forms' components over (dx1, ..., dx7)."""
     return np.array([jf.coef[:, 0] for jf in forms])
@@ -52,12 +59,13 @@ def components(forms) -> np.ndarray:
 
 def torsion_gap(closed: TorsionForms, numeric: TorsionForms) -> float:
     """Componentwise gap between closed and numeric torsion forms."""
-    return max(
+    gaps = [
         abs(closed.tau0 - numeric.tau0),
         (closed.tau1 - numeric.tau1).sup(),
         (closed.tau2 - numeric.tau2).sup(),
         (closed.tau3 - numeric.tau3).sup(),
-    )
+    ]
+    return float(np.max(gaps))  # a NaN gap propagates
 
 
 class Chart:
@@ -74,14 +82,14 @@ class Chart:
         self.model = model
         self.branch = branch
         self.frame = model.bundle()
-        self._cache = {}
+        self._last = None  # (key, build) of the latest build only
 
     def jets(self, point, order: int = 1):
         key = (tuple(float(v) for v in point), order)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._cache[key] = self._build(key[0], order)
-        return hit
+        last = self._last
+        if last is None or last[0] != key:
+            last = self._last = (key, self._build(key[0], order))
+        return last[1]
 
     def phi_at(self, point):
         return self.jets(point, 1).phi.value()

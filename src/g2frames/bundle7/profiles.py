@@ -182,10 +182,7 @@ def random_smooth_profile(rng, r_max: float = 20.0) -> Profile:
 
 
 def two_of_three_report(profile: Profile, s: float, r_samples) -> dict:
-    """Worst-case residuals of all three conditions over the samples."""
-    worst = {"const": 0.0, "tau1": 0.0, "tau2": 0.0}
-    for r in r_samples:
-        res = profile.condition_residuals(s, float(r))
-        for key in worst:
-            worst[key] = max(worst[key], res[key])
-    return worst
+    """Worst-case residuals of all three conditions over the samples; a NaN
+    at any sample propagates."""
+    rows = [profile.condition_residuals(s, float(r)) for r in r_samples]
+    return {key: float(np.max([row[key] for row in rows])) for key in ("const", "tau1", "tau2")}

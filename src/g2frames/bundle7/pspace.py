@@ -22,20 +22,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exterior import (
-    JetForm,
     MatrixForm,
     Multivector,
     check,
     contract,
     hat,
     matrix_wedge_col,
+    max_sup,
     row_wedge_col,
     row_wedge_matrix,
 )
 from ..g2point import G2Structure, TorsionForms, standard_phi, torsion_decompose
 from ..jets import Jet
 from ..models import ModelSpec
-from .chart import N, Chart, _promoted_rows, components, promote
+from .chart import N, Chart, _promoted_rows, components, fiber_form, promote
 
 CHART_BOUND = math.pi - 0.1
 
@@ -154,13 +154,7 @@ class PSpaceChart(Chart):
         g_hi = rotation_jets(u_hi)
         g = [[e.truncate(p) for e in row] for row in g_hi]
         J.g_val = np.array([[e.value for e in row] for row in g])
-        dg = [
-            [
-                JetForm(N, 1, {(v + 1,): g_hi[k][j].derivative(v) for v in range(3)})
-                for j in range(3)
-            ]
-            for k in range(3)
-        ]
+        dg = [[fiber_form([g_hi[k][j].derivative(v) for v in range(3)]) for j in range(3)] for k in range(3)]
         J.omega = _conjugate(check([promote(w) for w in conn4]).entries, g, dg)
         J.f = hat(MatrixForm(J.omega))
         J.eta = tuple(contract(eta_p, [g[k][i] for k in range(3)]) for i in range(3))
@@ -219,60 +213,50 @@ class PSpaceChart(Chart):
 
         res = {}
         # skewness of the total connection
-        res["omega_skew"] = max(
-            (om[i, j] + om[j, i]).sup() for i in range(3) for j in range(i, 3)
-        )
+        res["omega_skew"] = max_sup(om[i, j] + om[j, i] for i in range(3) for j in range(i, 3))
         # d eta = eta ^ omega
         eta_om = row_wedge_matrix(eta, om)
-        res["structure_eta"] = max((J.eta[i].d_value() - eta_om[i]).sup() for i in range(3))
+        res["structure_eta"] = max_sup(J.eta[i].d_value() - eta_om[i] for i in range(3))
         # rho = d omega + omega ^ omega
         omom = om @ om
-        res["curvature_def"] = max(
-            (J.omega[i][j].d_value() + omom[i, j] - rho[i, j]).sup()
-            for i in range(3)
-            for j in range(3)
+        res["curvature_def"] = max_sup(
+            J.omega[i][j].d_value() + omom[i, j] - rho[i, j] for i in range(3) for j in range(3)
         )
         # eta ^ rho = 0
-        res["bianchi"] = max(x.sup() for x in row_wedge_matrix(eta, rho))
+        res["bianchi"] = max_sup(row_wedge_matrix(eta, rho))
         # (1/2) f omega = (om23, om31, om12) = hat(omega omega)
         fom = row_wedge_matrix(f, om)
         half_fom = [x * 0.5 for x in fom]
         direct = (f[1].wedge(f[2]), f[2].wedge(f[0]), f[0].wedge(f[1]))
         hat_omom = hat(omom)
-        res["half_f_omega"] = max(
-            max((half_fom[i] - direct[i]).sup(), (half_fom[i] - hat_omom[i]).sup())
-            for i in range(3)
+        res["half_f_omega"] = max_sup(
+            half_fom[i] - other[i] for other in (direct, hat_omom) for i in range(3)
         )
         # rho_hat = d f + (1/2) f omega
-        res["rho_hat_def"] = max(
-            (J.f[i].d_value() + half_fom[i] - rho_hat[i]).sup() for i in range(3)
-        )
+        res["rho_hat_def"] = max_sup(J.f[i].d_value() + half_fom[i] - rho_hat[i] for i in range(3))
         # omega rho_hat^t = -rho f^t
         lhs = matrix_wedge_col(om, rho_hat)
         rhs = matrix_wedge_col(rho, f)
-        res["omega_rhohat"] = max((lhs[i] + rhs[i]).sup() for i in range(3))
+        res["omega_rhohat"] = max_sup(lhs[i] + rhs[i] for i in range(3))
         # beta = (1/6) f omega f^t
         res["beta_sixth"] = (row_wedge_col(fom, f) * (1.0 / 6.0) - beta).sup()
         # omega f^t f = 2 beta 1 = f^t f omega
         omft = matrix_wedge_col(om, f)
-        worst = 0.0
+        gaps = []
         for i in range(3):
             ftf_om = row_wedge_matrix([f[i].wedge(fk) for fk in f], om)
             for j in range(3):
                 expect = beta * (2.0 if i == j else 0.0)
-                worst = max(worst, (omft[i].wedge(f[j]) - expect).sup())
-                worst = max(worst, (ftf_om[j] - expect).sup())
-        res["omega_ftf"] = worst
+                gaps += [omft[i].wedge(f[j]) - expect, ftf_om[j] - expect]
+        res["omega_ftf"] = max_sup(gaps)
         # omega omega f^t = 0
-        res["omega_omega_ft"] = max(x.sup() for x in matrix_wedge_col(omom, f))
+        res["omega_omega_ft"] = max_sup(matrix_wedge_col(omom, f))
         # -f rho f^t = f omega rho_hat^t = rho_hat omega f^t = 2 sum rho^i h^i
         f_rho_ft = row_wedge_col(row_wedge_matrix(f, rho), f)
         f_om_rh = row_wedge_col(fom, rho_hat)
         rh_om_ft = row_wedge_col(row_wedge_matrix(rho_hat, om), f)
         twist = row_wedge_col(rho_hat, direct) * 2.0
-        res["four_forms"] = max(
-            (f_rho_ft + f_om_rh).sup(), (f_om_rh - rh_om_ft).sup(), (f_om_rh - twist).sup()
-        )
+        res["four_forms"] = max_sup([f_rho_ft + f_om_rh, f_om_rh - rh_om_ft, f_om_rh - twist])
         # six/seven-form algebra
         eta_ft = row_wedge_col(eta, f)
         eta_rh = row_wedge_col(eta, rho_hat)

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exterior import JetForm, Multivector, check, contract, row_wedge_col, row_wedge_matrix
+from ..exterior import Multivector, check, contract, row_wedge_col, row_wedge_matrix
 from ..g2point import G2Structure, TorsionForms, standard_phi, torsion_decompose
 from ..jets import Jet
 from ..models import ModelSpec
-from .chart import N, Chart, components, promote
+from .chart import N, Chart, components, fiber_form, promote
 
 # largest Weyl norm on the side the branch needs to vanish
 HYP_TOL = 1e-7
@@ -97,7 +97,7 @@ class XSpaceChart(Chart):
         J.rho3 = tuple(promote(r) for r in rho4)
         J.a = tuple(Jet.variable(point[i], i, N, p) for i in range(3))
         om = check(list(J.conn3))
-        da = [JetForm(N, 1, {(i + 1,): Jet.constant(1.0, N, p)}) for i in range(3)]
+        da = [fiber_form([Jet.constant(float(i == v), N, p) for v in range(3)]) for i in range(3)]
         f = J.f = tuple(da[i] - contract([om[j, i] for j in range(3)], J.a) for i in range(3))
         J.h = (f[1].wedge(f[2]), f[2].wedge(f[0]), f[0].wedge(f[1]))
         J.beta = f[0].wedge(f[1]).wedge(f[2])

@@ -4,9 +4,11 @@ A run selects a base model, a bundle (2-form bundle X or coframe bundle P),
 a branch, and a scale profile, then executes every check relevant to that
 scenario over seeded probe points.  Each record names the identity it
 verifies via a stable anchor string, so independent implementations can be
-compared field by field.  Reports are deterministic for a fixed seed and
-identical under sequential or threaded evaluation: per-point values are
-aggregated with order-independent maxima/minima.
+compared field by field.  Probes run one at a time and each named
+per-probe value is reduced once over all probes with NaN-propagating
+maxima (``np.max``; the never-calibrated bound takes ``np.min``), so a
+report is deterministic for a fixed seed and a NaN on any probe fails its
+record.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,7 @@ NUMERICAL_ERRORS = (
     NonSPDMetricError,
     ProfileDomainError,
     ChartBoundError,
+    ArithmeticError,  # Python float overflow or division by zero
 )
 
 
@@ -273,93 +275,78 @@ def _record(check: str, value: float, tol: float, comparison: str = "<=") -> Rec
     )
 
 
-def _pmap(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+_NORM_KEYS = ("tau0", "tau1", "tau2", "tau3")
 
 
-def _frame_records(spec, bundle, points, tol, workers) -> list:
+def _worst(rows) -> dict:
+    """Each named per-probe value reduced to its maximum over the probes;
+    ``np.max`` propagates a NaN from any probe, whatever the probe order."""
+    return {name: float(np.max([row[name] for row in rows])) for name in rows[0]}
+
+
+def _frame_records(spec, bundle, points, tol) -> list:
+    exp = spec.expected
+
     def probe(pt):
-        pt = tuple(pt)
         st = bundle.singer_thorpe(pt)
-        res_p = bundle.duality_residuals(pt, 1)
-        res_m = bundle.duality_residuals(pt, -1)
-        flags = predicates(st)
-        exp = spec.expected
-        flag_err = 0.0
-        if (
-            flags.einstein != exp.einstein
-            or flags.sd != exp.sd
-            or flags.asd != exp.asd
-            or flags.scalar_flat != exp.scalar_flat
-        ):
-            flag_err = 1.0
-        flag_err = max(flag_err, abs(st.s - exp.s_value))
-        return (
-            bundle.cartan_residual(pt),
-            max(res_p["structure"], res_m["structure"]),
-            max(res_p["bianchi"], res_m["bianchi"]),
-            st.sym_residual,
-            st.trace_residual,
-            flag_err,
-        )
+        res = [bundle.duality_residuals(pt, b) for b in (1, -1)]
+        got = predicates(st)
+        flags_ok = all(getattr(got, k) == getattr(exp, k) for k in ("einstein", "sd", "asd", "scalar_flat"))
+        return {
+            "frames/cartan": bundle.cartan_residual(pt),
+            "frames/duality-structure": np.max([r["structure"] for r in res]),
+            "frames/bianchi": np.max([r["bianchi"] for r in res]),
+            "frames/block-symmetry": st.sym_residual,
+            "frames/trace-identity": st.trace_residual,
+            "frames/flag-table": np.max([0.0 if flags_ok else 1.0, abs(st.s - exp.s_value)]),
+        }
 
-    rows = np.array(_pmap(probe, points, workers))
-    worst = rows.max(axis=0)
+    worst = _worst([probe(tuple(pt)) for pt in points])
     return [
-        _record("frames/cartan", worst[0], tol),
-        _record("frames/duality-structure", worst[1], tol),
-        _record("frames/bianchi", worst[2], tol),
-        _record("frames/block-symmetry", worst[3], tol),
-        _record("frames/trace-identity", worst[4], tol),
-        _record("frames/flag-table", worst[5], 1e-7),
+        _record(check, value, 1e-7 if check == "frames/flag-table" else tol)
+        for check, value in worst.items()
     ]
 
 
-def _x_records(cfg: RunConfig, spec, chart: XSpaceChart, rng, workers):
+def _x_records(cfg: RunConfig, spec, chart: XSpaceChart, rng):
     try:
         points = chart.sample_points(cfg.probes, rng)
     except SamplingError as exc:
         raise ConfigError(f"invalid value for key 'profile': no probe in its domain ({exc})") from None
-    records = []
-    norm_keys = ("tau0", "tau1", "tau2", "tau3")
-    g_diag = None
 
     def probe(pt):
-        pt = tuple(pt)
         res = chart.structure_residuals(pt)
         tn = chart.torsion_numeric(pt)
         tc = chart.torsion_closed(pt)
-        s7 = chart.structure(pt)
-        return res, torsion_gap(tc, tn), abs(tn.tau0), tn.norms(s7.g_diag)
+        return {
+            "dr": res["dr"],
+            "d_eta_at": res["d_eta_at"],
+            "dbeta": np.max([res["dbeta"], res["d_eta_ht"]]),
+            "system": np.max([res["dphi_system"], res["dpsi_system"]]),
+            "gap": torsion_gap(tc, tn),
+            **tn.norms(chart.structure(pt).g_diag),
+        }
 
-    rows = _pmap(probe, [tuple(p) for p in points], workers)
-    worst = {
-        key: max(r[0][key] for r in rows)
-        for key in ("dr", "d_eta_at", "dbeta", "d_eta_ht", "dphi_system", "dpsi_system")
-    }
-    records.append(_record("x/radius-differential", worst["dr"], 1e-9))
-    records.append(_record("x/taut-2-form", worst["d_eta_at"], cfg.tol))
-    records.append(_record("x/beta-differential", max(worst["dbeta"], worst["d_eta_ht"]), cfg.tol))
-    records.append(
-        _record("x/structure-system", max(worst["dphi_system"], worst["dpsi_system"]), cfg.tol)
-    )
-    records.append(_record("x/torsion-closed-vs-numeric", max(r[1] for r in rows), 1e-6))
-    records.append(_record("x/tau0-vanishes", max(r[2] for r in rows), 1e-6))
-    agg_norms = {k: max(r[3][k] for r in rows) for k in norm_keys}
-    label = classify_norms(agg_norms, tol=1e-6).label
+    worst = _worst([probe(tuple(pt)) for pt in points])
+    norms = {k: worst[k] for k in _NORM_KEYS}
+    records = [
+        _record("x/radius-differential", worst["dr"], 1e-9),
+        _record("x/taut-2-form", worst["d_eta_at"], cfg.tol),
+        _record("x/beta-differential", worst["dbeta"], cfg.tol),
+        _record("x/structure-system", worst["system"], cfg.tol),
+        _record("x/torsion-closed-vs-numeric", worst["gap"], 1e-6),
+        _record("x/tau0-vanishes", norms["tau0"], 1e-6),
+    ]
+    label = classify_norms(norms, tol=1e-6).label
 
     prof = chart.profile
     if prof.kind == "bs":
         s_prof = prof.params["s"]
         samples = np.linspace(prof.r_min, min(prof.r_max, prof.r_min + 8.0), 100)[:-1]
         lemma = two_of_three_report(prof, s_prof, samples)
-        records.append(_record("x/lemma-two-of-three", max(lemma.values()), 1e-8))
+        records.append(_record("x/lemma-two-of-three", np.max(list(lemma.values())), 1e-8))
         if abs(s_prof - spec.expected.s_value) < 1e-12 and spec.expected.einstein:
-            all_tau = max(agg_norms.values())
-            records.append(_record("x/parallel", all_tau, 1e-6))
+            records.append(_record("x/parallel", np.max(list(norms.values())), 1e-6))
         if prof.r0 is not None:
             length = radius_length(prof, prof.r0)
             oracle = radius_length_riemann(prof, prof.r0, n=60_000)
@@ -367,64 +354,62 @@ def _x_records(cfg: RunConfig, spec, chart: XSpaceChart, rng, workers):
     return records, label
 
 
-def _p_records(cfg: RunConfig, spec, chart: PSpaceChart, rng, workers):
+def _p_records(cfg: RunConfig, spec, chart: PSpaceChart, rng):
     points = chart.sample_points(cfg.probes, rng)
     lam, mu, b = chart.lam, chart.mu, float(chart.branch)
     s7 = chart.structure()
+    w3_pred = None
+    if spec.expected.einstein:
+        w3_pred = (b / (2.0 * lam)) * (s7.phi - 7.0 * lam**3 * Multivector.basis(7, (1, 2, 3)))
 
     def probe(pt):
-        pt = tuple(pt)
         ids = chart.identity_residuals(pt)
         dphi, dpsi = chart.adapted_derivatives(pt)
         tn = chart.torsion_numeric(pt)
         tc = chart.torsion_closed(pt)
-        out = {
-            "identities": max(ids.values()),
+        return {
+            "identities": np.max(list(ids.values())),
             "dpsi": s7.gnorm(dpsi),
             "dphi": s7.gnorm(dphi),
             "tau0_gap": abs(tc.tau0 - tn.tau0),
             "gap": torsion_gap(tc, tn),
-            "norms": tn.norms(s7.g_diag),
             "nearly": (dphi - b * (6.0 / (5.0 * lam)) * s7.psi).sup(),
-            "tau3_w3": 0.0,
+            "tau3_w3": 0.0 if w3_pred is None else (tn.tau3 - w3_pred).sup(),
+            **tn.norms(s7.g_diag),
         }
-        if spec.expected.einstein:
-            beta_ad = Multivector.basis(7, (1, 2, 3))
-            pred = (b / (2.0 * lam)) * (s7.phi - 7.0 * lam**3 * beta_ad)
-            out["tau3_w3"] = (tn.tau3 - pred).sup()
-        return out
 
-    rows = _pmap(probe, [tuple(p) for p in points], workers)
+    rows = [probe(tuple(pt)) for pt in points]
+    worst = _worst(rows)
     records = [
-        _record("p/identities", max(r["identities"] for r in rows), cfg.tol),
-        _record("p/cocalibrated", max(r["dpsi"] for r in rows), 1e-9),
-        _record("p/never-calibrated", min(r["dphi"] for r in rows), 1e-3, comparison=">"),
-        _record("p/tau0-closed", max(r["tau0_gap"] for r in rows), 1e-8),
-        _record("p/torsion-closed-vs-numeric", max(r["gap"] for r in rows), 1e-6),
+        _record("p/identities", worst["identities"], cfg.tol),
+        _record("p/cocalibrated", worst["dpsi"], 1e-9),
+        _record("p/never-calibrated", np.min([r["dphi"] for r in rows]), 1e-3, comparison=">"),
+        _record("p/tau0-closed", worst["tau0_gap"], 1e-8),
+        _record("p/torsion-closed-vs-numeric", worst["gap"], 1e-6),
     ]
     s_model = spec.expected.s_value
     duality_ok = spec.expected.asd if chart.branch == 1 else spec.expected.sd
     if abs(mu**2 - 5.0 * s_model * lam**2) < 1e-9 and spec.expected.einstein and duality_ok:
-        records.append(_record("p/nearly-parallel", max(r["nearly"] for r in rows), 1e-8))
-    norms = {k: max(r["norms"][k] for r in rows) for k in ("tau0", "tau1", "tau2", "tau3")}
+        records.append(_record("p/nearly-parallel", worst["nearly"], 1e-8))
+    norms = {k: worst[k] for k in _NORM_KEYS}
     cls = classify_norms(norms, tol=1e-6)
     if abs(mu**2 + 2.0 * s_model * lam**2) < 1e-9:
         w3_err = 0.0 if (cls.pure == "W3" and cls.cocalibrated) else 1.0
-        records.append(_record("p/pure-w3", max(norms["tau0"], w3_err), 1e-8))
+        records.append(_record("p/pure-w3", np.max([norms["tau0"], w3_err]), 1e-8))
         if spec.expected.einstein and duality_ok:
-            records.append(_record("p/w3-closed-form", max(r["tau3_w3"] for r in rows), 1e-8))
+            records.append(_record("p/w3-closed-form", worst["tau3_w3"], 1e-8))
     return records, cls.label
 
 
-def run(config: RunConfig, workers: int = 1) -> Report:
+def run(config: RunConfig) -> Report:
     """Execute the suite selected by the configuration and build the report."""
     spec = get_model(config.model, **config.params)
     bundle = spec.bundle()
     rng = np.random.default_rng(config.seed)
-    records = _frame_records(spec, bundle, spec.sample_points(config.probes, rng), config.tol, workers)
+    records = _frame_records(spec, bundle, spec.sample_points(config.probes, rng), config.tol)
     if config.space == "X":
         chart = XSpaceChart(spec, config.branch, config.make_profile())
-        more, label = _x_records(config, spec, chart, rng, workers)
+        more, label = _x_records(config, spec, chart, rng)
     else:
         prof = config.profile
         if prof["kind"] != "constant":
@@ -432,7 +417,7 @@ def run(config: RunConfig, workers: int = 1) -> Report:
                 "invalid value for key 'profile.kind': coframe-bundle runs need constant scales"
             )
         chart = PSpaceChart(spec, config.branch, prof["lam"], prof["mu"])
-        more, label = _p_records(config, spec, chart, rng, workers)
+        more, label = _p_records(config, spec, chart, rng)
     records.extend(more)
     environment = {
         "seed": config.seed,
@@ -470,7 +455,6 @@ def main(argv=None) -> int:
     runp.add_argument("--probes", type=int, default=None, help="override the probe count")
     runp.add_argument("--tol", type=float, default=None, help="override the base tolerance")
     runp.add_argument("--json", dest="json_out", default=None, help="write the JSON report here")
-    runp.add_argument("--workers", type=int, default=1, help="thread workers for probe points")
     runp.add_argument("--quiet", action="store_true", help="suppress per-record lines")
     sub.add_parser("list-suites", help="enumerate checks and their anchors")
     args = parser.parse_args(argv)
@@ -494,7 +478,9 @@ def main(argv=None) -> int:
             raw[key] = val
     try:
         config = RunConfig.from_dict(raw)
-        report = run(config, workers=args.workers)
+        # a non-finite value fails its record; numpy need not warn about it too
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            report = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -670,3 +670,8 @@ def matrix_wedge_col(m: MatrixForm, col):
 def row_wedge_col(row, col):
     """Pairing sum_k row_k ^ col_k."""
     return (MatrixForm([row]) @ MatrixForm([[c] for c in col]))[0, 0]
+
+
+def max_sup(forms) -> float:
+    """Largest sup norm of the float forms; a NaN in any of them propagates."""
+    return float(np.max([f.sup() for f in forms]))

@@ -25,7 +25,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import JetForm, MatrixForm, ScalarField, check, combo_pos, combos, contract, row_wedge_matrix
+from .exterior import (
+    JetForm,
+    MatrixForm,
+    ScalarField,
+    check,
+    combo_pos,
+    combos,
+    contract,
+    max_sup,
+    row_wedge_matrix,
+)
 from .jets import Jet
 
 DIM = 4
@@ -185,16 +195,14 @@ class FrameBundle:
 
     def __init__(self, metric):
         self.metric = metric
-        self._cache = {}
+        self._last = None  # (key, BaseData) of the latest build only
 
     def base(self, point, order: int) -> BaseData:
         key = (tuple(float(v) for v in point), order)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        data = self._build(key[0], order)
-        self._cache[key] = data
-        return data
+        last = self._last
+        if last is None or last[0] != key:
+            last = self._last = (key, self._build(key[0], order))
+        return last[1]
 
     def _build(self, point, order):
         g = [[self.metric[i][j].jet(point, order) for j in range(DIM)] for i in range(DIM)]
@@ -204,14 +212,11 @@ class FrameBundle:
         coeff_low = _truncate_matrix(coeff, low)
         inv_low = _upper_inverse(coeff_low)
         frame_val = np.array([[e.value for e in row] for row in inv_low])
-        theta = [
-            JetForm(DIM, 1, {(i + 1,): coeff[a][i] for i in range(DIM) if i >= a})
-            for a in range(DIM)
-        ]
+        theta = [JetForm._of(DIM, 1, coeff[0][0].table, np.array([e.coef for e in row])) for row in coeff]
         theta_low = [t.truncate(low) for t in theta]
         # d(theta)^a = 1/2 c[a][b][e] theta^b ^ theta^e: substitute
         # dx^i = sum_b inv_low[i][b] theta^b into d(theta)^a and read c off
-        rows = [JetForm(DIM, 1, {(b + 1,): inv_low[i][b] for b in range(DIM)}) for i in range(DIM)]
+        rows = [JetForm._of(DIM, 1, inv_low[0][0].table, np.array([e.coef for e in row])) for row in inv_low]
         minors = [rows[i - 1].wedge(rows[j - 1]) for i, j in combos(DIM, 2)]
         c = []
         for a in range(DIM):
@@ -239,13 +244,13 @@ class FrameBundle:
     def cartan_residual(self, point) -> float:
         """max |d(theta) + theta ^ omega| over the four components."""
         bd = self.base(point, 2)
-        worst = 0.0
+        residuals = []
         for a in range(DIM):
             acc = bd.theta[a].d_value()
             for b in range(DIM):
                 acc = acc + bd.theta_low[b].value().wedge(bd.conn[b][a].value())
-            worst = max(worst, acc.sup())
-        return worst
+            residuals.append(acc)
+        return max_sup(residuals)
 
     def duality_residuals(self, point, branch: int) -> dict:
         """Structure equation and algebraic Bianchi residuals on one branch."""
@@ -253,8 +258,8 @@ class FrameBundle:
         eta, conn3, rho3 = bd.duality(branch)
         eta_val = [e.value() for e in eta]
         rhs = row_wedge_matrix(eta_val, check([c.value() for c in conn3]))
-        struct = max((eta[i].d_value() - rhs[i]).sup() for i in range(3))
-        bianchi = max(x.sup() for x in row_wedge_matrix(eta_val, check([r.value() for r in rho3])))
+        struct = max_sup(eta[i].d_value() - rhs[i] for i in range(3))
+        bianchi = max_sup(row_wedge_matrix(eta_val, check([r.value() for r in rho3])))
         return {"structure": struct, "bianchi": bianchi}
 
     # -- curvature blocks --------------------------------------------------
@@ -299,7 +304,7 @@ def _assemble_blocks(raw, sign):
     c = sign * c_t
     b = sign * b_t
     b_consistency = float(np.max(np.abs(b_t + bb_t)))
-    sym = max(float(np.max(np.abs(a - a.T))), float(np.max(np.abs(c - c.T))))
+    sym = float(np.max([np.abs(a - a.T), np.abs(c - c.T)]))
     if sym > 1e-6:
         raise ResidualError(f"curvature blocks not symmetric ({sym:.2e})")
     tra, trc = float(np.trace(a)), float(np.trace(c))

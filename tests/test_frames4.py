@@ -331,3 +331,13 @@ def test_blocks_match_frame_vector_evaluation(name):
         scale = max(np.max(np.abs(m)) for m in ref)
         for g, r in zip(got, ref):
             assert np.max(np.abs(g - r)) <= 1e-12 * scale, name
+
+
+def test_base_keeps_only_the_latest_build():
+    bundle = get_model("sphere4").bundle()
+    p, q = (0.1, 0.2, 0.3, 0.4), (0.2, 0.1, 0.0, -0.1)
+    first = bundle.base(p, 2)
+    assert bundle.base(p, 2) is first
+    assert bundle.base(q, 2).point == q
+    again = bundle.base(p, 2)
+    assert again is not first and again.point == p

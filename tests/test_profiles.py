@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from g2frames.bundle7.profiles import (
+    Profile,
     ProfileDomainError,
     bs_profile,
     constant_profile,
@@ -95,3 +96,12 @@ def test_constant_profile():
     assert p.lam_jet(3.0, 2).partial(0) == 0.0
     with pytest.raises(ValueError):
         constant_profile(-1.0, 1.0)
+
+
+def test_two_of_three_report_propagates_a_later_nan():
+    def lam_fn(r):
+        return r * 0.0 + (np.nan if r.value > 1.0 else 1.0)
+
+    p = Profile(lam_fn=lam_fn, mu_fn=lambda r: r * 0.0 + 1.0, r_min=0.0, r_max=np.inf, kind="test")
+    rep = two_of_three_report(p, 1.0, [0.5, 2.0])
+    assert np.isnan(rep["const"])

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from g2frames.bundle7.chart import torsion_gap
 from g2frames.bundle7.profiles import ProfileDomainError, bs_profile, constant_profile, random_smooth_profile
 from g2frames.bundle7.xspace import DualityHypothesisError, XSpaceChart
-from g2frames.g2point import classify, metric_from_phi
+from g2frames.exterior import Multivector
+from g2frames.g2point import TorsionForms, classify, metric_from_phi
 from g2frames.models import get_model
 
 RNG_SEED = 77
@@ -219,3 +221,14 @@ def test_dphi_nilpotency_via_order2_jets():
         j = chart.jets(tuple(pt), 2)
         assert j.phi.d_jets().d_value().sup() < 1e-9
         assert j.psi.d_jets().d_value().sup() < 1e-9
+
+
+def test_torsion_gap_propagates_a_nan_after_a_finite_gap():
+    def forms(tau0, tau3_coef):
+        tau3 = Multivector(7, 3)
+        tau3.coef[0] = tau3_coef
+        zero = Multivector(7, 1), Multivector(7, 2)
+        return TorsionForms(tau0, *zero, tau3, 0.0, 0.0, 0.0, 0.0)
+
+    assert torsion_gap(forms(1.0, 0.0), forms(0.5, 0.0)) == 0.5
+    assert np.isnan(torsion_gap(forms(1.0, 0.0), forms(0.5, np.nan)))
