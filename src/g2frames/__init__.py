@@ -3,7 +3,6 @@ of the natural structure 3-forms on the rank-3 bundles over oriented
 Riemannian 4-manifolds."""
 
 from .exterior import (
-    FormField,
     JetForm,
     MatrixForm,
     Multivector,
@@ -42,7 +41,6 @@ from .bundle7 import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FormField",
     "JetForm",
     "MatrixForm",
     "Multivector",

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..exterior import FormField, JetForm, combo_pos, combos
+from ..exterior import JetForm, combo_pos, combos
 from ..g2point import TorsionForms
 from ..jets import _embed_index
 from ..jets import table as jet_table
@@ -102,19 +102,6 @@ class Chart:
 
     def dpsi_at(self, point):
         return self.jets(point, 1).psi.d_value()
-
-    def phi_field(self) -> FormField:
-        """The structure 3-form as a FormField over the chart."""
-        return self._field("phi", 3)
-
-    def psi_field(self) -> FormField:
-        return self._field("psi", 4)
-
-    def _field(self, which, degree):
-        """FormField view into the cached chart pipeline (jets up to order 2)."""
-        return FormField(
-            N, degree, jets=lambda pt, o: getattr(self.jets(pt, max(o, 1)), which).truncate(o)
-        )
 
     def adapted_derivatives(self, point):
         """(d phi, d psi) in the adapted coframe, where phi is standard."""

@@ -18,20 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from ..exterior import (
-    MatrixForm,
-    Multivector,
-    check,
-    contract,
-    hat,
-    matrix_wedge_col,
-    max_sup,
-    row_wedge_col,
-    row_wedge_matrix,
-)
+from ..exterior import JetForm, MatrixForm, Multivector, check, hat, max_sup
 from ..g2point import G2Structure, TorsionForms, standard_phi, torsion_decompose
 from ..jets import Jet
 from ..models import ModelSpec
@@ -95,36 +86,20 @@ def rotation_jets(u_jets):
     return g
 
 
-class _PChartJets:
-    __slots__ = (
-        "order",
-        "theta",
-        "eta",
-        "f",
-        "omega",
-        "rho",
-        "rho_hat",
-        "beta",
-        "vol",
-        "eta_f",
-        "eta_om_f",
-        "phi",
-        "psi",
-        "g_val",
-    )
+def _zero_forms(g) -> MatrixForm:
+    """A matrix of jets as a matrix of 0-forms on the chart."""
+    coef = np.array([[[e.coef] for e in row] for row in g])
+    return MatrixForm._of(JetForm._of(N, 0, g[0][0].table, coef[0, 0]), coef)
 
 
 def _conjugate(m, g, dg=None):
     """g^t . (m . g + dg) for a 3x3 matrix of jet forms m and a rotation g of
-    jets; the connection carries the g^t dg term, the curvature does not."""
-
-    def col(mat, j):
-        return [mat[l][j] for l in range(3)]
-
-    mg = [[contract(m[k], col(g, j)) for j in range(3)] for k in range(3)]
+    0-forms; the connection carries the g^t dg term, the curvature does not.
+    The jets stay the right factor of every wedge: g^t . x is (x^t . g)^t."""
+    mg = m @ g
     if dg is not None:  # base labels in m . g, fiber labels in dg: the sums stay disjoint
-        mg = [[a + d for a, d in zip(ra, rd)] for ra, rd in zip(mg, dg)]
-    return [[contract(col(mg, j), col(g, i)) for j in range(3)] for i in range(3)]
+        mg = mg + dg
+    return (mg.T @ g).T
 
 
 class PSpaceChart(Chart):
@@ -138,6 +113,7 @@ class PSpaceChart(Chart):
         self.mu = float(mu)
 
     def _build(self, point, p):
+        """All chart quantities at one point, as 7-variable jet forms."""
         u = np.asarray(point[:3], dtype=float)
         unorm = float(np.linalg.norm(u))
         if unorm >= CHART_BOUND:
@@ -145,8 +121,7 @@ class PSpaceChart(Chart):
         x = point[3:]
         base = self.frame.base(x, p + 1)
         eta4, conn4, rho4 = base.duality(self.branch)
-        J = _PChartJets()
-        J.order = p
+        J = SimpleNamespace()
         J.theta = tuple(promote(t) for t in base.theta_low)
         eta_p = tuple(promote(e) for e in eta4)
 
@@ -154,21 +129,25 @@ class PSpaceChart(Chart):
         g_hi = rotation_jets(u_hi)
         g = [[e.truncate(p) for e in row] for row in g_hi]
         J.g_val = np.array([[e.value for e in row] for row in g])
-        dg = [[fiber_form([g_hi[k][j].derivative(v) for v in range(3)]) for j in range(3)] for k in range(3)]
-        J.omega = _conjugate(check([promote(w) for w in conn4]).entries, g, dg)
-        J.f = hat(MatrixForm(J.omega))
-        J.eta = tuple(contract(eta_p, [g[k][i] for k in range(3)]) for i in range(3))
+        dg = MatrixForm(
+            [[fiber_form([g_hi[k][j].derivative(v) for v in range(3)]) for j in range(3)] for k in range(3)]
+        )
+        gm = _zero_forms(g)
+        J.omega = _conjugate(check([promote(w) for w in conn4]), gm, dg)
+        J.f = hat(J.omega)
+        J.eta = MatrixForm([eta_p]) @ gm
         if p >= 1:
-            g_lo = [[e.truncate(p - 1) for e in row] for row in g]
-            J.rho = _conjugate(check([promote(r) for r in rho4]).entries, g_lo)
-            J.rho_hat = hat(MatrixForm(J.rho))
+            g_lo = _zero_forms([[e.truncate(p - 1) for e in row] for row in g])
+            J.rho = _conjugate(check([promote(r) for r in rho4]), g_lo)
+            J.rho_hat = hat(J.rho)
         else:
             J.rho = None
             J.rho_hat = None
         J.beta = J.f[0].wedge(J.f[1]).wedge(J.f[2])
         J.vol = J.theta[0].wedge(J.theta[1]).wedge(J.theta[2]).wedge(J.theta[3])
-        J.eta_f = row_wedge_col(J.eta, J.f)
-        J.eta_om_f = row_wedge_col(row_wedge_matrix(J.eta, MatrixForm(J.omega)), J.f)
+        f_col = MatrixForm([J.f]).T
+        J.eta_f = (J.eta @ f_col)[0, 0]
+        J.eta_om_f = (J.eta @ J.omega @ f_col)[0, 0]
         lam, mu, b = self.lam, self.mu, float(self.branch)
         J.phi = J.beta * lam**3 - J.eta_f * (b * lam * mu**2)
         J.psi = J.vol * mu**4 - J.eta_om_f * (lam**2 * mu**2 / 2.0)
@@ -178,12 +157,12 @@ class PSpaceChart(Chart):
     def canonical_forms(self, point) -> CanonicalFormsP:
         J = self.jets(point, 1)
         return CanonicalFormsP(
-            eta=tuple(e.value() for e in J.eta),
+            eta=tuple(J.eta[0, i].value() for i in range(3)),
             f=tuple(f.value() for f in J.f),
             rho_hat=tuple(r.value() for r in J.rho_hat),
             beta=J.beta.value(),
             vol=J.vol.value(),
-            omega=[[e.value() for e in row] for row in J.omega],
+            omega=[[J.omega[i, j].value() for j in range(3)] for i in range(3)],
         )
 
     def structure(self) -> G2Structure:
@@ -202,75 +181,59 @@ class PSpaceChart(Chart):
         """Pointwise residuals of the structural and algebraic identities."""
         J = self.jets(point, 1)
         b = float(self.branch)
-        f = [x.value() for x in J.f]
-        om = MatrixForm([[e.value() for e in row] for row in J.omega])
-        rho = MatrixForm([[e.value() for e in row] for row in J.rho])
-        rho_hat = [x.value() for x in J.rho_hat]
-        eta = [x.value() for x in J.eta]
+        f, rho_hat = (MatrixForm([row]).value() for row in (J.f, J.rho_hat))
+        eta, om, rho = J.eta.value(), J.omega.value(), J.rho.value()
         beta = J.beta.value()
         vol = J.vol.value()
         st = self.frame.singer_thorpe(tuple(point[3:]))
 
         res = {}
         # skewness of the total connection
-        res["omega_skew"] = max_sup(om[i, j] + om[j, i] for i in range(3) for j in range(i, 3))
+        res["omega_skew"] = (om + om.T).sup()
         # d eta = eta ^ omega
-        eta_om = row_wedge_matrix(eta, om)
-        res["structure_eta"] = max_sup(J.eta[i].d_value() - eta_om[i] for i in range(3))
+        eta_om = eta @ om
+        res["structure_eta"] = max_sup(J.eta[0, i].d_value() - eta_om[0, i] for i in range(3))
         # rho = d omega + omega ^ omega
         omom = om @ om
         res["curvature_def"] = max_sup(
-            J.omega[i][j].d_value() + omom[i, j] - rho[i, j] for i in range(3) for j in range(3)
+            J.omega[i, j].d_value() + omom[i, j] - rho[i, j] for i in range(3) for j in range(3)
         )
         # eta ^ rho = 0
-        res["bianchi"] = max_sup(row_wedge_matrix(eta, rho))
+        res["bianchi"] = (eta @ rho).sup()
         # (1/2) f omega = (om23, om31, om12) = hat(omega omega)
-        fom = row_wedge_matrix(f, om)
-        half_fom = [x * 0.5 for x in fom]
-        direct = (f[1].wedge(f[2]), f[2].wedge(f[0]), f[0].wedge(f[1]))
-        hat_omom = hat(omom)
-        res["half_f_omega"] = max_sup(
-            half_fom[i] - other[i] for other in (direct, hat_omom) for i in range(3)
-        )
+        fom = f @ om
+        half_fom = fom * 0.5
+        direct = MatrixForm([[f[0, 1].wedge(f[0, 2]), f[0, 2].wedge(f[0, 0]), f[0, 0].wedge(f[0, 1])]])
+        res["half_f_omega"] = max_sup([half_fom - direct, half_fom - MatrixForm([hat(omom)])])
         # rho_hat = d f + (1/2) f omega
-        res["rho_hat_def"] = max_sup(J.f[i].d_value() + half_fom[i] - rho_hat[i] for i in range(3))
+        res["rho_hat_def"] = max_sup(J.f[i].d_value() + half_fom[0, i] - rho_hat[0, i] for i in range(3))
         # omega rho_hat^t = -rho f^t
-        lhs = matrix_wedge_col(om, rho_hat)
-        rhs = matrix_wedge_col(rho, f)
-        res["omega_rhohat"] = max_sup(lhs[i] + rhs[i] for i in range(3))
+        res["omega_rhohat"] = (om @ rho_hat.T + rho @ f.T).sup()
         # beta = (1/6) f omega f^t
-        res["beta_sixth"] = (row_wedge_col(fom, f) * (1.0 / 6.0) - beta).sup()
+        res["beta_sixth"] = ((fom @ f.T)[0, 0] * (1.0 / 6.0) - beta).sup()
         # omega f^t f = 2 beta 1 = f^t f omega
-        omft = matrix_wedge_col(om, f)
-        gaps = []
-        for i in range(3):
-            ftf_om = row_wedge_matrix([f[i].wedge(fk) for fk in f], om)
-            for j in range(3):
-                expect = beta * (2.0 if i == j else 0.0)
-                gaps += [omft[i].wedge(f[j]) - expect, ftf_om[j] - expect]
-        res["omega_ftf"] = max_sup(gaps)
+        omft = om @ f.T
+        two_beta = MatrixForm._of(beta, np.eye(3)[:, :, None] * 2.0 * beta.coef)
+        res["omega_ftf"] = max_sup([omft @ f - two_beta, f.T @ f @ om - two_beta])
         # omega omega f^t = 0
-        res["omega_omega_ft"] = max_sup(matrix_wedge_col(omom, f))
+        res["omega_omega_ft"] = (omom @ f.T).sup()
         # -f rho f^t = f omega rho_hat^t = rho_hat omega f^t = 2 sum rho^i h^i
-        f_rho_ft = row_wedge_col(row_wedge_matrix(f, rho), f)
-        f_om_rh = row_wedge_col(fom, rho_hat)
-        rh_om_ft = row_wedge_col(row_wedge_matrix(rho_hat, om), f)
-        twist = row_wedge_col(rho_hat, direct) * 2.0
+        f_rho_ft = (f @ rho @ f.T)[0, 0]
+        f_om_rh = (fom @ rho_hat.T)[0, 0]
+        rh_om_ft = (rho_hat @ om @ f.T)[0, 0]
+        twist = (rho_hat @ direct.T)[0, 0] * 2.0
         res["four_forms"] = max_sup([f_rho_ft + f_om_rh, f_om_rh - rh_om_ft, f_om_rh - twist])
         # six/seven-form algebra
-        eta_ft = row_wedge_col(eta, f)
-        eta_rh = row_wedge_col(eta, rho_hat)
-        f_rh = row_wedge_col(f, rho_hat)
-        eta_om_ft = row_wedge_col(eta_om, f)
+        eta_ft = (eta @ f.T)[0, 0]
+        eta_rh = (eta @ rho_hat.T)[0, 0]
+        f_rh = (f @ rho_hat.T)[0, 0]
+        eta_om_ft = (eta_om @ f.T)[0, 0]
         res["alg_frho_etaf"] = (f_rho_ft.wedge(eta_ft) + beta.wedge(eta_rh) * 2.0).sup()
         res["alg_etaomf_etaf"] = (eta_om_ft.wedge(eta_ft) - b * 12.0 * beta.wedge(vol)).sup()
         res["alg_etaf_sq"] = eta_ft.wedge(eta_ft).sup()
         res["alg_etarh_etaf"] = (eta_rh.wedge(eta_ft) - b * 2.0 * vol.wedge(f_rh)).sup()
         # derivative block
-        half_col = matrix_wedge_col(MatrixForm(J.omega), J.f)
-        d_eta_ft_expect = row_wedge_col(
-            eta, [h.value() * 0.5 + r for h, r in zip(half_col, rho_hat)]
-        )
+        d_eta_ft_expect = (eta @ (omft * 0.5 + rho_hat.T))[0, 0]
         res["d_eta_ft"] = (J.eta_f.d_value() - d_eta_ft_expect).sup()
         res["dbeta"] = (J.beta.d_value() + f_rho_ft * 0.5).sup()
         res["d_eta_omega_ft"] = J.eta_om_f.d_value().sup()
@@ -286,14 +249,12 @@ class PSpaceChart(Chart):
         s = st.s
         lam, mu, b = self.lam, self.mu, float(self.branch)
         tau0 = b * (6.0 / (7.0 * lam * mu**2)) * (mu**2 + 2.0 * s * lam**2)
-        f = [x.value() for x in J.f]
-        eta = [x.value() for x in J.eta]
-        rho_hat = [x.value() for x in J.rho_hat]
+        f = MatrixForm([J.f]).value()
         beta = J.beta.value()
-        star_rho = [self._star_horizontal(r, point) for r in rho_hat]
+        star_rho = MatrixForm([[self._star_horizontal(r.value(), point) for r in J.rho_hat]])
         tau3 = (
-            row_wedge_col(star_rho, f) * lam**2
-            - row_wedge_col(eta, f) * ((mu**2 - 12.0 * s * lam**2) / 7.0)
+            (star_rho @ f.T)[0, 0] * lam**2
+            - (J.eta.value() @ f.T)[0, 0] * ((mu**2 - 12.0 * s * lam**2) / 7.0)
             + beta * (b * (30.0 * s * lam**4 / mu**2 - 6.0 * lam**2) / 7.0)
         )
         p = np.linalg.inv(self.adapted_coframe(point))

@@ -18,10 +18,11 @@ system; the torsion cross-check below is the central test of the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from ..exterior import Multivector, check, contract, row_wedge_col, row_wedge_matrix
+from ..exterior import MatrixForm, Multivector, check, contract
 from ..g2point import G2Structure, TorsionForms, standard_phi, torsion_decompose
 from ..jets import Jet
 from ..models import ModelSpec
@@ -55,29 +56,6 @@ class CanonicalFormsX:
     vol: Multivector
 
 
-class _ChartJets:
-    """All chart quantities at one point, as 7-variable jet forms."""
-
-    __slots__ = (
-        "order",
-        "theta",
-        "eta",
-        "conn3",
-        "rho3",
-        "f",
-        "h",
-        "beta",
-        "vol",
-        "eta_h",
-        "phi",
-        "psi",
-        "a",
-        "r",
-        "lam",
-        "mu",
-    )
-
-
 class XSpaceChart(Chart):
     """One branch of the 2-form bundle over a catalog model, with a profile."""
 
@@ -86,17 +64,16 @@ class XSpaceChart(Chart):
         self.profile = profile
 
     def _build(self, point, p):
+        """All chart quantities at one point, as 7-variable jet forms."""
         x = point[3:]
         base = self.frame.base(x, p + 1)
         eta4, conn4, rho4 = base.duality(self.branch)
-        J = _ChartJets()
-        J.order = p
+        J = SimpleNamespace()
         J.theta = tuple(promote(t) for t in base.theta_low)
         J.eta = tuple(promote(e) for e in eta4)
-        J.conn3 = tuple(promote(w) for w in conn4)
         J.rho3 = tuple(promote(r) for r in rho4)
         J.a = tuple(Jet.variable(point[i], i, N, p) for i in range(3))
-        om = check(list(J.conn3))
+        om = check([promote(w) for w in conn4])
         da = [fiber_form([Jet.constant(float(i == v), N, p) for v in range(3)]) for i in range(3)]
         f = J.f = tuple(da[i] - contract([om[j, i] for j in range(3)], J.a) for i in range(3))
         J.h = (f[1].wedge(f[2]), f[2].wedge(f[0]), f[0].wedge(f[1]))
@@ -107,8 +84,9 @@ class XSpaceChart(Chart):
         mu1 = self.profile.mu_jet(J.r.value, p)
         J.lam = J.r.compose([lam1.coef[k] * _FACT[k] for k in range(p + 1)])
         J.mu = J.r.compose([mu1.coef[k] * _FACT[k] for k in range(p + 1)])
-        mixed = row_wedge_col(J.eta, J.f)
-        J.eta_h = row_wedge_col(J.eta, J.h)
+        eta = MatrixForm([J.eta])
+        mixed = (eta @ MatrixForm([J.f]).T)[0, 0]
+        J.eta_h = (eta @ MatrixForm([J.h]).T)[0, 0]
         J.phi = J.beta * (J.lam**3) - mixed * (J.lam * J.mu**2 * float(self.branch))
         J.psi = J.vol * (J.mu**4) - J.eta_h * (J.lam**2 * J.mu**2)
         return J
@@ -142,9 +120,7 @@ class XSpaceChart(Chart):
         """Residuals of the closed differential system against jet evaluation."""
         J = self.jets(point, 1)
         a_val = np.array([a.value for a in J.a])
-        f_val = [f.value() for f in J.f]
-        h_val = [h.value() for h in J.h]
-        eta_val = [e.value() for e in J.eta]
+        f_val, h_val, eta_val = (MatrixForm([row]).value() for row in (J.f, J.h, J.eta))
         rho_m = check([r.value() for r in J.rho3])
         b = float(self.branch)
 
@@ -154,16 +130,16 @@ class XSpaceChart(Chart):
         res = {"dr": (dr - dr_direct).sup()}
 
         # d(eta a^t) = eta ^ f^t
-        res["d_eta_at"] = (contract(J.eta, J.a).d_value() - row_wedge_col(eta_val, f_val)).sup()
+        eta_f = (eta_val @ f_val.T)[0, 0]
+        res["d_eta_at"] = (contract(J.eta, J.a).d_value() - eta_f).sup()
 
         # d beta = h rho a^t
-        h_rho = row_wedge_matrix(h_val, rho_m)
-        res["dbeta"] = (J.beta.d_value() - contract(h_rho, a_val)).sup()
+        h_rho_a = contract(h_val @ rho_m, a_val)
+        res["dbeta"] = (J.beta.d_value() - h_rho_a).sup()
 
         # d(eta h^t) = -eta fcheck rho a^t
-        eta_fc = row_wedge_matrix(eta_val, check(f_val))
-        eta_fc_rho = row_wedge_matrix(eta_fc, rho_m)
-        res["d_eta_ht"] = (J.eta_h.d_value() + contract(eta_fc_rho, a_val)).sup()
+        eta_fc_rho_a = contract(eta_val @ check(f_val) @ rho_m, a_val)
+        res["d_eta_ht"] = (J.eta_h.d_value() + eta_fc_rho_a).sup()
 
         # closed structure system for d phi and d psi
         lam, mu = J.lam.value, J.mu.value
@@ -173,19 +149,18 @@ class XSpaceChart(Chart):
         d_lammu2 = (lam1 * mu1**2).partial(0)
         d_mu4 = (mu1**4).partial(0)
         d_lam2mu2 = (lam1**2 * mu1**2).partial(0)
-        eta_f = row_wedge_col(eta_val, f_val)
-        eta_h = row_wedge_col(eta_val, h_val)
+        eta_h = (eta_val @ h_val.T)[0, 0]
         vol = J.vol.value()
         beta = J.beta.value()
         dphi_closed = (
             dr.wedge(beta) * d_lam3
-            + contract(h_rho, a_val) * lam**3
+            + h_rho_a * lam**3
             - b * d_lammu2 * dr.wedge(eta_f)
         )
         dpsi_closed = (
             dr.wedge(vol) * d_mu4
             - d_lam2mu2 * dr.wedge(eta_h)
-            + contract(eta_fc_rho, a_val) * (lam**2 * mu**2)
+            + eta_fc_rho_a * (lam**2 * mu**2)
         )
         res["dphi_system"] = (self.dphi_at(point) - dphi_closed).sup()
         res["dpsi_system"] = (self.dpsi_at(point) - dpsi_closed).sup()
@@ -207,9 +182,7 @@ class XSpaceChart(Chart):
         s = st.s
         b = float(self.branch)
         a_val = np.array([a.value for a in J.a])
-        f_val = [f.value() for f in J.f]
-        h_val = [h.value() for h in J.h]
-        eta_val = [e.value() for e in J.eta]
+        f_val, h_val, eta_val = (MatrixForm([row]).value() for row in (J.f, J.h, J.eta))
         lam1 = self.profile.lam_jet(J.r.value, 1)
         mu1 = self.profile.mu_jet(J.r.value, 1)
         lam, mu = lam1.value, mu1.value
@@ -227,11 +200,8 @@ class XSpaceChart(Chart):
             -b * t2_coef
         )
 
-        rho_m = check([r.value() for r in J.rho3])
-        eta_m = check(eta_val)
-        rho_b = rho_m + eta_m * (b * s)
-        f_rho_b = row_wedge_matrix(f_val, rho_b)
-        tau3 = contract(f_rho_b, a_val) * (-b * lam**2)
+        rho_b = check([r.value() for r in J.rho3]) + check(eta_val) * (b * s)
+        tau3 = contract(f_val @ rho_b, a_val) * (-b * lam**2)
 
         p = np.linalg.inv(self.adapted_coframe(point))
         s7 = standard_phi(lam, mu, self.branch)

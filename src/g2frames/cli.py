@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,18 @@ NUMERICAL_ERRORS = (
     ChartBoundError,
     ArithmeticError,  # Python float overflow or division by zero
 )
+
+
+class NumericalFailure(RuntimeError):
+    """A numerical error of a run, prefixed with the stage (and probe) where it happened."""
+
+
+@contextmanager
+def _stage(where: str):
+    try:
+        yield
+    except NUMERICAL_ERRORS as exc:
+        raise NumericalFailure(f"{where}: {exc}") from exc
 
 
 _CONFIG_KEYS = {
@@ -278,6 +291,16 @@ def _record(check: str, value: float, tol: float, comparison: str = "<=") -> Rec
 _NORM_KEYS = ("tau0", "tau1", "tau2", "tau3")
 
 
+def _probe_rows(stage: str, probe, points) -> list:
+    """Each probe's named values, in probe order; a numerical error names
+    the stage and the probe index (from 0)."""
+    rows = []
+    for i, pt in enumerate(points):
+        with _stage(f"{stage}, probe {i}"):
+            rows.append(probe(tuple(pt)))
+    return rows
+
+
 def _worst(rows) -> dict:
     """Each named per-probe value reduced to its maximum over the probes;
     ``np.max`` propagates a NaN from any probe, whatever the probe order."""
@@ -301,7 +324,7 @@ def _frame_records(spec, bundle, points, tol) -> list:
             "frames/flag-table": np.max([0.0 if flags_ok else 1.0, abs(st.s - exp.s_value)]),
         }
 
-    worst = _worst([probe(tuple(pt)) for pt in points])
+    worst = _worst(_probe_rows("frame records", probe, points))
     return [
         _record(check, value, 1e-7 if check == "frames/flag-table" else tol)
         for check, value in worst.items()
@@ -327,7 +350,7 @@ def _x_records(cfg: RunConfig, spec, chart: XSpaceChart, rng):
             **tn.norms(chart.structure(pt).g_diag),
         }
 
-    worst = _worst([probe(tuple(pt)) for pt in points])
+    worst = _worst(_probe_rows("X records", probe, points))
     norms = {k: worst[k] for k in _NORM_KEYS}
     records = [
         _record("x/radius-differential", worst["dr"], 1e-9),
@@ -378,7 +401,7 @@ def _p_records(cfg: RunConfig, spec, chart: PSpaceChart, rng):
             **tn.norms(s7.g_diag),
         }
 
-    rows = [probe(tuple(pt)) for pt in points]
+    rows = _probe_rows("P records", probe, points)
     worst = _worst(rows)
     records = [
         _record("p/identities", worst["identities"], cfg.tol),
@@ -406,18 +429,21 @@ def run(config: RunConfig) -> Report:
     spec = get_model(config.model, **config.params)
     bundle = spec.bundle()
     rng = np.random.default_rng(config.seed)
-    records = _frame_records(spec, bundle, spec.sample_points(config.probes, rng), config.tol)
+    with _stage("frame records"):
+        records = _frame_records(spec, bundle, spec.sample_points(config.probes, rng), config.tol)
     if config.space == "X":
-        chart = XSpaceChart(spec, config.branch, config.make_profile())
-        more, label = _x_records(config, spec, chart, rng)
+        with _stage("X records"):
+            chart = XSpaceChart(spec, config.branch, config.make_profile())
+            more, label = _x_records(config, spec, chart, rng)
     else:
         prof = config.profile
         if prof["kind"] != "constant":
             raise ConfigError(
                 "invalid value for key 'profile.kind': coframe-bundle runs need constant scales"
             )
-        chart = PSpaceChart(spec, config.branch, prof["lam"], prof["mu"])
-        more, label = _p_records(config, spec, chart, rng)
+        with _stage("P records"):
+            chart = PSpaceChart(spec, config.branch, prof["lam"], prof["mu"])
+            more, label = _p_records(config, spec, chart, rng)
     records.extend(more)
     environment = {
         "seed": config.seed,
@@ -484,7 +510,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except (NumericalFailure,) + NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     if not args.quiet:

@@ -13,10 +13,9 @@ One algebra in two representations, over one set of combinatorial tables:
   form adds the metric operations (Hodge star, inner and interior product,
   change of basis).
 
-``FormField`` is a form over a chart, held lazily as one function
-``jets(point, order)`` that returns it as a ``JetForm``; its exterior
-derivative, wedge and arithmetic are views that apply the ``JetForm``
-operations, so the rules live in one place.
+``MatrixForm`` is a matrix of forms of one kind held as one array; its
+product ``@`` runs one stacked wedge kernel call per inner index over all
+entries at once, and ``contract`` one per linear combination.
 
 Basis labels are the opaque integers 1..n.  Multi-indices are strictly
 increasing tuples of labels; permutation signs are normalized once at
@@ -27,6 +26,7 @@ operation is a pure function.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -165,18 +165,38 @@ def _jet_wedge_index(n: int, j: int, k: int, nvars: int, order: int):
     return src_a, src_b, np.repeat(sign, len(tab.mul_i)), dst
 
 
-def _wedge(a, b):
-    """Wedge of two forms of one kind: one gather over ``_jet_wedge_index``
-    and one ``np.bincount``.  A float form is the order-0 case."""
+@lru_cache(maxsize=None)
+def _stacked_dst(n: int, j: int, k: int, nvars: int, order: int, count: int):
+    """The ``dst`` of ``_jet_wedge_index`` for ``count`` stacked wedges, each
+    offset by the flat stack index times the output size, and that size."""
+    size = len(combos(n, j + k)) * jet_table(nvars, order).size
+    dst = _jet_wedge_index(n, j, k, nvars, order)[3]
+    return (np.arange(count)[:, None] * size + dst).ravel(), size
+
+
+def _wedge_stack(a, b, ca, cb):
+    """Wedges of stacked forms of the kinds of ``a`` and ``b``: ``ca`` and
+    ``cb`` hold flattened coefficient rows on leading axes that broadcast
+    against each other.  One gather over ``_jet_wedge_index`` and one
+    ``np.bincount`` whose bins are offset by the flat stack index, so each
+    bin gets the terms of one unstacked wedge in the same order.  Returns
+    the coefficients, of shape ``lead + (C(n, j + k),) + jet tail``."""
     if a.n != b.n:
         raise DimensionMismatch("different ambient dimensions")
     if a.table is not b.table:
         raise ValueError("jets from different tables")
-    tab, k = a.table, a.k + b.k
-    src_a, src_b, sign, dst = _jet_wedge_index(a.n, a.k, b.k, tab.nvars, tab.order)
-    rows = len(combos(a.n, k))
-    out = np.bincount(dst, a.coef.ravel()[src_a] * b.coef.ravel()[src_b] * sign, rows * tab.size)
-    return a._new(k, out.reshape((rows,) + a.coef.shape[1:]))
+    key = (a.n, a.k, b.k, a.table.nvars, a.table.order)
+    src_a, src_b, sign, _ = _jet_wedge_index(*key)
+    prod = ca.take(src_a, axis=-1) * cb.take(src_b, axis=-1) * sign
+    count = math.prod(prod.shape[:-1])
+    bins, size = _stacked_dst(*key, count)
+    out = np.bincount(bins, prod.ravel(), count * size)
+    return out.reshape(prod.shape[:-1] + (-1,) + a.coef.shape[1:])
+
+
+def _wedge(a, b):
+    """Wedge of two forms of one kind; a float form is the order-0 case."""
+    return a._new(a.k + b.k, _wedge_stack(a, b, a.coef.ravel(), b.coef.ravel()))
 
 
 class _Form:
@@ -193,9 +213,6 @@ class _Form:
             raise DimensionMismatch("different degrees")
         if self.table is not other.table:
             raise DimensionMismatch("different jet tables")
-
-    def zero_like(self):
-        return self._new(self.k, np.zeros_like(self.coef))
 
     def __add__(self, other):
         self._check(other)
@@ -431,7 +448,7 @@ def _jet_d_index(n: int, k: int, nvars: int, order: int):
 
 
 # ----------------------------------------------------------------------
-# scalar fields and form fields
+# scalar fields
 
 
 class ScalarField:
@@ -505,141 +522,108 @@ class ScalarField:
         return ScalarField(self.nvars, jet_fn=lambda pt, o: self.jet(pt, o) ** p)
 
 
-class FormField:
-    """Differential k-form on an n-dimensional chart, evaluated lazily.
-
-    ``jets(point, order)`` returns the form at a point as a ``JetForm``.
-    ``FormField(n, k, {idx: ScalarField})`` builds it from coefficient
-    fields, ``FormField(n, k, jets=fn)`` from a whole-form jet function;
-    ``d``, ``wedge`` and the arithmetic return views that apply the
-    ``JetForm`` operations to the operands' jets.
-    """
-
-    __slots__ = ("n", "k", "jets")
-
-    def __init__(self, n: int, k: int, coeffs: dict | None = None, jets=None):
-        self.n = n
-        self.k = k
-        if jets is None:
-            coeffs = dict(coeffs or {})
-
-            def jets(point, order):
-                c = {idx: field.jet(point, order) for idx, field in coeffs.items()}
-                return JetForm(n, k, c, jet_table(len(point), order))
-
-        self.jets = jets
-
-    def at(self, point) -> Multivector:
-        return self.jets(point, 0).value()
-
-    def d_at(self, point) -> Multivector:
-        """Value of the exterior derivative at a point."""
-        return self.jets(point, 1).d_value()
-
-    def d(self) -> "FormField":
-        """Exterior derivative as a field (coefficients one jet order deeper)."""
-        return FormField(self.n, self.k + 1, jets=lambda pt, o: self.jets(pt, o + 1).d_jets())
-
-    def _check(self, other):
-        if self.n != other.n or self.k != other.k:
-            raise DimensionMismatch("form field mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return FormField(self.n, self.k, jets=lambda pt, o: self.jets(pt, o) + other.jets(pt, o))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FormField(self.n, self.k, jets=lambda pt, o: self.jets(pt, o) - other.jets(pt, o))
-
-    def __neg__(self):
-        return FormField(self.n, self.k, jets=lambda pt, o: -self.jets(pt, o))
-
-    def __mul__(self, s):
-        """Scale by a float or a ScalarField."""
-        if isinstance(s, ScalarField):
-            return FormField(self.n, self.k, jets=lambda pt, o: self.jets(pt, o) * s.jet(pt, o))
-        s = float(s)
-        return FormField(self.n, self.k, jets=lambda pt, o: self.jets(pt, o) * s)
-
-    __rmul__ = __mul__
-
-    def wedge(self, other: "FormField") -> "FormField":
-        if self.n != other.n:
-            raise DimensionMismatch("different ambient dimensions")
-        return FormField(
-            self.n, self.k + other.k, jets=lambda pt, o: self.jets(pt, o).wedge(other.jets(pt, o))
-        )
-
-
 # ----------------------------------------------------------------------
 # matrices of forms, check/hat
 
 
 class MatrixForm:
-    """Rectangular matrix of same-degree forms with wedge matrix product."""
+    """Rectangular matrix of forms of one kind and degree, held as one array.
 
-    __slots__ = ("entries",)
+    ``coef`` has shape ``(r, c) + proto.coef.shape``; the prototype entry
+    ``proto`` gives ``n``, ``k``, the jet table and the form class.  The
+    product ``@`` wedges entries, ``(A @ B)[i, j] = sum_q A[i, q] ^ B[q, j]``.
+    """
+
+    __slots__ = ("proto", "coef")
 
     def __init__(self, entries):
-        self.entries = [list(row) for row in entries]
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
+        entries = [list(row) for row in entries]
+        if any(len(row) != len(entries[0]) for row in entries):
             raise ShapeMismatch("ragged matrix")
+        self.proto = entries[0][0]
+        for row in entries:
+            for e in row:
+                self.proto._check(e)
+        self.coef = np.array([[e.coef for e in row] for row in entries])
+
+    @staticmethod
+    def _of(proto, coef) -> "MatrixForm":
+        out = MatrixForm.__new__(MatrixForm)
+        out.proto, out.coef = proto, coef
+        return out
 
     @property
     def shape(self):
-        return (len(self.entries), len(self.entries[0]))
+        return self.coef.shape[:2]
+
+    @property
+    def T(self) -> "MatrixForm":
+        return MatrixForm._of(self.proto, self.coef.swapaxes(0, 1))
 
     def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
+        return self.proto._new(self.proto.k, self.coef[ij[0], ij[1]])
 
     def __matmul__(self, other: "MatrixForm") -> "MatrixForm":
-        r, s = self.shape
-        s2, t = other.shape
+        """One stacked wedge per inner index over all ``(i, j)`` blocks; the
+        partial sums are added from left to right."""
+        (r, s), (s2, t) = self.shape, other.shape
         if s != s2:
             raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        out = []
-        for i in range(r):
-            row = []
-            for j in range(t):
-                acc = self.entries[i][0].wedge(other.entries[0][j])
-                for k in range(1, s):
-                    acc = acc + self.entries[i][k].wedge(other.entries[k][j])
-                row.append(acc)
-            out.append(row)
-        return MatrixForm(out)
+        acc = None
+        for q in range(s):
+            ca = self.coef[:, q].reshape(r, 1, -1)
+            cb = other.coef[q].reshape(1, t, -1)
+            term = _wedge_stack(self.proto, other.proto, ca, cb)
+            acc = term if acc is None else acc + term
+        proto = self.proto._new(self.proto.k + other.proto.k, acc[0, 0])
+        return MatrixForm._of(proto, acc)
 
-    def __add__(self, other):
+    def _check(self, other):
         if self.shape != other.shape:
             raise ShapeMismatch("matrix shapes differ")
-        return MatrixForm(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        self.proto._check(other.proto)
+
+    def __add__(self, other):
+        self._check(other)
+        return MatrixForm._of(self.proto, self.coef + other.coef)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return MatrixForm._of(self.proto, self.coef - other.coef)
 
     def __neg__(self):
-        return MatrixForm([[-a for a in row] for row in self.entries])
+        return MatrixForm._of(self.proto, -self.coef)
 
     def __mul__(self, s):
-        return MatrixForm([[a * s for a in row] for row in self.entries])
+        return MatrixForm._of(self.proto, self.coef * float(s))
 
     __rmul__ = __mul__
 
-    def map(self, fn) -> "MatrixForm":
-        return MatrixForm([[fn(a) for a in row] for row in self.entries])
+    def value(self) -> "MatrixForm":
+        """The matrix of a jet-form matrix's values at the point."""
+        return MatrixForm._of(self.proto.value(), self.coef[..., 0])
+
+    def sup(self) -> float:
+        return float(np.max(np.abs(self.coef))) if self.coef.size else 0.0
+
+
+def _stack(forms):
+    """(first form, coefficients stacked on one leading axis) of a sequence of
+    forms of one kind or of a matrix's entries, row by row."""
+    if isinstance(forms, MatrixForm):
+        return forms.proto, forms.coef.reshape((-1,) + forms.proto.coef.shape)
+    return forms[0], np.array([f.coef for f in forms])
 
 
 def check(row) -> MatrixForm:
     """Row of 3 forms -> skew 3x3 matrix, (a1,a2,a3) -> [[0,-a3,a2],...]."""
-    row = list(row)
-    if len(row) != 3:
+    proto, coef = _stack(row)
+    if len(coef) != 3:
         raise ShapeMismatch("check needs exactly 3 components")
-    z = row[0].zero_like()
-    a1, a2, a3 = row
-    return MatrixForm([[z, -a3, a2], [a3, z, -a1], [-a2, a1, z]])
+    out = np.zeros((3, 3) + coef.shape[1:])  # a zero diagonal, not 0 * entry
+    out[[1, 2, 0], [0, 1, 2]] = coef[[2, 0, 1]]
+    out[[0, 1, 2], [1, 2, 0]] = -coef[[2, 0, 1]]
+    return MatrixForm._of(proto, out)
 
 
 def hat(m: MatrixForm):
@@ -650,28 +634,24 @@ def hat(m: MatrixForm):
 
 
 def contract(forms, weights):
-    """Linear combination sum_i weights[i] * forms[i], added left to right."""
-    acc = forms[0] * weights[0]
-    for f, w in zip(forms[1:], weights[1:]):
-        acc = acc + f * w
-    return acc
-
-
-def row_wedge_matrix(row, m: MatrixForm):
-    """(row . M)_j = sum_k row_k ^ M[k, j]."""
-    return (MatrixForm([row]) @ m).entries[0]
-
-
-def matrix_wedge_col(m: MatrixForm, col):
-    """(M . col)_i = sum_k M[i, k] ^ col_k."""
-    return [r[0] for r in (m @ MatrixForm([[c] for c in col])).entries]
-
-
-def row_wedge_col(row, col):
-    """Pairing sum_k row_k ^ col_k."""
-    return (MatrixForm([row]) @ MatrixForm([[c] for c in col]))[0, 0]
+    """Linear combination sum_i forms[i] * weights[i] with float or jet
+    weights: one broadcast multiply, or one stacked wedge with the weights
+    as 0-forms, then the terms added from left to right."""
+    proto, coef = _stack(forms)
+    if isinstance(weights[0], Jet):
+        w = np.array([x.coef for x in weights])
+        zero_form = JetForm._of(proto.n, 0, weights[0].table, w[:1])
+        terms = _wedge_stack(proto, zero_form, coef.reshape(len(coef), -1), w)
+    else:
+        w = np.asarray(weights, dtype=float)
+        terms = coef * w.reshape(w.shape + (1,) * (coef.ndim - 1))
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = acc + term
+    return proto._new(proto.k, acc)
 
 
 def max_sup(forms) -> float:
-    """Largest sup norm of the float forms; a NaN in any of them propagates."""
+    """Largest sup norm of the float forms or matrices; a NaN in any of them
+    propagates."""
     return float(np.max([f.sup() for f in forms]))

@@ -34,7 +34,6 @@ from .exterior import (
     combos,
     contract,
     max_sup,
-    row_wedge_matrix,
 )
 from .jets import Jet
 
@@ -256,10 +255,10 @@ class FrameBundle:
         """Structure equation and algebraic Bianchi residuals on one branch."""
         bd = self.base(point, 2)
         eta, conn3, rho3 = bd.duality(branch)
-        eta_val = [e.value() for e in eta]
-        rhs = row_wedge_matrix(eta_val, check([c.value() for c in conn3]))
-        struct = max_sup(eta[i].d_value() - rhs[i] for i in range(3))
-        bianchi = max_sup(row_wedge_matrix(eta_val, check([r.value() for r in rho3])))
+        eta_val = MatrixForm([[e.value() for e in eta]])
+        rhs = eta_val @ check([c.value() for c in conn3])
+        struct = max_sup(eta[i].d_value() - rhs[0, i] for i in range(3))
+        bianchi = (eta_val @ check([r.value() for r in rho3])).sup()
         return {"structure": struct, "bianchi": bianchi}
 
     # -- curvature blocks --------------------------------------------------
@@ -295,15 +294,13 @@ class SingerThorpe:
     scal: float
     sym_residual: float
     trace_residual: float
-    b_consistency: float
 
 
 def _assemble_blocks(raw, sign):
-    a_t, bb_t, b_t, c_t = raw
+    a_t, _, b_t, c_t = raw
     a = -sign * a_t
     c = sign * c_t
     b = sign * b_t
-    b_consistency = float(np.max(np.abs(b_t + bb_t)))
     sym = float(np.max([np.abs(a - a.T), np.abs(c - c.T)]))
     if sym > 1e-6:
         raise ResidualError(f"curvature blocks not symmetric ({sym:.2e})")
@@ -319,7 +316,6 @@ def _assemble_blocks(raw, sign):
         scal=4.0 * tra,
         sym_residual=sym,
         trace_residual=abs(tra - trc),
-        b_consistency=b_consistency,
     )
 
 

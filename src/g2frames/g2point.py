@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import Multivector, _label_array, combos, row_wedge_col
+from .exterior import MatrixForm, Multivector, _label_array, combos
 
 VERT = (1, 2, 3)
 HORIZ = (4, 5, 6, 7)
@@ -56,9 +56,9 @@ def _unit_forms(branch: int):
     lam**v * mu**h."""
     f = [Multivector.basis(7, (i,)) for i in VERT]
     h = [f[1].wedge(f[2]), f[2].wedge(f[0]), f[0].wedge(f[1])]
-    eta = duality_pairing(branch)
-    phi = f[0].wedge(h[0]) - branch * row_wedge_col(eta, f)
-    psi = Multivector.basis(7, HORIZ) - row_wedge_col(eta, h)
+    eta = MatrixForm([duality_pairing(branch)])
+    phi = f[0].wedge(h[0]) - branch * (eta @ MatrixForm([f]).T)[0, 0]
+    psi = Multivector.basis(7, HORIZ) - (eta @ MatrixForm([h]).T)[0, 0]
     return tuple((m.k, m.coef, np.sum(_label_array(7, m.k) < 3, axis=1)) for m in (phi, psi))
 
 

@@ -252,7 +252,7 @@ def test_main_numerical_failure_is_one_line(tmp_path, capsys):
     ids=lambda e: type(e).__name__,
 )
 def test_main_maps_numerical_errors_to_exit_1(tmp_path, capsys, monkeypatch, error):
-    def fail(config, workers=1):
+    def fail(config):
         raise error
 
     monkeypatch.setattr(cli, "run", fail)
@@ -343,6 +343,30 @@ def test_overflowing_run_fails_with_one_line(tmp_path, capsys, config):
     assert not caught, [str(w.message) for w in caught]
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(("FAILED: ", "numerical failure: "))
+
+
+@pytest.mark.parametrize(
+    "config, where",
+    [
+        (dict(P_OVERFLOW, profile={"kind": "constant", "lam": 1e100, "mu": 1.0}), "P records: "),
+        (
+            dict(BS_SPHERE, profile={"kind": "bs", "s": 1e200, "c0": 1.0, "c1": 1.0}, probes=3, seed=1),
+            "X records, probe 0: ",
+        ),
+        (
+            dict(BS_SPHERE, params={"kappa": 1e-3}, profile={"kind": "bs", "s": 1e6, "c0": 1.0, "c1": 1.0}),
+            "frame records, probe 0: ",
+        ),
+    ],
+    ids=["P-lam-1e100", "X-bs-s-1e200", "frame-kappa-1e-3"],
+)
+def test_numerical_failure_names_its_stage_and_probe(tmp_path, capsys, config, where):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: " + where), err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("config", [BS_SPHERE, P_HYPER], ids=["X", "P"])

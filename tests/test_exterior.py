@@ -1,4 +1,4 @@
-"""Exterior algebra laws, Hodge duality, check/hat, and field differentiation."""
+"""Exterior algebra laws, Hodge duality, check/hat, matrix kernels, and field differentiation."""
 
 import itertools
 
@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from g2frames.exterior import (
     DimensionMismatch,
-    FormField,
     JetForm,
     MatrixForm,
     Multivector,
     ScalarField,
+    ShapeMismatch,
     check,
     combos,
+    contract,
     hat,
     merge_sign,
 )
@@ -267,6 +268,124 @@ def test_check_needs_three_components():
 
 
 # ----------------------------------------------------------------------
+# matrix kernels, pinned bytewise against entrywise references
+
+
+def _entry_matmul(a, b):
+    """Reference product: one wedge per term, added from left to right."""
+    (r, s), t = a.shape, b.shape[1]
+    out = []
+    for i in range(r):
+        row = []
+        for j in range(t):
+            acc = a[i, 0].wedge(b[0, j])
+            for q in range(1, s):
+                acc = acc + a[i, q].wedge(b[q, j])
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _entry_contract(forms, weights):
+    acc = forms[0] * weights[0]
+    for f, w in zip(forms[1:], weights[1:]):
+        acc = acc + f * w
+    return acc
+
+
+def _rand_entry(rng, kind, k):
+    if kind == "jet":
+        tab = jet_table(7, 2)
+        return JetForm._of(7, k, tab, rng.normal(size=(len(combos(7, k)), tab.size)))
+    return rand_mv(rng, 7, k)
+
+
+def _rand_matrix(rng, kind, shape, k, nan=False):
+    rows = [[_rand_entry(rng, kind, k) for _ in range(shape[1])] for _ in range(shape[0])]
+    if nan:
+        rows[-1][0].coef.flat[3] = np.nan
+    return MatrixForm(rows)
+
+
+def _same(got, expect):
+    return np.array_equal(got.coef, expect.coef, equal_nan=True)
+
+
+@pytest.mark.parametrize("kind", ["jet", "float"])
+@pytest.mark.parametrize("shapes", [((1, 3), (3, 3)), ((3, 3), (3, 1)), ((3, 3), (3, 3))])
+@pytest.mark.parametrize("nan", [False, True])
+def test_matmul_matches_entrywise_wedges_bytewise(kind, shapes, nan):
+    rng = np.random.default_rng(40)
+    a = _rand_matrix(rng, kind, shapes[0], 1, nan)
+    b = _rand_matrix(rng, kind, shapes[1], 2)
+    got = a @ b
+    expect = _entry_matmul(a, b)
+    assert got.shape == (shapes[0][0], shapes[1][1])
+    for i in range(got.shape[0]):
+        for j in range(got.shape[1]):
+            assert got[i, j].k == 3 and _same(got[i, j], expect[i][j]), (i, j)
+    assert nan == bool(np.isnan(got.coef).any())
+
+
+@pytest.mark.parametrize("kind", ["jet", "float"])
+@pytest.mark.parametrize("nan", [False, True])
+def test_contract_matches_entrywise_sum_bytewise(kind, nan):
+    rng = np.random.default_rng(41)
+    forms = [_rand_entry(rng, kind, 2) for _ in range(4)]
+    if kind == "jet":
+        tab = jet_table(7, 2)
+        weights = [Jet(tab, rng.normal(size=tab.size)) for _ in forms]
+    else:
+        weights = rng.normal(size=len(forms))
+    if nan:
+        forms[2].coef.flat[5] = np.nan
+    got = contract(forms, weights)
+    assert got.k == 2 and _same(got, _entry_contract(forms, weights))
+    # the entries of a matrix, row by row, are a sequence of forms too
+    matrix = MatrixForm([forms[:2], forms[2:]])
+    assert _same(contract(matrix, weights), got)
+
+
+def test_check_writes_a_zero_diagonal_and_negated_entries():
+    rng = np.random.default_rng(42)
+    row = [_rand_entry(rng, "jet", 1) for _ in range(3)]
+    for a in row:
+        a.coef[:] = -np.abs(a.coef)
+    row[0].coef.flat[0] = np.nan
+    row[1].coef.flat[1] = -0.0
+    a1, a2, a3 = row
+    z = JetForm._of(7, 1, a1.table, np.zeros_like(a1.coef))
+    expect = [[z, -a3, a2], [a3, z, -a1], [-a2, a1, z]]
+    got = check(row)
+    for i in range(3):
+        for j in range(3):
+            assert _same(got[i, j], expect[i][j])
+            assert np.array_equal(np.signbit(got[i, j].coef), np.signbit(expect[i][j].coef))
+    diag = got.coef[[0, 1, 2], [0, 1, 2]]
+    assert not diag.any() and not np.signbit(diag).any()  # +0.0, never -0.0 or NaN
+
+
+def test_matrix_shape_and_dimension_errors():
+    e4, e5 = Multivector.basis(4, (1,)), Multivector.basis(5, (1,))
+    with pytest.raises(ShapeMismatch):
+        MatrixForm([[e4, e4], [e4]])
+    with pytest.raises(ShapeMismatch):
+        MatrixForm([[e4, e4]]) @ MatrixForm([[e4, e4]])
+    with pytest.raises(ShapeMismatch):
+        MatrixForm([[e4, e4]]) + MatrixForm([[e4], [e4]])
+    with pytest.raises(ShapeMismatch):
+        check([e4, e4])
+    with pytest.raises(ShapeMismatch):
+        hat(MatrixForm([[e4, e4], [e4, e4]]))
+    with pytest.raises(DimensionMismatch):
+        MatrixForm([[e4]]) @ MatrixForm([[e5]])
+    with pytest.raises(DimensionMismatch):
+        MatrixForm([[e4]]) - MatrixForm([[Multivector.basis(4, (1, 2))]])
+    with pytest.raises(DimensionMismatch):
+        MatrixForm([[e4, Multivector.basis(4, (1, 2))]])
+
+
+# ----------------------------------------------------------------------
 # transforms
 
 
@@ -288,19 +407,22 @@ def test_transform_respects_wedge():
 
 
 # ----------------------------------------------------------------------
-# scalar fields and form fields
+# form fields: jet forms built from scalar-field jets
 
 
 def test_dform_constant_and_polynomial():
     n = 4
-    const = FormField(n, 2, {(1, 2): ScalarField.constant(n, 3.5)})
-    assert const.d_at((0.3, 0.4, 0.1, 0.9)).sup() == 0.0
-    x1_dx2 = FormField(n, 1, {(2,): ScalarField.coordinate(n, 0)})
-    got = x1_dx2.d_at((0.7, -0.3, 0.2, 0.5))
-    assert (got - Multivector.basis(n, (1, 2))).sup() == 0.0
+    pt = (0.3, 0.4, 0.1, 0.9)
+    const = JetForm(n, 2, {(1, 2): ScalarField.constant(n, 3.5).jet(pt, 1)})
+    assert const.d_value().sup() == 0.0
+    pt = (0.7, -0.3, 0.2, 0.5)
+    x1_dx2 = JetForm(n, 1, {(2,): ScalarField.coordinate(n, 0).jet(pt, 1)})
+    assert (x1_dx2.d_value() - Multivector.basis(n, (1, 2))).sup() == 0.0
 
 
 def _random_polynomial_field(rng, n, k):
+    """A k-form with random quadratic coefficient fields, as the function
+    ``(point, order) -> JetForm`` of its coefficient jets."""
     coeffs = {}
     for idx in combos(n, k):
         if rng.random() < 0.5:
@@ -315,27 +437,31 @@ def _random_polynomial_field(rng, n, k):
             return acc
 
         coeffs[idx] = ScalarField(n, fn=fn)
-    return FormField(n, k, coeffs)
+
+    def jets(point, order):
+        c = {idx: field.jet(point, order) for idx, field in coeffs.items()}
+        return JetForm(n, k, c, jet_table(n, order))
+
+    return jets
 
 
 def test_d_squared_vanishes_on_random_fields():
     rng = np.random.default_rng(15)
     for n, k in [(4, 1), (4, 2), (7, 2)]:
         field = _random_polynomial_field(rng, n, k)
-        dd = field.d().d()
         for _ in range(10):
-            pt = rng.uniform(-1, 1, size=n)
-            assert dd.at(tuple(pt)).sup() < 1e-9
+            pt = tuple(rng.uniform(-1, 1, size=n))
+            assert field(pt, 2).d_jets().d_value().sup() < 1e-9
 
 
 def test_d_leibniz_pointwise():
     rng = np.random.default_rng(16)
     n = 4
-    a = _random_polynomial_field(rng, n, 1)
-    b = _random_polynomial_field(rng, n, 1)
     pt = (0.2, -0.4, 0.7, 0.1)
-    lhs = a.wedge(b).d_at(pt)
-    rhs = a.d_at(pt).wedge(b.at(pt)) - a.at(pt).wedge(b.d_at(pt))
+    a = _random_polynomial_field(rng, n, 1)(pt, 1)
+    b = _random_polynomial_field(rng, n, 1)(pt, 1)
+    lhs = a.wedge(b).d_value()
+    rhs = a.d_value().wedge(b.value()) - a.value().wedge(b.d_value())
     assert (lhs - rhs).sup() < 1e-10
 
 
@@ -352,37 +478,40 @@ def _random_scalar_field(rng, n):
 
 
 def test_form_field_arithmetic_matches_jetform():
+    # the linear structure and scaling by a jet act coefficient by coefficient, and d is linear
     rng = np.random.default_rng(19)
     n, k, order = 4, 2, 2
-    a = _random_polynomial_field(rng, n, k)
-    b = _random_polynomial_field(rng, n, k)
-    f = _random_scalar_field(rng, n)
     pt = (0.3, -0.6, 0.2, 0.8)
-    ja, jb, jf = a.jets(pt, order), b.jets(pt, order), f.jet(pt, order)
+    a = _random_polynomial_field(rng, n, k)(pt, order)
+    b = _random_polynomial_field(rng, n, k)(pt, order)
+    f = _random_scalar_field(rng, n).jet(pt, order)
     cases = [
-        (a + b, ja + jb),
-        (a - b, ja - jb),
-        (-a, -ja),
-        (a * 2.5, ja * 2.5),
-        (2.5 * a, ja * 2.5),
-        (a * f, ja * jf),
+        (a + b, lambda x, y: x + y),
+        (a - b, lambda x, y: x - y),
+        (-a, lambda x, y: -x),
+        (a * 2.5, lambda x, y: x * 2.5),
+        (2.5 * a, lambda x, y: x * 2.5),
+        (a * f, lambda x, y: x * f),
+        (f * a, lambda x, y: x * f),
     ]
-    for field, expect in cases:
-        assert isinstance(field, FormField) and field.k == k
-        got = field.jets(pt, order)
-        assert got.table is expect.table
-        assert np.allclose(got.coef, expect.coef, rtol=0.0, atol=1e-13)
+    for got, op in cases:
+        assert got.k == k and got.table is a.table
+        for idx in combos(n, k):
+            expect = op(a.jet(idx), b.jet(idx))
+            assert np.allclose(got.jet(idx).coef, expect.coef, rtol=0.0, atol=1e-13)
+    lin = (a * 2.5 + b).d_jets() - (a.d_jets() * 2.5 + b.d_jets())
+    assert np.max(np.abs(lin.coef)) < 1e-12
 
 
 def test_form_field_zero_form_leibniz():
     rng = np.random.default_rng(20)
     n = 4
-    a = _random_polynomial_field(rng, n, 2)
-    f = _random_scalar_field(rng, n)
-    f0 = FormField(n, 0, {(): f})
     pt = (-0.2, 0.5, 0.4, -0.7)
-    lhs = (a * f).d_at(pt)
-    rhs = f0.d_at(pt).wedge(a.at(pt)) + a.d_at(pt) * f(pt)
+    a = _random_polynomial_field(rng, n, 2)(pt, 1)
+    f = _random_scalar_field(rng, n)
+    jf = f.jet(pt, 1)
+    lhs = (a * jf).d_value()
+    rhs = JetForm(n, 0, {(): jf}).d_value().wedge(a.value()) + a.d_value() * f(pt)
     assert lhs.k == 3
     assert (lhs - rhs).sup() < 1e-12
 
@@ -390,25 +519,28 @@ def test_form_field_zero_form_leibniz():
 def test_form_field_degree_overflow_is_zero_form():
     rng = np.random.default_rng(21)
     n = 4
-    top = _random_polynomial_field(rng, n, n)
     pt = (0.1, 0.2, -0.3, 0.4)
-    cases = [(top.d(), n + 1), (_random_polynomial_field(rng, n, 3).wedge(top), n + 3)]
-    for field, k in cases:
-        assert field.k == k
-        value = field.at(pt)
-        assert value.k == field.k and value.coef.shape == (0,)
-        assert field.jets(pt, 1).coef.shape == (0, jet_table(n, 1).size)
+    top = _random_polynomial_field(rng, n, n)(pt, 2)
+    three = _random_polynomial_field(rng, n, 3)(pt, 1)
+    cases = [(top.d_jets(), n + 1), (three.wedge(top.truncate(1)), n + 3)]
+    for form, k in cases:
+        assert form.k == k
+        value = form.value()
+        assert value.k == form.k and value.coef.shape == (0,)
+        assert form.coef.shape == (0, jet_table(n, 1).size)
 
 
 def test_scalar_field_defers_to_form_field_and_rejects_other_operands():
     rng = np.random.default_rng(22)
     n = 4
     f = _random_scalar_field(rng, n)
-    form = _random_polynomial_field(rng, n, 1)
     pt = (0.4, 0.1, -0.5, 0.3)
-    left = f * form
-    assert isinstance(left, FormField)
-    assert (left.at(pt) - (form * f).at(pt)).sup() == 0.0
+    form = _random_polynomial_field(rng, n, 1)(pt, 1)
+    # a scalar field leaves forms to the form's operations, which take its jet
+    assert f.__mul__(form) is NotImplemented
+    with pytest.raises(TypeError):
+        f * form
+    assert np.array_equal((form * f.jet(pt, 1)).coef, (f.jet(pt, 1) * form).coef)
     with pytest.raises(TypeError):
         f + "oops"
     with pytest.raises(TypeError):
@@ -420,10 +552,14 @@ def test_scalar_field_defers_to_form_field_and_rejects_other_operands():
 def test_dform_missing_jet_order_reported():
     n = 7
     field = _random_polynomial_field(np.random.default_rng(17), n, 1)
-    d4 = field.d().d().d().d()  # needs order-4 jets of the coefficients
+    pt = (0.1, 0.2, 0.3, 0.4, -0.2, 0.0, 0.5)
     with pytest.raises(JetOrderError) as err:
-        d4.at((0.1, 0.2, 0.3, 0.4, -0.2, 0.0, 0.5))
+        field(pt, 4)  # four derivatives need order-4 coefficient jets
     assert err.value.order == 4
+    d3 = field(pt, 3).d_jets().d_jets().d_jets()
+    with pytest.raises(JetOrderError) as err:
+        d3.d_jets()
+    assert err.value.order == 1
 
 
 def test_scalarfield_arithmetic():

@@ -163,16 +163,6 @@ def test_pure_w3_tuning_and_closed_form():
                 assert (tn.tau3 - pred).sup() < 1e-8, (name, branch)
 
 
-def test_form_field_views_match_pipeline():
-    chart = make_chart("fubiniStudy", -1, 1.1, 0.9)
-    rng = np.random.default_rng(SEED)
-    pt = tuple(chart.sample_points(1, rng)[0])
-    phi = chart.phi_field()
-    assert (phi.at(pt) - chart.phi_at(pt)).sup() == 0.0
-    assert (phi.d_at(pt) - chart.dphi_at(pt)).sup() < 1e-13
-    assert (chart.psi_field().d_at(pt) - chart.dpsi_at(pt)).sup() < 1e-13
-
-
 def test_canonical_forms_exposed():
     chart = make_chart("sphere4", 1, 1.0, 1.0)
     rng = np.random.default_rng(SEED)

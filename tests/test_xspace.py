@@ -202,18 +202,6 @@ def test_einstein_base_kills_tau3():
             assert t.norms(s7.g_diag)["tau3"] < 1e-8, name
 
 
-def test_form_field_views_match_pipeline():
-    chart = make_chart("sphere4", -1, bs_profile(1.0, 1.0, 1.0))
-    rng = np.random.default_rng(RNG_SEED)
-    pt = tuple(chart.sample_points(1, rng)[0])
-    phi = chart.phi_field()
-    psi = chart.psi_field()
-    assert (phi.at(pt) - chart.phi_at(pt)).sup() == 0.0
-    assert (phi.d_at(pt) - chart.dphi_at(pt)).sup() < 1e-14
-    assert (psi.d_at(pt) - chart.dpsi_at(pt)).sup() < 1e-14
-    assert phi.d().d().at(pt).sup() < 1e-9
-
-
 def test_dphi_nilpotency_via_order2_jets():
     chart = make_chart("sphere4", -1, bs_profile(1.0, 1.0, 1.0))
     rng = np.random.default_rng(RNG_SEED)
