@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..exterior import JetForm, MatrixForm, Multivector, check, hat, max_sup
+from ..exterior import MatrixForm, Multivector, check, hat, max_sup, zero_forms
 from ..g2point import G2Structure, TorsionForms, standard_phi, torsion_decompose
 from ..jets import Jet
 from ..models import ModelSpec
@@ -86,12 +86,6 @@ def rotation_jets(u_jets):
     return g
 
 
-def _zero_forms(g) -> MatrixForm:
-    """A matrix of jets as a matrix of 0-forms on the chart."""
-    coef = np.array([[[e.coef] for e in row] for row in g])
-    return MatrixForm._of(JetForm._of(N, 0, g[0][0].table, coef[0, 0]), coef)
-
-
 def _conjugate(m, g, dg=None):
     """g^t . (m . g + dg) for a 3x3 matrix of jet forms m and a rotation g of
     0-forms; the connection carries the g^t dg term, the curvature does not.
@@ -127,22 +121,16 @@ class PSpaceChart(Chart):
 
         u_hi = tuple(Jet.variable(point[i], i, N, p + 1) for i in range(3))
         g_hi = rotation_jets(u_hi)
-        g = [[e.truncate(p) for e in row] for row in g_hi]
-        J.g_val = np.array([[e.value for e in row] for row in g])
+        gm = zero_forms(N, u_hi[0].table, [[e.coef for e in row] for row in g_hi]).truncate(p)
+        J.g_val = gm.coef[:, :, 0, 0]
         dg = MatrixForm(
             [[fiber_form([g_hi[k][j].derivative(v) for v in range(3)]) for j in range(3)] for k in range(3)]
         )
-        gm = _zero_forms(g)
         J.omega = _conjugate(check([promote(w) for w in conn4]), gm, dg)
         J.f = hat(J.omega)
         J.eta = MatrixForm([eta_p]) @ gm
-        if p >= 1:
-            g_lo = _zero_forms([[e.truncate(p - 1) for e in row] for row in g])
-            J.rho = _conjugate(check([promote(r) for r in rho4]), g_lo)
-            J.rho_hat = hat(J.rho)
-        else:
-            J.rho = None
-            J.rho_hat = None
+        J.rho = _conjugate(check([promote(r) for r in rho4]), gm.truncate(p - 1))
+        J.rho_hat = hat(J.rho)
         J.beta = J.f[0].wedge(J.f[1]).wedge(J.f[2])
         J.vol = J.theta[0].wedge(J.theta[1]).wedge(J.theta[2]).wedge(J.theta[3])
         f_col = MatrixForm([J.f]).T
@@ -192,12 +180,10 @@ class PSpaceChart(Chart):
         res["omega_skew"] = (om + om.T).sup()
         # d eta = eta ^ omega
         eta_om = eta @ om
-        res["structure_eta"] = max_sup(J.eta[0, i].d_value() - eta_om[0, i] for i in range(3))
+        res["structure_eta"] = (J.eta.d_jets().value() - eta_om).sup()
         # rho = d omega + omega ^ omega
         omom = om @ om
-        res["curvature_def"] = max_sup(
-            J.omega[i, j].d_value() + omom[i, j] - rho[i, j] for i in range(3) for j in range(3)
-        )
+        res["curvature_def"] = (J.omega.d_jets().value() + omom - rho).sup()
         # eta ^ rho = 0
         res["bianchi"] = (eta @ rho).sup()
         # (1/2) f omega = (om23, om31, om12) = hat(omega omega)
@@ -206,7 +192,7 @@ class PSpaceChart(Chart):
         direct = MatrixForm([[f[0, 1].wedge(f[0, 2]), f[0, 2].wedge(f[0, 0]), f[0, 0].wedge(f[0, 1])]])
         res["half_f_omega"] = max_sup([half_fom - direct, half_fom - MatrixForm([hat(omom)])])
         # rho_hat = d f + (1/2) f omega
-        res["rho_hat_def"] = max_sup(J.f[i].d_value() + half_fom[0, i] - rho_hat[0, i] for i in range(3))
+        res["rho_hat_def"] = (MatrixForm([J.f]).d_jets().value() + half_fom - rho_hat).sup()
         # omega rho_hat^t = -rho f^t
         res["omega_rhohat"] = (om @ rho_hat.T + rho @ f.T).sup()
         # beta = (1/6) f omega f^t

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -182,22 +182,12 @@ class RunConfig:
             raise ConfigError("invalid value for key 'tol': must be positive")
         try:
             cfg.make_profile()
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise ConfigError(f"invalid value for key 'profile': {exc}") from None
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "params": dict(self.params),
-            "space": self.space,
-            "branch": self.branch,
-            "profile": dict(self.profile),
-            "probes": self.probes,
-            "seed": self.seed,
-            "tol": self.tol,
-            "report": self.report,
-        }
+        return asdict(self)
 
     def make_profile(self) -> Profile:
         kind = self.profile["kind"]

@@ -15,7 +15,9 @@ One algebra in two representations, over one set of combinatorial tables:
 
 ``MatrixForm`` is a matrix of forms of one kind held as one array; its
 product ``@`` runs one stacked wedge kernel call per inner index over all
-entries at once, and ``contract`` one per linear combination.
+entries at once, its ``d_jets`` one stacked derivative kernel call, and
+``contract`` one wedge kernel call per linear combination.  ``zero_forms``
+holds a matrix of jets as a matrix of 0-forms.
 
 Basis labels are the opaque integers 1..n.  Multi-indices are strictly
 increasing tuples of labels; permutation signs are normalized once at
@@ -145,8 +147,8 @@ def _scatter(n: int, k: int, terms, tail=()) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _jet_wedge_index(n: int, j: int, k: int, nvars: int, order: int):
     """Flat (src_a, src_b, sign, dst) arrays of the wedge of a j-form and a
-    k-form: the disjoint pairs of multi-indices crossed with the product
-    terms of the jet table ``(nvars, order)``."""
+    k-form, and the flattened output size: the disjoint pairs of multi-indices
+    crossed with the product terms of the jet table ``(nvars, order)``."""
     tab = jet_table(nvars, order)
     pos = combo_pos(n, j + k)
     ia, ib, sign, target = [], [], [], []
@@ -162,15 +164,33 @@ def _jet_wedge_index(n: int, j: int, k: int, nvars: int, order: int):
     src_a = (ia * tab.size + tab.mul_i).ravel()
     src_b = (ib * tab.size + tab.mul_j).ravel()
     dst = (target * tab.size + tab.mul_k).ravel()
-    return src_a, src_b, np.repeat(sign, len(tab.mul_i)), dst
+    return src_a, src_b, np.repeat(sign, len(tab.mul_i)), dst, len(pos) * tab.size
 
 
 @lru_cache(maxsize=None)
-def _stacked_dst(n: int, j: int, k: int, nvars: int, order: int, count: int):
-    """The ``dst`` of ``_jet_wedge_index`` for ``count`` stacked wedges, each
-    offset by the flat stack index times the output size, and that size."""
-    size = len(combos(n, j + k)) * jet_table(nvars, order).size
-    dst = _jet_wedge_index(n, j, k, nvars, order)[3]
+def _jet_d_index(n: int, k: int, nvars: int, order: int):
+    """Flat (src, weight, low, dst, size) tables of the jet-form exterior
+    derivative d(w)[J] = sum over x in J of sgn * (d/dx) w[J - x]:
+    ``_interior_table(n, k + 1)`` crossed with ``deriv_maps``; ``low`` is the
+    lower jet table and ``size`` the flattened output size."""
+    tab, low = jet_table(nvars, order), jet_table(nvars, order - 1)
+    outer, lab, sgn, inner = _interior_table(n, k + 1)
+    src, dst, w = [], [], []
+    for v, (d_src, d_dst, fac) in enumerate(tab.deriv_maps()):
+        sel = lab == v
+        src.append((inner[sel, None] * tab.size + d_src).ravel())
+        dst.append((outer[sel, None] * low.size + d_dst).ravel())
+        w.append((sgn[sel, None] * fac).ravel())
+    size = len(combos(n, k + 1)) * low.size
+    return np.concatenate(src), np.concatenate(w), low, np.concatenate(dst), size
+
+
+@lru_cache(maxsize=None)
+def _offset_bins(index, key, count):
+    """The ``dst`` of the tables ``index(*key)`` for ``count`` stacked kernel
+    calls, each offset by the flat stack index times the output size, and
+    that size."""
+    *_, dst, size = index(*key)
     return (np.arange(count)[:, None] * size + dst).ravel(), size
 
 
@@ -186,12 +206,28 @@ def _wedge_stack(a, b, ca, cb):
     if a.table is not b.table:
         raise ValueError("jets from different tables")
     key = (a.n, a.k, b.k, a.table.nvars, a.table.order)
-    src_a, src_b, sign, _ = _jet_wedge_index(*key)
+    src_a, src_b, sign, _, _ = _jet_wedge_index(*key)
     prod = ca.take(src_a, axis=-1) * cb.take(src_b, axis=-1) * sign
     count = math.prod(prod.shape[:-1])
-    bins, size = _stacked_dst(*key, count)
+    bins, size = _offset_bins(_jet_wedge_index, key, count)
     out = np.bincount(bins, prod.ravel(), count * size)
     return out.reshape(prod.shape[:-1] + (-1,) + a.coef.shape[1:])
+
+
+def _d_stack(a, ca):
+    """Exterior derivatives of stacked jet forms of the kind of ``a``, the twin
+    of ``_wedge_stack``: ``ca`` holds flattened coefficient rows on leading
+    axes.  Returns the coefficients, of shape ``lead + (C(n, k + 1),
+    low.size)``, and the lower jet table ``low``."""
+    if a.table.order < 1:
+        raise JetOrderError(1)
+    key = (a.n, a.k, a.table.nvars, a.table.order)
+    src, w, low, _, _ = _jet_d_index(*key)
+    terms = ca.take(src, axis=-1) * w
+    count = math.prod(terms.shape[:-1])
+    bins, size = _offset_bins(_jet_d_index, key, count)
+    out = np.bincount(bins, terms.ravel(), count * size)
+    return out.reshape(terms.shape[:-1] + (-1, low.size)), low
 
 
 def _wedge(a, b):
@@ -423,28 +459,8 @@ class JetForm(_Form):
 
     def d_jets(self) -> "JetForm":
         """Exterior derivative with jet coefficients (one order lower)."""
-        if self.table.order < 1:
-            raise JetOrderError(1)
-        src, dst, w, low = _jet_d_index(self.n, self.k, self.table.nvars, self.table.order)
-        rows = len(combos(self.n, self.k + 1))
-        out = np.bincount(dst, self.coef.ravel()[src] * w, rows * low.size)
-        return JetForm._of(self.n, self.k + 1, low, out.reshape(rows, low.size))
-
-
-@lru_cache(maxsize=None)
-def _jet_d_index(n: int, k: int, nvars: int, order: int):
-    """Flat (src, dst, weight) arrays of the jet-form exterior derivative,
-    d(w)[J] = sum over x in J of sgn * (d/dx) w[J - x], and the lower jet
-    table: ``_interior_table(n, k + 1)`` crossed with ``deriv_maps``."""
-    tab, low = jet_table(nvars, order), jet_table(nvars, order - 1)
-    outer, lab, sgn, inner = _interior_table(n, k + 1)
-    src, dst, w = [], [], []
-    for v, (d_src, d_dst, fac) in enumerate(tab.deriv_maps()):
-        sel = lab == v
-        src.append((inner[sel, None] * tab.size + d_src).ravel())
-        dst.append((outer[sel, None] * low.size + d_dst).ravel())
-        w.append((sgn[sel, None] * fac).ravel())
-    return np.concatenate(src), np.concatenate(dst), np.concatenate(w), low
+        coef, low = _d_stack(self, self.coef.ravel())
+        return JetForm._of(self.n, self.k + 1, low, coef)
 
 
 # ----------------------------------------------------------------------
@@ -603,6 +619,17 @@ class MatrixForm:
         """The matrix of a jet-form matrix's values at the point."""
         return MatrixForm._of(self.proto.value(), self.coef[..., 0])
 
+    def truncate(self, order: int) -> "MatrixForm":
+        """A jet-form matrix with its coefficient jets cut to a lower order."""
+        proto = self.proto.truncate(order)
+        return MatrixForm._of(proto, self.coef[..., : proto.table.size])
+
+    def d_jets(self) -> "MatrixForm":
+        """The exterior derivative of every entry, in one stacked kernel call."""
+        p = self.proto
+        coef, low = _d_stack(p, self.coef.reshape(self.shape + (-1,)))
+        return MatrixForm._of(JetForm._of(p.n, p.k + 1, low, coef[0, 0]), coef)
+
     def sup(self) -> float:
         return float(np.max(np.abs(self.coef))) if self.coef.size else 0.0
 
@@ -613,6 +640,13 @@ def _stack(forms):
     if isinstance(forms, MatrixForm):
         return forms.proto, forms.coef.reshape((-1,) + forms.proto.coef.shape)
     return forms[0], np.array([f.coef for f in forms])
+
+
+def zero_forms(n: int, table, coef) -> MatrixForm:
+    """The matrix of 0-forms on labels 1..n whose ``(i, j)`` entry has the jet
+    coefficients ``coef[i][j]`` in ``table``."""
+    coef = np.asarray(coef)[:, :, None]
+    return MatrixForm._of(JetForm._of(n, 0, table, coef[0, 0]), coef)
 
 
 def check(row) -> MatrixForm:

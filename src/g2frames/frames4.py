@@ -20,7 +20,7 @@ round-sphere anchor below):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -30,10 +30,9 @@ from .exterior import (
     MatrixForm,
     ScalarField,
     check,
-    combo_pos,
     combos,
-    contract,
     max_sup,
+    zero_forms,
 )
 from .jets import Jet
 
@@ -126,66 +125,50 @@ _DUALITY_SIGNS = (1.0, -1.0, 1.0)
 # positions in combos(4, 2) of the first and second pair of each duality pair
 _PAIR_ROWS = ([0, 1, 2], [5, 4, 3])
 _SIGN_ROW = np.array(_DUALITY_SIGNS)
-# (row in combos(4, 2), sign) of the theta^{be} coefficient of a 2-form, by (b, e)
-_ANTISYM = [
-    [(combo_pos(DIM, 2).get((min(b, e) + 1, max(b, e) + 1)), (b < e) - (b > e)) for e in range(DIM)]
-    for b in range(DIM)
-]
+# by (b, e): the row in combos(4, 2) of the theta^{be} coefficient of a 2-form
+# (6: an appended zero row, so the b = e entries are +0.0) and its sign
+_PAIR_INDEX = np.array([[6, 0, 1, 2], [0, 6, 3, 4], [1, 3, 6, 5], [2, 4, 5, 6]])
+_PAIR_SIGN = np.sign(np.arange(DIM) - np.arange(DIM)[:, None])[..., None]
 
 
+def _duality_rows(m: MatrixForm, branch: float):
+    """The three duality components m[3,2] + b m[1,0], m[1,3] - b m[0,2] and
+    m[2,1] + b m[3,0] of a 4x4 matrix of forms, on branch b."""
+    coef = m.coef[[3, 1, 2], [2, 3, 1]] + m.coef[[1, 0, 3], [0, 2, 0]] * (branch * _SIGN_ROW)[:, None, None]
+    return tuple(m.proto._new(m.proto.k, x) for x in coef)
+
+
+@dataclass(eq=False)
 class BaseData:
     """All frame quantities at one chart point, as jets.
 
-    ``order`` is the jet order of the metric stage; the connection lives one
-    order lower and the curvature two lower.
+    ``order`` is the jet order of the metric stage; the connection ``conn``
+    lives one order lower and the curvature ``curv`` (``None`` below order 2)
+    two lower, each a 4x4 ``MatrixForm``.
     """
 
-    __slots__ = (
-        "point",
-        "order",
-        "theta",
-        "theta_low",
-        "coeff_val",
-        "frame_val",
-        "conn",
-        "curv",
-        "_duality",
-    )
-
-    def __init__(self, point, order, theta, theta_low, coeff_val, frame_val, conn, curv):
-        self.point = point
-        self.order = order
-        self.theta = theta
-        self.theta_low = theta_low
-        self.coeff_val = coeff_val
-        self.frame_val = frame_val
-        self.conn = conn
-        self.curv = curv
-        self._duality = {}
+    point: tuple
+    order: int
+    theta: list
+    theta_low: list
+    coeff_val: np.ndarray
+    frame_val: np.ndarray
+    conn: MatrixForm
+    curv: MatrixForm | None
+    _duality: dict = field(default_factory=dict, repr=False)
 
     def duality(self, branch: int):
         """(eta row, connection row, curvature row) on the chosen branch."""
         if branch not in self._duality:
-            if self.curv[0][0] is None:
+            if self.curv is None:
                 raise ValueError("duality needs curvature: rebuild with order >= 2")
             b = float(branch)
-            om, rho = self.conn, self.curv
-            conn3 = (
-                om[3][2] + b * om[1][0],
-                om[1][3] - b * om[0][2],
-                om[2][1] + b * om[3][0],
-            )
-            rho3 = (
-                rho[3][2] + b * rho[1][0],
-                rho[1][3] - b * rho[0][2],
-                rho[2][1] + b * rho[3][0],
-            )
             th = self.theta_low
             eta = tuple(
                 th[p[0]].wedge(th[p[1]]) + (b * s) * th[q[0]].wedge(th[q[1]])
                 for (p, q), s in zip(_DUALITY_PAIRS, _DUALITY_SIGNS)
             )
-            self._duality[branch] = (eta, conn3, rho3)
+            self._duality[branch] = (eta, _duality_rows(self.conn, b), _duality_rows(self.curv, b))
         return self._duality[branch]
 
 
@@ -216,27 +199,19 @@ class FrameBundle:
         # d(theta)^a = 1/2 c[a][b][e] theta^b ^ theta^e: substitute
         # dx^i = sum_b inv_low[i][b] theta^b into d(theta)^a and read c off
         rows = [JetForm._of(DIM, 1, inv_low[0][0].table, np.array([e.coef for e in row])) for row in inv_low]
-        minors = [rows[i - 1].wedge(rows[j - 1]) for i, j in combos(DIM, 2)]
-        c = []
-        for a in range(DIM):
-            d_theta = theta[a].d_jets()
-            tab = d_theta.table
-            form = contract(minors, [Jet(tab, row) for row in d_theta.coef])
-            zero = Jet(tab, np.zeros(tab.size))
-            c.append([[Jet(tab, s * form.coef[r]) if s else zero for r, s in row] for row in _ANTISYM])
-        # omega^a_b = sum_e A[a][b][e] theta^e, A = -1/2 (c_abe + c_bea - c_eab)
-        conn = [
-            [
-                contract(theta_low, [(c[a][b][e] + c[b][e][a] - c[e][a][b]) * -0.5 for e in range(DIM)])
-                for a in range(DIM)
-            ]
-            for b in range(DIM)
-        ]
-        curv = [[None] * DIM for _ in range(DIM)]
+        minors = MatrixForm([[rows[i - 1].wedge(rows[j - 1]) for i, j in combos(DIM, 2)]])
+        d_theta = MatrixForm([theta]).d_jets()
+        tab = d_theta.proto.table
+        c = (minors @ zero_forms(DIM, tab, d_theta.coef[0].swapaxes(0, 1))).coef[0]
+        c = np.concatenate([c, np.zeros((DIM, 1, tab.size))], axis=1)[:, _PAIR_INDEX] * _PAIR_SIGN
+        # omega^a_b = sum_e theta^e A[e][b][a], A[e][b][a] = -1/2 (c_abe + c_bea - c_eab)
+        w = (c.transpose(2, 1, 0, 3) + c.transpose(1, 0, 2, 3) - c.transpose(0, 2, 1, 3)) * -0.5
+        om = MatrixForm([theta_low]) @ zero_forms(DIM, tab, w.reshape(DIM, DIM * DIM, tab.size))
+        conn = MatrixForm._of(om.proto, om.coef.reshape((DIM, DIM) + om.proto.coef.shape))
+        curv = None
         if order >= 2:
-            om = MatrixForm([[w.truncate(low - 1) for w in row] for row in conn])
-            om2 = om @ om
-            curv = [[conn[b][a].d_jets() + om2[b, a] for a in range(DIM)] for b in range(DIM)]
+            om = conn.truncate(low - 1)
+            curv = conn.d_jets() + om @ om
         return BaseData(point, order, theta, theta_low, coeff_val, frame_val, conn, curv)
 
     # -- residual diagnostics -------------------------------------------
@@ -247,17 +222,16 @@ class FrameBundle:
         for a in range(DIM):
             acc = bd.theta[a].d_value()
             for b in range(DIM):
-                acc = acc + bd.theta_low[b].value().wedge(bd.conn[b][a].value())
+                acc = acc + bd.theta_low[b].value().wedge(bd.conn[b, a].value())
             residuals.append(acc)
         return max_sup(residuals)
 
     def duality_residuals(self, point, branch: int) -> dict:
         """Structure equation and algebraic Bianchi residuals on one branch."""
-        bd = self.base(point, 2)
-        eta, conn3, rho3 = bd.duality(branch)
-        eta_val = MatrixForm([[e.value() for e in eta]])
-        rhs = eta_val @ check([c.value() for c in conn3])
-        struct = max_sup(eta[i].d_value() - rhs[0, i] for i in range(3))
+        eta, conn3, rho3 = self.base(point, 2).duality(branch)
+        eta = MatrixForm([eta])
+        eta_val = eta.value()
+        struct = (eta.d_jets().value() - eta_val @ check([c.value() for c in conn3])).sup()
         bianchi = (eta_val @ check([r.value() for r in rho3])).sup()
         return {"structure": struct, "bianchi": bianchi}
 
@@ -335,18 +309,13 @@ def pairing_sign() -> int:
 
 
 def _unit_sphere_metric():
-    def entry(i, j):
-        if i != j:
-            return ScalarField.constant(4, 0.0)
+    def f(x0, x1, x2, x3):
+        r2 = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
+        c = 2.0 / (1.0 + r2)
+        return c * c
 
-        def f(x0, x1, x2, x3):
-            r2 = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
-            c = 2.0 / (1.0 + r2)
-            return c * c
-
-        return ScalarField(4, fn=f)
-
-    return [[entry(i, j) for j in range(4)] for i in range(4)]
+    conformal, zero = ScalarField(4, fn=f), ScalarField.constant(4, 0.0)
+    return [[conformal if i == j else zero for j in range(4)] for i in range(4)]
 
 
 # ----------------------------------------------------------------------

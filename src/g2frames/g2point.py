@@ -96,6 +96,14 @@ def _unit_structure_split(branch: int):
     return float(e14), proj14, proj27
 
 
+def _scale(lam: float, mu: float, v: int, h: int) -> float:
+    """lam**v * mu**h; a power that overflows raises an OverflowError naming it."""
+    try:
+        return lam**v * mu**h
+    except OverflowError:
+        raise OverflowError(f"lam**{v} * mu**{h} overflows at lam = {lam!r}, mu = {mu!r}") from None
+
+
 class G2Structure:
     """The pair (phi, psi) with its induced metric data at a point."""
 
@@ -107,10 +115,10 @@ class G2Structure:
         self.lam = lam = float(lam)
         self.mu = mu = float(mu)
         self.branch = branch
-        self.g_diag = np.array([lam**2] * 3 + [mu**2] * 4)
-        self.m = lam**3 * mu**4
+        self.g_diag = np.array([_scale(lam, mu, 2, 0)] * 3 + [_scale(lam, mu, 0, 2)] * 4)
+        self.m = _scale(lam, mu, 3, 4)
         self.phi, self.psi = (
-            Multivector(7, k, coef * np.array([lam**v * mu ** (k - v) for v in range(k + 1)])[vert])
+            Multivector(7, k, coef * np.array([_scale(lam, mu, v, k - v) for v in range(k + 1)])[vert])
             for k, coef, vert in _unit_forms(branch)
         )
 

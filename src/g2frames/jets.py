@@ -261,7 +261,7 @@ class Jet:
         v = self.value
         if v == 0.0:
             raise ZeroDivisionError("jet with zero value")
-        return self.compose([1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4][: self.order + 1])
+        return self.compose(_inverse_powers("reciprocal", v, self.order + 1))
 
     def power(self, p: float) -> "Jet":
         v = self.value
@@ -283,7 +283,7 @@ class Jet:
 
     def log(self) -> "Jet":
         v = self.value
-        return self.compose([math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3][: self.order + 1])
+        return self.compose([math.log(v)] + _inverse_powers("log", v, self.order))
 
     def sin(self) -> "Jet":
         s, c = math.sin(self.value), math.cos(self.value)
@@ -295,6 +295,17 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(n={self.nvars}, order={self.order}, value={self.value:.6g})"
+
+
+def _inverse_powers(name: str, v: float, count: int) -> list:
+    """The first ``count`` of 1/v, -1/v**2, 2/v**3, -6/v**4; a power of v that
+    is 0 raises a ZeroDivisionError naming v and the term."""
+    out = []
+    for c, p in ((1.0, 1), (-1.0, 2), (2.0, 3), (-6.0, 4))[:count]:
+        if v**p == 0.0:
+            raise ZeroDivisionError(f"jet {name} at v = {v!r}: v**{p} is 0 in the term {c:g}/v**{p}")
+        out.append(c / v**p)
+    return out
 
 
 def variables(point, order: int):

@@ -75,21 +75,13 @@ def _flat_metric():
     return [[_const(1.0 if i == j else 0.0) for j in range(4)] for i in range(4)]
 
 
-def _sphere_metric(kappa: float):
+def _ball_metric(kappa: float, sign: float):
+    """Conformally flat chart of the round sphere (sign +1) or of hyperbolic
+    space (sign -1) of radius kappa."""
     k2 = kappa * kappa
 
     def f(x0, x1, x2, x3):
-        c = 2.0 / (1.0 + (x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3) / k2)
-        return c * c
-
-    return _diag_conformal(f)
-
-
-def _hyperbolic_metric(kappa: float):
-    k2 = kappa * kappa
-
-    def f(x0, x1, x2, x3):
-        c = 2.0 / (1.0 - (x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3) / k2)
+        c = 2.0 / (1.0 + sign * (x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3) / k2)
         return c * c
 
     return _diag_conformal(f)
@@ -174,7 +166,7 @@ def get_model(name: str, kappa: float = 1.0) -> ModelSpec:
     if name == "sphere4":
         return ModelSpec(
             name,
-            _sphere_metric(kappa),
+            _ball_metric(kappa, 1.0),
             _BALL_BOX,
             ExpectedFlags(True, True, True, False, 1, True, 1.0 / kappa**2),
             params={"kappa": kappa},
@@ -183,7 +175,7 @@ def get_model(name: str, kappa: float = 1.0) -> ModelSpec:
         box = tuple((lo * kappa, hi * kappa) for lo, hi in _BALL_BOX)
         return ModelSpec(
             name,
-            _hyperbolic_metric(kappa),
+            _ball_metric(kappa, -1.0),
             box,
             ExpectedFlags(True, True, True, False, -1, True, -1.0 / kappa**2),
             params={"kappa": kappa},

@@ -199,6 +199,8 @@ def test_list_suites_mentions_core_checks(capsys):
             {"model": "hyperbolic4", "profile": {"kind": "bs", "s": -1.0, "c0": 1.0, "c1": 1e-12}},
             "profile",
         ),
+        # bs_profile squares c0, which overflows before any probe runs
+        ({"profile": {"kind": "bs", "s": 1.0, "c0": 1e160, "c1": 1.0}}, "profile"),
     ],
 )
 def test_main_rejects_mistyped_config(tmp_path, capsys, change, key):
@@ -348,17 +350,20 @@ def test_overflowing_run_fails_with_one_line(tmp_path, capsys, config):
 @pytest.mark.parametrize(
     "config, where",
     [
-        (dict(P_OVERFLOW, profile={"kind": "constant", "lam": 1e100, "mu": 1.0}), "P records: "),
         (
-            dict(BS_SPHERE, profile={"kind": "bs", "s": 1e200, "c0": 1.0, "c1": 1.0}, probes=3, seed=1),
-            "X records, probe 0: ",
+            dict(P_OVERFLOW, profile={"kind": "constant", "lam": 1e100, "mu": 1.0}),
+            "P records: lam**4 * mu**0 overflows at lam = 1e+100, mu = 1.0",
+        ),
+        (
+            dict(BS_SPHERE, profile={"kind": "bs", "s": 1.0, "c0": 1e-160, "c1": 1.0}, probes=3, seed=1),
+            "X records, probe 0: jet reciprocal at v = 1e-320: v**2 is 0 in the term -1/v**2",
         ),
         (
             dict(BS_SPHERE, params={"kappa": 1e-3}, profile={"kind": "bs", "s": 1e6, "c0": 1.0, "c1": 1.0}),
             "frame records, probe 0: ",
         ),
     ],
-    ids=["P-lam-1e100", "X-bs-s-1e200", "frame-kappa-1e-3"],
+    ids=["P-lam-1e100", "X-bs-c0-1e-160", "frame-kappa-1e-3"],
 )
 def test_numerical_failure_names_its_stage_and_probe(tmp_path, capsys, config, where):
     path = tmp_path / "cfg.json"

@@ -14,11 +14,13 @@ from g2frames.exterior import (
     Multivector,
     ScalarField,
     ShapeMismatch,
+    _d_stack,
     check,
     combos,
     contract,
     hat,
     merge_sign,
+    zero_forms,
 )
 from g2frames.jets import Jet, JetOrderError
 from g2frames.jets import table as jet_table
@@ -344,6 +346,43 @@ def test_contract_matches_entrywise_sum_bytewise(kind, nan):
     # the entries of a matrix, row by row, are a sequence of forms too
     matrix = MatrixForm([forms[:2], forms[2:]])
     assert _same(contract(matrix, weights), got)
+
+
+@pytest.mark.parametrize("nvars, order, k", [(7, 2, 1), (7, 2, 2), (4, 3, 1), (4, 3, 2)])
+def test_d_jets_of_a_matrix_matches_entrywise_d_bytewise(nvars, order, k):
+    rng = np.random.default_rng(43)
+    tab = jet_table(nvars, order)
+    entries = [
+        [JetForm._of(nvars, k, tab, rng.normal(size=(len(combos(nvars, k)), tab.size))) for _ in range(3)]
+        for _ in range(2)
+    ]
+    entries[1][2].coef[-1, -1] = np.nan  # d/dx1 carries it into d of the last row
+    m = MatrixForm(entries)
+    got = m.d_jets()
+    stacked, low = _d_stack(m.proto, m.coef.reshape(2, 3, -1))
+    assert got.shape == (2, 3) and got.proto.k == k + 1 and low is jet_table(nvars, order - 1)
+    for i in range(2):
+        for j in range(3):
+            expect = entries[i][j].d_jets()
+            assert _same(got[i, j], expect) and np.array_equal(stacked[i, j], expect.coef, equal_nan=True)
+    assert np.isnan(got.coef[1, 2]).any() and not np.isnan(got.coef[:1]).any()
+    with pytest.raises(JetOrderError):
+        m.truncate(0).d_jets()
+
+
+def test_matrix_truncate_and_zero_forms():
+    rng = np.random.default_rng(44)
+    tab = jet_table(4, 3)
+    jets = [[Jet(tab, rng.normal(size=tab.size)) for _ in range(3)] for _ in range(2)]
+    m = zero_forms(4, tab, [[e.coef for e in row] for row in jets])
+    assert m.shape == (2, 3) and m.proto.k == 0 and m.proto.n == 4
+    low = m.truncate(1)
+    assert np.array_equal(m.truncate(3).coef, m.coef)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(m[i, j].jet(()).coef, jets[i][j].coef)
+            assert low[i, j].table is jet_table(4, 1)
+            assert np.array_equal(low[i, j].coef, m[i, j].truncate(1).coef)
 
 
 def test_check_writes_a_zero_diagonal_and_negated_entries():

@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
-from g2frames.exterior import Multivector, ScalarField
+from g2frames.exterior import JetForm, MatrixForm, Multivector, ScalarField, combo_pos, combos, contract
 from g2frames.frames4 import (
     FrameBundle,
     NonSPDMetricError,
+    _jet_cholesky,
+    _truncate_matrix,
+    _upper_inverse,
     curvature_oracle,
     pairing_sign,
     predicates,
     sectional,
 )
+from g2frames.jets import Jet
 from g2frames.models import get_model
 
 RNG = np.random.default_rng(2024)
@@ -70,8 +74,8 @@ def test_flat_connection_and_curvature_vanish():
     bd = fb.base((0.2, 0.5, -0.1, 0.9), 2)
     for b in range(4):
         for a in range(4):
-            assert bd.conn[b][a].value().sup() == 0.0
-            assert bd.curv[b][a].value().sup() == 0.0
+            assert bd.conn[b, a].value().sup() == 0.0
+            assert bd.curv[b, a].value().sup() == 0.0
 
 
 def test_cartan_residual_on_models():
@@ -90,7 +94,7 @@ def test_constant_curvature_form():
         bd = fb.base(pt, 2)
         for b in range(4):
             for a in range(4):
-                rho = bd.curv[b][a].value()
+                rho = bd.curv[b, a].value()
                 th = (bd.theta_low[a].value()).wedge(bd.theta_low[b].value())
                 assert (rho + th).sup() < 1e-10
 
@@ -106,7 +110,7 @@ def test_sectional_curvature_against_christoffel_oracle(name, k_expect):
         for a in range(4):
             for b in range(a + 1, 4):
                 k_orc = sectional(orc, e[:, a], e[:, b])
-                k_frame = bd.curv[a][b].value().evaluate(e[:, a], e[:, b])
+                k_frame = bd.curv[a, b].value().evaluate(e[:, a], e[:, b])
                 assert k_orc == pytest.approx(k_expect, abs=1e-9)
                 assert k_frame == pytest.approx(k_orc, abs=1e-9)
 
@@ -268,16 +272,16 @@ def test_s_constant_across_points():
 def test_connection_skew_and_curvature_definition():
     spec = get_model("hyperbolic4")
     bd = spec.bundle().base(_probe(spec, 1)[0], 2)
-    om = [[bd.conn[b][a].value() for a in range(4)] for b in range(4)]
+    om = [[bd.conn[b, a].value() for a in range(4)] for b in range(4)]
     for b in range(4):
         for a in range(4):
             # skewness of the connection matrix, identically
             assert (om[b][a] + om[a][b]).sup() < 1e-14
             # rho = d(omega) + omega ^ omega, at the point
-            acc = bd.conn[b][a].d_value()
+            acc = bd.conn[b, a].d_value()
             for e in range(4):
                 acc = acc + om[b][e].wedge(om[e][a])
-            assert (acc - bd.curv[b][a].value()).sup() < 1e-12
+            assert (acc - bd.curv[b, a].value()).sup() < 1e-12
 
 
 ALL_MODELS = ("flat", "sphere4", "hyperbolic4", "fubiniStudy", "complexHyperbolic", "productS2H2")
@@ -296,10 +300,62 @@ def test_cartan_equation_on_full_jets(name, order):
             acc = dtheta
             scale = np.max(np.abs(dtheta.coef))
             for b in range(4):
-                term = bd.theta_low[b].wedge(bd.conn[b][a])
+                term = bd.theta_low[b].wedge(bd.conn[b, a])
                 acc = acc + term
                 scale = max(scale, np.max(np.abs(term.coef)))
             assert np.max(np.abs(acc.coef)) <= 1e-12 * scale, (name, a)
+
+
+def _entrywise_conn_curv(metric, point, order):
+    """Reference connection and curvature as nested lists: the structure
+    constants and the weights as scalar jets, one ``contract`` per entry, then
+    ``d_jets`` plus ``omega ^ omega`` per entry."""
+    g = [[metric[i][j].jet(point, order) for j in range(4)] for i in range(4)]
+    coeff = _jet_cholesky(g, point)
+    low = order - 1
+    inv_low = _upper_inverse(_truncate_matrix(coeff, low))
+    theta = [JetForm._of(4, 1, coeff[0][0].table, np.array([e.coef for e in row])) for row in coeff]
+    theta_low = [t.truncate(low) for t in theta]
+    rows = [JetForm._of(4, 1, inv_low[0][0].table, np.array([e.coef for e in row])) for row in inv_low]
+    minors = [rows[i - 1].wedge(rows[j - 1]) for i, j in combos(4, 2)]
+    pos = combo_pos(4, 2)
+    c = []
+    for a in range(4):
+        d_theta = theta[a].d_jets()
+        tab = d_theta.table
+        form = contract(minors, [Jet(tab, row) for row in d_theta.coef])
+        c.append(
+            [
+                [
+                    Jet(tab, ((b < e) - (b > e)) * form.coef[pos[min(b, e) + 1, max(b, e) + 1]])
+                    if b != e
+                    else Jet(tab, np.zeros(tab.size))
+                    for e in range(4)
+                ]
+                for b in range(4)
+            ]
+        )
+    conn = [
+        [contract(theta_low, [(c[a][b][e] + c[b][e][a] - c[e][a][b]) * -0.5 for e in range(4)]) for a in range(4)]
+        for b in range(4)
+    ]
+    om = MatrixForm([[w.truncate(low - 1) for w in row] for row in conn])
+    om2 = om @ om
+    return conn, [[conn[b][a].d_jets() + om2[b, a] for a in range(4)] for b in range(4)]
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_conn_and_curv_match_entrywise_reference_bytewise(name, order):
+    spec = get_model(name)
+    for pt in _probe(spec, 2):
+        bd = spec.bundle().base(pt, order)
+        assert isinstance(bd.conn, MatrixForm) and isinstance(bd.curv, MatrixForm)
+        conn, curv = _entrywise_conn_curv(spec.metric, pt, order)
+        for b in range(4):
+            for a in range(4):
+                assert bd.conn[b, a].coef.tobytes() == conn[b][a].coef.tobytes(), (b, a)
+                assert bd.curv[b, a].coef.tobytes() == curv[b][a].coef.tobytes(), (b, a)
 
 
 def _blocks_by_evaluation(bd):

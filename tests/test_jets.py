@@ -120,3 +120,13 @@ def test_multiplication_fast_paths_match_table():
         ref = np.zeros(tab.size)
         np.add.at(ref, tab.mul_k, a.coef[tab.mul_i] * b.coef[tab.mul_j])
         assert np.allclose((a * b).coef, ref, atol=1e-13)
+
+
+def test_reciprocal_and_log_of_a_tiny_order_one_jet():
+    # only the value and first-derivative terms are needed; v**3 would underflow to 0
+    x = Jet.variable(1e-120, 0, 2, 1)
+    r, lg = x.reciprocal(), x.log()
+    assert r.value == 1.0 / 1e-120 and r.partial(0) == -1.0 / 1e-240 and r.partial(1) == 0.0
+    assert lg.value == math.log(1e-120) and lg.partial(0) == 1.0 / 1e-120
+    with pytest.raises(ZeroDivisionError, match=r"v = 1e-120: v\*\*3 is 0 in the term 2/v\*\*3"):
+        Jet.variable(1e-120, 0, 2, 2).reciprocal()
