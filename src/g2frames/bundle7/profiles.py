@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..jets import Jet
+from ..jets import Jet, JetBatch
 
 
 class ProfileDomainError(ValueError):
@@ -54,6 +54,15 @@ class Profile:
 
     def mu(self, r: float) -> float:
         return self.mu_jet(r, 0).value
+
+    def lam_values(self, r: np.ndarray) -> np.ndarray:
+        """lam at an array of radii: ``lam_fn`` once on a batch of order-0
+        jets, equal to ``lam`` at each radius bit for bit.  The first radius
+        outside the domain raises as ``lam`` would."""
+        inside = (self.r_min <= r) & (r < self.r_max)
+        if not inside.all():
+            self._check(float(r[np.argmin(inside)]))
+        return self.lam_fn(JetBatch(r)).value
 
     def condition_residuals(self, s: float, r: float) -> dict:
         """Pointwise residuals of the three coupled conditions."""

@@ -30,6 +30,13 @@ from .chart import N, Chart, components, fiber_form, promote
 
 # largest Weyl norm on the side the branch needs to vanish
 HYP_TOL = 1e-7
+# relative distance probes keep from a zero of the radial factor (the disk
+# edge r0, or r_min > 0 when s > 0 and c1 < 0), where lam blows up.  Sized
+# from the noise law: at 1 - r/r0 = 1e-2 the worst X record reads 2e-4 of its
+# tolerance, at 3e-4 it reads 0.7, and at 1e-4 most 5-probe runs fail the
+# torsion reconstruction.  Like pspace.CHART_BOUND, it keeps probes where double
+# precision can verify them.
+EDGE_MARGIN = 1e-2
 
 
 class DualityHypothesisError(ValueError):
@@ -228,9 +235,12 @@ class XSpaceChart(Chart):
 
     def sample_points(self, count: int, rng, a_max: float = 1.2) -> np.ndarray:
         """Seeded probes: base in the model safe box, fiber within |a| <= a_max
-        and inside the profile domain."""
+        and inside the profile domain, ``EDGE_MARGIN`` away from its edges:
+        r < (1 - EDGE_MARGIN) r0 on a disk and r >= (1 + EDGE_MARGIN) r_min."""
         prof = self.profile
-        return self._sample(count, rng, a_max, lambda a: prof.r_min <= float(a @ a) < prof.r_max)
+        lo = prof.r_min * (1.0 + EDGE_MARGIN)
+        hi = prof.r_max if prof.r0 is None else prof.r0 * (1.0 - EDGE_MARGIN)
+        return self._sample(count, rng, a_max, lambda a: lo <= float(a @ a) < hi)
 
 
 _FACT = (1.0, 1.0, 2.0, 6.0)

@@ -32,7 +32,7 @@ from .bundle7.profiles import (
 )
 from .bundle7.pspace import ChartBoundError, PSpaceChart
 from .bundle7.radial import QuadratureError, radius_length, radius_length_riemann
-from .bundle7.xspace import XSpaceChart
+from .bundle7.xspace import EDGE_MARGIN, XSpaceChart
 from .exterior import Multivector
 from .frames4 import NonSPDMetricError, ResidualError, pairing_sign, predicates
 from .g2point import DecompositionError, DegeneratePhiError, classify_norms, standard_phi
@@ -355,7 +355,9 @@ def _x_records(cfg: RunConfig, spec, chart: XSpaceChart, rng):
     prof = chart.profile
     if prof.kind == "bs":
         s_prof = prof.params["s"]
-        samples = np.linspace(prof.r_min, min(prof.r_max, prof.r_min + 8.0), 100)[:-1]
+        # off the edges as the probes are: lam blows up where r_min > 0
+        lo = prof.r_min * (1.0 + EDGE_MARGIN)
+        samples = np.linspace(lo, min(prof.r_max, prof.r_min + 8.0), 100)[:-1]
         lemma = two_of_three_report(prof, s_prof, samples)
         records.append(_record("x/lemma-two-of-three", np.max(list(lemma.values())), 1e-8))
         if abs(s_prof - spec.expected.s_value) < 1e-12 and spec.expected.einstein:

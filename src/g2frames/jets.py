@@ -297,6 +297,50 @@ class Jet:
         return f"Jet(n={self.nvars}, order={self.order}, value={self.value:.6g})"
 
 
+class JetBatch:
+    """Order-0 jets of one quantity at many points, held as one array of values.
+
+    Sums and products with constants or batches and the analytic functions
+    of the profile families act elementwise, so a profile's ``lam_fn``
+    evaluates a whole grid of radii in one call.  Each analytic function
+    calls the same libm routine per value as ``Jet`` does: numpy's SIMD
+    ``power`` and ``exp`` round differently from libm on a few percent of
+    inputs, and a batch value must equal the scalar jet's bit for bit.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = np.asarray(value, dtype=float)
+
+    @staticmethod
+    def _lift(other):
+        return other.value if isinstance(other, JetBatch) else float(other)
+
+    def __add__(self, other):
+        return JetBatch(self.value + self._lift(other))
+
+    def __mul__(self, other):
+        return JetBatch(self.value * self._lift(other))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def power(self, p: float) -> "JetBatch":
+        # an object array runs Python's float pow, which is libm pow
+        return JetBatch(np.power(self.value.astype(object), p).astype(float))
+
+    def sqrt(self) -> "JetBatch":
+        if np.any(self.value <= 0.0):
+            raise ValueError("jet sqrt of non-positive value")
+        return self.power(0.5)
+
+    def exp(self) -> "JetBatch":
+        return JetBatch(np.fromiter(map(math.exp, self.value.tolist()), float, self.value.size))
+
+    def sin(self) -> "JetBatch":
+        return JetBatch(np.fromiter(map(math.sin, self.value.tolist()), float, self.value.size))
+
+
 def _inverse_powers(name: str, v: float, count: int) -> list:
     """The first ``count`` of 1/v, -1/v**2, 2/v**3, -6/v**4; a power of v that
     is 0 raises a ZeroDivisionError naming v and the term."""

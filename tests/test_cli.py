@@ -11,7 +11,7 @@ from g2frames import cli
 from g2frames.bundle7.profiles import ProfileDomainError
 from g2frames.bundle7.pspace import ChartBoundError, PSpaceChart
 from g2frames.bundle7.radial import QuadratureError
-from g2frames.bundle7.xspace import XSpaceChart
+from g2frames.bundle7.xspace import EDGE_MARGIN, XSpaceChart
 from g2frames.cli import ConfigError, RunConfig, SUITES, list_suites, main, run
 from g2frames.frames4 import NonSPDMetricError, ResidualError
 from g2frames.g2point import DecompositionError, DegeneratePhiError
@@ -116,6 +116,75 @@ def test_disk_run_includes_radial_check():
     assert report.passed
     assert any(r.check == "x/radial-incompleteness" for r in report.records)
     assert any(r.check == "x/parallel" for r in report.records)
+
+
+def _bs_disk(model, branch, c0, c1, seed, s=-1.0):
+    profile = {"kind": "bs", "s": s, "c0": c0, "c1": c1}
+    return {"model": model, "space": "X", "branch": branch, "profile": profile, "probes": 5, "seed": seed}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        _bs_disk("complexHyperbolic", -1, 0.7146291960581727, 0.99185580123044, 832963751),
+        _bs_disk("hyperbolic4", -1, 1.109659121679155, 0.8990970453903618, 1376606054),
+        _bs_disk("hyperbolic4", -1, 0.7315174007497934, 1.2477409560985078, 897479909),
+        _bs_disk("hyperbolic4", -1, 0.8221760417874919, 0.9271761576400941, 1741789300),
+        _bs_disk("hyperbolic4", 1, 0.7629268917357519, 0.7394607137369108, 2089212427),
+    ],
+    ids=[
+        "complexHyperbolic-minus",
+        "hyperbolic4-minus-a",
+        "hyperbolic4-minus-b",
+        "hyperbolic4-minus-c",
+        "hyperbolic4-plus",
+    ],
+)
+def test_disk_runs_that_drew_a_probe_next_to_the_edge_pass(config):
+    # without the edge margin each draws a probe within ~1e-4 of r0, where
+    # the torsion reconstruction fails in double precision
+    assert run(RunConfig.from_dict(config)).passed
+
+
+def test_run_with_an_inner_edge_passes():
+    # s > 0, c1 < 0: the radial factor vanishes at r_min = 0.4 and lam blows up there
+    report = run(RunConfig.from_dict(_bs_disk("sphere4", -1, 1.0, -0.8, 3, s=1.0)))
+    assert report.passed
+
+
+def _probes_at(monkeypatch, rel):
+    """Place every X probe at the relative distance ``rel`` from the profile
+    edge: 1 - r/r0 = rel on a disk, r/r_min - 1 = rel otherwise."""
+
+    def sample_points(self, count, rng, a_max=1.2):
+        prof = self.profile
+        r = prof.r0 * (1.0 - rel) if prof.r0 is not None else prof.r_min * (1.0 + rel)
+        pts = self.model.sample_points(count, rng)
+        u = rng.normal(size=(count, 3))
+        fiber = np.sqrt(r) * u / np.linalg.norm(u, axis=1, keepdims=True)
+        return np.hstack([fiber, pts])
+
+    monkeypatch.setattr(XSpaceChart, "sample_points", sample_points)
+
+
+@pytest.mark.parametrize(
+    "model, branch, s, c1",
+    [
+        ("hyperbolic4", -1, -1.0, 0.8),
+        ("complexHyperbolic", -1, -1.0, 1.3),
+        ("hyperbolic4", 1, -1.0, 1.1),
+        ("sphere4", -1, 1.0, -0.9),
+        ("fubiniStudy", -1, 1.0, -0.7),
+    ],
+)
+def test_records_hold_with_room_at_the_edge_margin(monkeypatch, model, branch, s, c1):
+    # on a disk the largest ratio, about 9e-3, is x/radial-incompleteness,
+    # which does not depend on the probes; the probe records stay below 1e-3
+    _probes_at(monkeypatch, EDGE_MARGIN)
+    for c0, seed in ((0.75, 1), (1.25, 2)):
+        report = run(RunConfig.from_dict(_bs_disk(model, branch, c0, c1, seed, s=s)))
+        for rec in report.records:
+            assert rec.value <= 1e-2 * rec.tolerance, (rec.check, rec.value)
 
 
 def test_reports_deterministic_and_parallel_identical():

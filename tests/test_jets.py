@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from g2frames.jets import Jet, JetOrderError, fd_partial, fd_second, table, variables
+from g2frames.jets import Jet, JetBatch, JetOrderError, fd_partial, fd_second, table, variables
 
 FD_STEP = 1e-5
 FD_TOL = 1e-5
@@ -130,3 +130,20 @@ def test_reciprocal_and_log_of_a_tiny_order_one_jet():
     assert lg.value == math.log(1e-120) and lg.partial(0) == 1.0 / 1e-120
     with pytest.raises(ZeroDivisionError, match=r"v = 1e-120: v\*\*3 is 0 in the term 2/v\*\*3"):
         Jet.variable(1e-120, 0, 2, 2).reciprocal()
+
+
+def test_order_zero_batch_matches_scalar_jets_bitwise():
+    # values where numpy's SIMD power and exp round differently from libm
+    x = np.random.default_rng(3).uniform(1e-3, 3.0, 2000)
+    ops = [
+        lambda r: (2.0 * r + 0.25).power(-0.5),
+        lambda r: (0.7 * r.power(0.5)).sqrt(),
+        lambda r: (0.3 + -0.1 * r + 0.2 * r.sin()).exp(),
+        lambda r: 1.5 + r * 3.0 + r * r,
+    ]
+    for op in ops:
+        scalar = np.array([op(Jet.variable(v, 0, 1, 0)).value for v in x.tolist()])
+        batch = op(JetBatch(x)).value
+        assert batch.tobytes() == scalar.tobytes()
+    with pytest.raises(ValueError, match="non-positive"):
+        JetBatch(np.array([1.0, 0.0])).sqrt()

@@ -105,3 +105,29 @@ def test_two_of_three_report_propagates_a_later_nan():
     p = Profile(lam_fn=lam_fn, mu_fn=lambda r: r * 0.0 + 1.0, r_min=0.0, r_max=np.inf, kind="test")
     rep = two_of_three_report(p, 1.0, [0.5, 2.0])
     assert np.isnan(rep["const"])
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        bs_profile(-1.0, 1.1, 0.9),
+        profile_from_const_and_tau2(-0.6, 0.9, 1.2),
+        profile_from_tau1_and_tau2(-1.3, 1.2, 0.8),
+        constant_profile(1.3, 0.7),
+        random_smooth_profile(np.random.default_rng(4)),
+    ],
+    ids=lambda p: p.kind,
+)
+def test_lam_values_match_lam_bitwise(profile):
+    top = profile.r0 if profile.r0 is not None else 10.0
+    r = np.linspace(0.0, top, 1001)[:-1]
+    expect = np.array([profile.lam(v) for v in r.tolist()])
+    assert profile.lam_values(r).tobytes() == expect.tobytes()
+
+
+def test_lam_values_name_the_first_radius_outside_the_domain():
+    p = bs_profile(1.0, 1.0, -0.5)  # r_min = 0.25
+    with pytest.raises(ProfileDomainError, match="r = 0.1 outside"):
+        p.lam_values(np.array([0.5, 0.1, 0.2]))
+    with pytest.raises(ProfileDomainError, match="r = nan outside"):
+        bs_profile(-1.0, 1.0, 1.0).lam_values(np.array([0.1, np.nan]))

@@ -1,11 +1,19 @@
 """Fiber-radius length integral and vertical geodesic traces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from g2frames.bundle7.profiles import bs_profile
+from g2frames.bundle7.profiles import (
+    ProfileDomainError,
+    bs_profile,
+    profile_from_const_and_tau2,
+    profile_from_tau1_and_tau2,
+)
 from g2frames.bundle7.radial import (
+    RIEMANN_CHUNK,
     adaptive_simpson,
     geodesic_trace,
     radial_geometry,
@@ -97,3 +105,50 @@ def test_length_at_disk_edge_where_mu_rounds_to_zero(c0, c1):
     oracle = radius_length_riemann(p, p.r0, n=60_000)
     assert np.isfinite(main)
     assert abs(main - oracle) < 1e-6
+
+
+def scalar_riemann(profile, r0, n):
+    """The oracle one node at a time, summed by the builtin ``sum``."""
+    tmax = np.sqrt(2.0 * r0)
+
+    def f(theta):
+        r = r0 * np.sin(theta) ** 2
+        return profile.lam(r) * tmax * np.cos(theta) if r < profile.r_max else 0.0
+
+    h = (np.pi / 2.0) / n
+    return float(sum(f(t) for t in (np.arange(n) + 0.5) * h) * h)
+
+
+DISK_PROFILES = [
+    bs_profile(-1.0, 1.250183769974063, 1.220767396896792),
+    profile_from_const_and_tau2(-0.8, 1.1, 1.3),
+    profile_from_tau1_and_tau2(-1.4, 0.9, 0.75),
+]
+
+
+@pytest.mark.parametrize(
+    "profile, n",
+    [(p, 2 * RIEMANN_CHUNK + 123) for p in DISK_PROFILES] + [(DISK_PROFILES[0], 60_000)],
+    ids=lambda v: getattr(v, "kind", v),
+)
+def test_riemann_oracle_equals_a_scalar_loop_bitwise(profile, n):
+    got = radius_length_riemann(profile, profile.r0, n)
+    assert got.hex() == scalar_riemann(profile, profile.r0, n).hex()
+
+
+def test_riemann_node_below_r_min_raises():
+    p = bs_profile(1.0, 1.0, -0.5)  # r_min = 0.25: the first nodes lie below it
+    with pytest.raises(ProfileDomainError, match="outside profile domain"):
+        radius_length_riemann(p, 1.0, n=100)
+
+
+def test_riemann_oracle_memory_is_bounded_by_its_chunk():
+    p = bs_profile(-1.0, 1.0, 1.2)
+    radius_length_riemann(p, p.r0, n=60_000)
+    tracemalloc.start()
+    try:
+        radius_length_riemann(p, p.r0, n=60_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000

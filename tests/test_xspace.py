@@ -5,7 +5,7 @@ import pytest
 
 from g2frames.bundle7.chart import torsion_gap
 from g2frames.bundle7.profiles import ProfileDomainError, bs_profile, constant_profile, random_smooth_profile
-from g2frames.bundle7.xspace import DualityHypothesisError, XSpaceChart
+from g2frames.bundle7.xspace import EDGE_MARGIN, DualityHypothesisError, XSpaceChart
 from g2frames.exterior import Multivector
 from g2frames.g2point import TorsionForms, classify, metric_from_phi
 from g2frames.models import get_model
@@ -127,6 +127,23 @@ def test_profile_domain_violation_reported():
     bad = (0.6, 0.5, 0.2, 0.0, 0.1, 0.0, 0.0)  # r = 0.65 > r0
     with pytest.raises(ProfileDomainError):
         chart.phi_at(bad)
+
+
+@pytest.mark.parametrize(
+    "model, branch, profile",
+    [("hyperbolic4", -1, bs_profile(-1.0, 1.0, 1.0)), ("sphere4", -1, bs_profile(1.0, 1.0, -2.0))],
+    ids=["disk", "inner-edge"],
+)
+def test_probes_keep_the_edge_margin(model, branch, profile):
+    # about 1.5% (disk) and 0.7% (r_min = 1) of unrestricted draws would fall in the margin
+    chart = make_chart(model, branch, profile)
+    r = np.sum(chart.sample_points(2000, np.random.default_rng(RNG_SEED))[:, :3] ** 2, axis=1)
+    if profile.r0 is not None:
+        assert r.max() < (1.0 - EDGE_MARGIN) * profile.r0
+        assert r.max() > (1.0 - 2 * EDGE_MARGIN) * profile.r0
+    else:
+        assert r.min() >= (1.0 + EDGE_MARGIN) * profile.r_min
+        assert r.min() < (1.0 + 2 * EDGE_MARGIN) * profile.r_min
 
 
 def test_bryant_salamon_profiles_parallel():
