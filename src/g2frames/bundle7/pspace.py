@@ -105,6 +105,7 @@ class PSpaceChart(Chart):
             raise ValueError("scales lam, mu must be positive")
         self.lam = float(lam)
         self.mu = float(mu)
+        self._structure = standard_phi(self.lam, self.mu, branch)
 
     def _build(self, point, p):
         """All chart quantities at one point, as 7-variable jet forms."""
@@ -154,7 +155,7 @@ class PSpaceChart(Chart):
         )
 
     def structure(self) -> G2Structure:
-        return standard_phi(self.lam, self.mu, self.branch)
+        return self._structure
 
     def adapted_coframe(self, point) -> np.ndarray:
         """Rows of (f.g^t, theta): the coframe in which phi is standard."""

@@ -87,15 +87,21 @@ class XSpaceChart(Chart):
         J.beta = f[0].wedge(f[1]).wedge(f[2])
         J.vol = J.theta[0].wedge(J.theta[1]).wedge(J.theta[2]).wedge(J.theta[3])
         J.r = J.a[0] * J.a[0] + J.a[1] * J.a[1] + J.a[2] * J.a[2]
-        lam1 = self.profile.lam_jet(J.r.value, p)
-        mu1 = self.profile.mu_jet(J.r.value, p)
-        J.lam = J.r.compose([lam1.coef[k] * _FACT[k] for k in range(p + 1)])
-        J.mu = J.r.compose([mu1.coef[k] * _FACT[k] for k in range(p + 1)])
+        lam_p = self.profile.lam_jet(J.r.value, p)
+        mu_p = self.profile.mu_jet(J.r.value, p)
+        J.lam = J.r.compose([lam_p.coef[k] * _FACT[k] for k in range(p + 1)])
+        J.mu = J.r.compose([mu_p.coef[k] * _FACT[k] for k in range(p + 1)])
         eta = MatrixForm([J.eta])
         mixed = (eta @ MatrixForm([J.f]).T)[0, 0]
         J.eta_h = (eta @ MatrixForm([J.h]).T)[0, 0]
         J.phi = J.beta * (J.lam**3) - mixed * (J.lam * J.mu**2 * float(self.branch))
         J.psi = J.vol * (J.mu**4) - J.eta_h * (J.lam**2 * J.mu**2)
+        # point values that the closed system and the closed torsion share
+        J.lam1, J.mu1 = lam_p.truncate(1), mu_p.truncate(1)
+        J.a_val = np.array([a.value for a in J.a])
+        J.f_val, J.h_val, J.eta_val = (MatrixForm([row]).value() for row in (J.f, J.h, J.eta))
+        J.dr = contract(J.f_val, J.a_val) * 2.0
+        J.s7 = standard_phi(J.lam.value, J.mu.value, self.branch)
         return J
 
     # -- contract surfaces -------------------------------------------------
@@ -119,20 +125,17 @@ class XSpaceChart(Chart):
         return components(J.f + J.theta)
 
     def structure(self, point) -> G2Structure:
-        J = self.jets(point, 1)
-        return standard_phi(J.lam.value, J.mu.value, self.branch)
+        return self.jets(point, 1).s7
 
     # -- two evaluation paths for d(phi), d(psi) ----------------------------
     def structure_residuals(self, point) -> dict:
         """Residuals of the closed differential system against jet evaluation."""
         J = self.jets(point, 1)
-        a_val = np.array([a.value for a in J.a])
-        f_val, h_val, eta_val = (MatrixForm([row]).value() for row in (J.f, J.h, J.eta))
+        a_val, f_val, h_val, eta_val, dr = J.a_val, J.f_val, J.h_val, J.eta_val, J.dr
         rho_m = check([r.value() for r in J.rho3])
         b = float(self.branch)
 
         # d r = 2 f a^t
-        dr = contract(f_val, a_val) * 2.0
         dr_direct = Multivector(N, 1, np.concatenate([2.0 * a_val, np.zeros(4)]))
         res = {"dr": (dr - dr_direct).sup()}
 
@@ -149,9 +152,7 @@ class XSpaceChart(Chart):
         res["d_eta_ht"] = (J.eta_h.d_value() + eta_fc_rho_a).sup()
 
         # closed structure system for d phi and d psi
-        lam, mu = J.lam.value, J.mu.value
-        lam1 = self.profile.lam_jet(J.r.value, 1)
-        mu1 = self.profile.mu_jet(J.r.value, 1)
+        lam, mu, lam1, mu1 = J.lam.value, J.mu.value, J.lam1, J.mu1
         d_lam3 = (lam1**3).partial(0)
         d_lammu2 = (lam1 * mu1**2).partial(0)
         d_mu4 = (mu1**4).partial(0)
@@ -184,21 +185,15 @@ class XSpaceChart(Chart):
 
     def torsion_closed(self, point) -> TorsionForms:
         """Closed-form torsion components in the adapted basis."""
-        st = self._singer_thorpe(point)
+        s = self._singer_thorpe(point).s
         J = self.jets(point, 1)
-        s = st.s
-        b = float(self.branch)
-        a_val = np.array([a.value for a in J.a])
-        f_val, h_val, eta_val = (MatrixForm([row]).value() for row in (J.f, J.h, J.eta))
-        lam1 = self.profile.lam_jet(J.r.value, 1)
-        mu1 = self.profile.mu_jet(J.r.value, 1)
+        b, s7 = float(self.branch), J.s7
+        a_val, f_val, h_val, eta_val, lam1, mu1 = J.a_val, J.f_val, J.h_val, J.eta_val, J.lam1, J.mu1
         lam, mu = lam1.value, mu1.value
-
-        dr = contract(f_val, a_val) * 2.0
         t1_coef = (2.0 / (3.0 * lam**2 * mu**4)) * (
             (lam1**2 * mu1**4).partial(0) - s * lam**4 * mu**2
         )
-        tau1 = dr * t1_coef
+        tau1 = J.dr * t1_coef
 
         t2_coef = (mu1**2 / lam1**2).partial(0) - 2.0 * s
         h_at = contract(h_val, a_val)
@@ -211,7 +206,6 @@ class XSpaceChart(Chart):
         tau3 = contract(f_val @ rho_b, a_val) * (-b * lam**2)
 
         p = np.linalg.inv(self.adapted_coframe(point))
-        s7 = standard_phi(lam, mu, self.branch)
         t1a, t2a, t3a = (t.transform(p) for t in (tau1, tau2, tau3))
         e14 = s7.w14_eigenvalue
         mem2 = s7.gnorm(t2a.wedge(s7.phi) - e14 * s7.hodge(t2a))
@@ -229,9 +223,7 @@ class XSpaceChart(Chart):
 
     def torsion_numeric(self, point, tol: float = 1e-9) -> TorsionForms:
         """Torsion via jet differentiation and the pointwise decomposition."""
-        J = self.jets(point, 1)
-        s7 = standard_phi(J.lam.value, J.mu.value, self.branch)
-        return torsion_decompose(s7, *self.adapted_derivatives(point), tol)
+        return torsion_decompose(self.structure(point), *self.adapted_derivatives(point), tol)
 
     def sample_points(self, count: int, rng, a_max: float = 1.2) -> np.ndarray:
         """Seeded probes: base in the model safe box, fiber within |a| <= a_max

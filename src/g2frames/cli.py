@@ -2,13 +2,14 @@
 
 A run selects a base model, a bundle (2-form bundle X or coframe bundle P),
 a branch, and a scale profile, then executes every check relevant to that
-scenario over seeded probe points.  Each record names the identity it
-verifies via a stable anchor string, so independent implementations can be
-compared field by field.  Probes run one at a time and each named
-per-probe value is reduced once over all probes with NaN-propagating
-maxima (``np.max``; the never-calibrated bound takes ``np.min``), so a
-report is deterministic for a fixed seed and a NaN on any probe fails its
-record.
+scenario over the chart's seeded probe points.  Each record names the
+identity it verifies via a stable anchor string, so independent
+implementations can be compared field by field.  Probes run one at a time,
+the frame records at the probe's base point on the chart's own frame bundle
+first, so each probe builds its base frame once.  Each named per-probe value
+is reduced over all probes with NaN-propagating maxima (``np.max``; the
+never-calibrated bound takes ``np.min``): a report is deterministic for a
+fixed seed and a NaN on any probe fails its record.
 """
 
 from __future__ import annotations
@@ -163,6 +164,8 @@ class RunConfig:
             _check_type(f"params.{pkey}", value, _PARAM_KEYS[pkey])
             if value <= 0:
                 raise ConfigError(f"invalid value for key 'params.{pkey}': must be positive")
+            if pkey not in get_model(raw["model"]).params:
+                raise ConfigError(f"invalid value for key 'params.{pkey}': {raw['model']!r} takes no {pkey}")
         cfg = RunConfig(
             model=raw["model"],
             space=raw["space"],
@@ -281,13 +284,33 @@ def _record(check: str, value: float, tol: float, comparison: str = "<=") -> Rec
 _NORM_KEYS = ("tau0", "tau1", "tau2", "tau3")
 
 
-def _probe_rows(stage: str, probe, points) -> list:
-    """Each probe's named values, in probe order; a numerical error names
-    the stage and the probe index (from 0)."""
+def _frame_values(chart, x) -> dict:
+    """The frame values at the base point ``x``, on the chart's frame bundle."""
+    bundle, exp = chart.frame, chart.model.expected
+    st = bundle.singer_thorpe(x)
+    res = [bundle.duality_residuals(x, b) for b in (1, -1)]
+    got = predicates(st)
+    flags_ok = all(getattr(got, k) == getattr(exp, k) for k in ("einstein", "sd", "asd", "scalar_flat"))
+    return {
+        "frames/cartan": bundle.cartan_residual(x),
+        "frames/duality-structure": np.max([r["structure"] for r in res]),
+        "frames/bianchi": np.max([r["bianchi"] for r in res]),
+        "frames/block-symmetry": st.sym_residual,
+        "frames/trace-identity": st.trace_residual,
+        "frames/flag-table": np.max([0.0 if flags_ok else 1.0, abs(st.s - exp.s_value)]),
+    }
+
+
+def _probe_rows(stage: str, chart, probe, points) -> list:
+    """Each probe's named values, in probe order: its frame values at pt[3:],
+    then its chart values; an error names the stage and the probe (from 0)."""
     rows = []
     for i, pt in enumerate(points):
+        with _stage(f"frame records, probe {i}"):
+            row = _frame_values(chart, tuple(pt[3:]))
         with _stage(f"{stage}, probe {i}"):
-            rows.append(probe(tuple(pt)))
+            row.update(probe(tuple(pt)))
+        rows.append(row)
     return rows
 
 
@@ -297,27 +320,11 @@ def _worst(rows) -> dict:
     return {name: float(np.max([row[name] for row in rows])) for name in rows[0]}
 
 
-def _frame_records(spec, bundle, points, tol) -> list:
-    exp = spec.expected
-
-    def probe(pt):
-        st = bundle.singer_thorpe(pt)
-        res = [bundle.duality_residuals(pt, b) for b in (1, -1)]
-        got = predicates(st)
-        flags_ok = all(getattr(got, k) == getattr(exp, k) for k in ("einstein", "sd", "asd", "scalar_flat"))
-        return {
-            "frames/cartan": bundle.cartan_residual(pt),
-            "frames/duality-structure": np.max([r["structure"] for r in res]),
-            "frames/bianchi": np.max([r["bianchi"] for r in res]),
-            "frames/block-symmetry": st.sym_residual,
-            "frames/trace-identity": st.trace_residual,
-            "frames/flag-table": np.max([0.0 if flags_ok else 1.0, abs(st.s - exp.s_value)]),
-        }
-
-    worst = _worst(_probe_rows("frame records", probe, points))
+def _frame_records(worst, tol) -> list:
     return [
         _record(check, value, 1e-7 if check == "frames/flag-table" else tol)
         for check, value in worst.items()
+        if check.startswith("frames/")
     ]
 
 
@@ -340,9 +347,9 @@ def _x_records(cfg: RunConfig, spec, chart: XSpaceChart, rng):
             **tn.norms(chart.structure(pt).g_diag),
         }
 
-    worst = _worst(_probe_rows("X records", probe, points))
+    worst = _worst(_probe_rows("X records", chart, probe, points))
     norms = {k: worst[k] for k in _NORM_KEYS}
-    records = [
+    records = _frame_records(worst, cfg.tol) + [
         _record("x/radius-differential", worst["dr"], 1e-9),
         _record("x/taut-2-form", worst["d_eta_at"], cfg.tol),
         _record("x/beta-differential", worst["dbeta"], cfg.tol),
@@ -393,9 +400,9 @@ def _p_records(cfg: RunConfig, spec, chart: PSpaceChart, rng):
             **tn.norms(s7.g_diag),
         }
 
-    rows = _probe_rows("P records", probe, points)
+    rows = _probe_rows("P records", chart, probe, points)
     worst = _worst(rows)
-    records = [
+    records = _frame_records(worst, cfg.tol) + [
         _record("p/identities", worst["identities"], cfg.tol),
         _record("p/cocalibrated", worst["dpsi"], 1e-9),
         _record("p/never-calibrated", np.min([r["dphi"] for r in rows]), 1e-3, comparison=">"),
@@ -419,14 +426,11 @@ def _p_records(cfg: RunConfig, spec, chart: PSpaceChart, rng):
 def run(config: RunConfig) -> Report:
     """Execute the suite selected by the configuration and build the report."""
     spec = get_model(config.model, **config.params)
-    bundle = spec.bundle()
     rng = np.random.default_rng(config.seed)
-    with _stage("frame records"):
-        records = _frame_records(spec, bundle, spec.sample_points(config.probes, rng), config.tol)
     if config.space == "X":
         with _stage("X records"):
             chart = XSpaceChart(spec, config.branch, config.make_profile())
-            more, label = _x_records(config, spec, chart, rng)
+            records, label = _x_records(config, spec, chart, rng)
     else:
         prof = config.profile
         if prof["kind"] != "constant":
@@ -435,8 +439,7 @@ def run(config: RunConfig) -> Report:
             )
         with _stage("P records"):
             chart = PSpaceChart(spec, config.branch, prof["lam"], prof["mu"])
-            more, label = _p_records(config, spec, chart, rng)
-    records.extend(more)
+            records, label = _p_records(config, spec, chart, rng)
     environment = {
         "seed": config.seed,
         "probeBox": [list(b) for b in spec.safe_box],

@@ -144,7 +144,7 @@ class BaseData:
 
     ``order`` is the jet order of the metric stage; the connection ``conn``
     lives one order lower and the curvature ``curv`` (``None`` below order 2)
-    two lower, each a 4x4 ``MatrixForm``.
+    two lower, each a 4x4 ``MatrixForm``; ``blocks`` caches ``singer_thorpe``.
     """
 
     point: tuple
@@ -156,6 +156,7 @@ class BaseData:
     conn: MatrixForm
     curv: MatrixForm | None
     _duality: dict = field(default_factory=dict, repr=False)
+    blocks: "SingerThorpe | None" = field(default=None, repr=False)
 
     def duality(self, branch: int):
         """(eta row, connection row, curvature row) on the chosen branch."""
@@ -237,8 +238,11 @@ class FrameBundle:
 
     # -- curvature blocks --------------------------------------------------
     def singer_thorpe(self, point) -> "SingerThorpe":
-        raw = self._blocks_raw(point)
-        return _assemble_blocks(raw, pairing_sign())
+        """Curvature blocks at ``point``, assembled once per base build."""
+        bd = self.base(point, 2)
+        if bd.blocks is None:
+            bd.blocks = _assemble_blocks(self._blocks_raw(point), pairing_sign())
+        return bd.blocks
 
     def _blocks_raw(self, point):
         """(A~, B~ on branch +1, B~, C~ on branch -1): the curvature rows read

@@ -3,17 +3,18 @@
 import json
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from g2frames import cli
+from g2frames import cli, frames4
 from g2frames.bundle7.profiles import ProfileDomainError
 from g2frames.bundle7.pspace import ChartBoundError, PSpaceChart
 from g2frames.bundle7.radial import QuadratureError
 from g2frames.bundle7.xspace import EDGE_MARGIN, XSpaceChart
 from g2frames.cli import ConfigError, RunConfig, SUITES, list_suites, main, run
-from g2frames.frames4 import NonSPDMetricError, ResidualError
+from g2frames.frames4 import FrameBundle, NonSPDMetricError, ResidualError, pairing_sign
 from g2frames.g2point import DecompositionError, DegeneratePhiError
 
 BS_SPHERE = {
@@ -126,8 +127,8 @@ def _bs_disk(model, branch, c0, c1, seed, s=-1.0):
 @pytest.mark.parametrize(
     "config",
     [
-        _bs_disk("complexHyperbolic", -1, 0.7146291960581727, 0.99185580123044, 832963751),
-        _bs_disk("hyperbolic4", -1, 1.109659121679155, 0.8990970453903618, 1376606054),
+        _bs_disk("complexHyperbolic", -1, 0.8495547166611666, 1.083004300388044, 891803367),
+        _bs_disk("hyperbolic4", -1, 0.8507411974997299, 1.1948614565131122, 999647762),
         _bs_disk("hyperbolic4", -1, 0.7315174007497934, 1.2477409560985078, 897479909),
         _bs_disk("hyperbolic4", -1, 0.8221760417874919, 0.9271761576400941, 1741789300),
         _bs_disk("hyperbolic4", 1, 0.7629268917357519, 0.7394607137369108, 2089212427),
@@ -185,6 +186,32 @@ def test_records_hold_with_room_at_the_edge_margin(monkeypatch, model, branch, s
         report = run(RunConfig.from_dict(_bs_disk(model, branch, c0, c1, seed, s=s)))
         for rec in report.records:
             assert rec.value <= 1e-2 * rec.tolerance, (rec.check, rec.value)
+
+
+@pytest.mark.parametrize("config", [BS_SPHERE, P_HYPER], ids=["X", "P"])
+def test_each_probe_builds_its_base_frame_once(monkeypatch, config):
+    cfg = RunConfig.from_dict(dict(config, probes=10))
+    pairing_sign()  # the sign anchor builds its own sphere frame once per process
+    calls = Counter()
+    seen = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    frame_values = cli._frame_values
+    monkeypatch.setattr(FrameBundle, "_build", counted("build", FrameBundle._build))
+    monkeypatch.setattr(frames4, "_assemble_blocks", counted("blocks", frames4._assemble_blocks))
+    monkeypatch.setattr(cli, "_frame_values", lambda chart, x: seen.append((chart, x)) or frame_values(chart, x))
+    assert run(cfg).passed
+    assert calls == {"build": 10, "blocks": 10}
+    # the frame records read the base points of the chart's own probes
+    chart = seen[0][0]
+    base = chart.sample_points(10, np.random.default_rng(cfg.seed))[:, 3:]
+    assert all(c is chart for c, _ in seen) and np.array_equal([x for _, x in seen], base)
 
 
 def test_reports_deterministic_and_parallel_identical():
@@ -270,6 +297,11 @@ def test_list_suites_mentions_core_checks(capsys):
         ),
         # bs_profile squares c0, which overflows before any probe runs
         ({"profile": {"kind": "bs", "s": 1.0, "c0": 1e160, "c1": 1.0}}, "profile"),
+        # only sphere4 and hyperbolic4 take a curvature scale
+        ({"model": "flat", "branch": 1, "params": {"kappa": 7.0}}, "params.kappa"),
+        ({"model": "fubiniStudy", "params": {"kappa": 7.0}}, "params.kappa"),
+        ({"model": "complexHyperbolic", "params": {"kappa": 7.0}}, "params.kappa"),
+        ({"model": "productS2H2", "branch": 1, "params": {"kappa": 7.0}}, "params.kappa"),
     ],
 )
 def test_main_rejects_mistyped_config(tmp_path, capsys, change, key):
