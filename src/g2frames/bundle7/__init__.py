@@ -11,7 +11,7 @@ from .profiles import (
     random_smooth_profile,
     two_of_three_report,
 )
-from .pspace import CanonicalFormsP, ChartBoundError, PSpaceChart, rotation_jets
+from .pspace import ChartBoundError, PSpaceChart, rotation_jets
 from .radial import (
     GeodesicTrace,
     RadialGeometry,
@@ -21,7 +21,7 @@ from .radial import (
     radius_length,
     radius_length_riemann,
 )
-from .xspace import CanonicalFormsX, DualityHypothesisError, FiberPointX, XSpaceChart
+from .xspace import DualityHypothesisError, XSpaceChart
 
 __all__ = [
     "Chart",
@@ -34,7 +34,6 @@ __all__ = [
     "profile_from_tau1_and_tau2",
     "random_smooth_profile",
     "two_of_three_report",
-    "CanonicalFormsP",
     "ChartBoundError",
     "PSpaceChart",
     "rotation_jets",
@@ -45,8 +44,6 @@ __all__ = [
     "radial_geometry",
     "radius_length",
     "radius_length_riemann",
-    "CanonicalFormsX",
     "DualityHypothesisError",
-    "FiberPointX",
     "XSpaceChart",
 ]

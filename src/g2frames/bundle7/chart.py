@@ -2,9 +2,10 @@
 
 Both are 7-dimensional charts with fiber coordinates first (labels 1..3) and
 base coordinates last (labels 4..7).  A subclass builds every chart quantity
-at one point as 7-variable jet forms (``_build``); this base keeps only the
-latest ``(point, order)`` build, reads the structure forms and their exterior
-derivatives off them, and compares closed and numeric torsion.
+at one point as 7-variable jet forms (``_build``) and names its adapted
+coframe (``_coframe``); this base keeps only the latest ``(point, order)``
+build, adds to it d phi, d psi, the adapted coframe, its inverse and
+(d phi, d psi) in that coframe, and ends the closed torsion of both charts.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..exterior import JetForm, combo_pos, combos
+from ..exterior import JetForm, Multivector, combo_pos, combos
 from ..g2point import TorsionForms
 from ..jets import _embed_index
 from ..jets import table as jet_table
@@ -71,9 +72,9 @@ def torsion_gap(closed: TorsionForms, numeric: TorsionForms) -> float:
 class Chart:
     """One branch of a rank-3 bundle chart over a catalog model.
 
-    Subclasses provide ``_build(point, order)``, returning an object with at
-    least ``phi`` and ``psi`` jet forms, and ``adapted_coframe``,
-    ``torsion_closed`` and ``torsion_numeric``.
+    Subclasses provide ``_build(point, order)``, returning a namespace with
+    at least ``phi`` and ``psi`` jet forms; ``_coframe(J)``, the adapted
+    coframe of a build; and ``torsion_closed`` and ``torsion_numeric``.
     """
 
     def __init__(self, model: ModelSpec, branch: int):
@@ -85,10 +86,17 @@ class Chart:
         self._last = None  # (key, build) of the latest build only
 
     def jets(self, point, order: int = 1):
+        """The build at ``(point, order)``, with d phi, d psi and the adapted
+        coframe (rows over (du, dx)), its inverse and (d phi, d psi) in it."""
         key = (tuple(float(v) for v in point), order)
         last = self._last
         if last is None or last[0] != key:
-            last = self._last = (key, self._build(key[0], order))
+            J = self._build(key[0], order)
+            J.dphi, J.dpsi = J.phi.d_value(), J.psi.d_value()
+            J.coframe = self._coframe(J)
+            J.coframe_inv = np.linalg.inv(J.coframe)
+            J.adapted = (J.dphi.transform(J.coframe_inv), J.dpsi.transform(J.coframe_inv))
+            last = self._last = (key, J)
         return last[1]
 
     def phi_at(self, point):
@@ -98,19 +106,37 @@ class Chart:
         return self.jets(point, 1).psi.value()
 
     def dphi_at(self, point):
-        return self.jets(point, 1).phi.d_value()
+        return self.jets(point, 1).dphi
 
     def dpsi_at(self, point):
-        return self.jets(point, 1).psi.d_value()
+        return self.jets(point, 1).dpsi
+
+    def adapted_coframe(self, point) -> np.ndarray:
+        """Rows: the coframe in which phi is standard, over (du, dx)."""
+        return self.jets(point, 1).coframe
 
     def adapted_derivatives(self, point):
         """(d phi, d psi) in the adapted coframe, where phi is standard."""
-        p = np.linalg.inv(self.adapted_coframe(point))
-        return self.dphi_at(point).transform(p), self.dpsi_at(point).transform(p)
+        return self.jets(point, 1).adapted
 
     def torsion_gap(self, point) -> float:
         """Componentwise gap between the closed and numeric torsion forms."""
         return torsion_gap(self.torsion_closed(point), self.torsion_numeric(point))
+
+    @staticmethod
+    def _closed_torsion(J, s7, tau0: float, tau3, tau12=None) -> TorsionForms:
+        """Closed torsion forms moved to the adapted coframe, with their W2
+        and W3 membership; ``tau12 = None`` stands for tau1 = tau2 = 0."""
+        t3a = tau3.transform(J.coframe_inv)
+        mem3 = max(s7.gnorm(t3a.wedge(s7.phi)), s7.gnorm(t3a.wedge(s7.psi)))
+        if tau12 is None:
+            t1a, t2a, mem2 = Multivector(N, 1), Multivector(N, 2), 0.0
+        else:
+            t1a, t2a = (t.transform(J.coframe_inv) for t in tau12)
+            mem2 = s7.gnorm(t2a.wedge(s7.phi) - s7.w14_eigenvalue * s7.hodge(t2a))
+        return TorsionForms(
+            tau0, t1a, t2a, t3a, residual_phi=0.0, residual_psi=0.0, membership_w2=mem2, membership_w3=mem3
+        )
 
     def _sample(self, count: int, rng, bound: float, accept) -> np.ndarray:
         """Seeded probes: fiber coordinates uniform in [-bound, bound]^3 and

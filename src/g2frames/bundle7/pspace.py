@@ -17,7 +17,6 @@ exposed as ``identity_residuals`` and checked pointwise in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,16 +36,6 @@ class ChartBoundError(ValueError):
             f"fiber coordinate norm {norm:.4f} outside the exponential chart "
             f"(requires |u| < {CHART_BOUND:.4f})"
         )
-
-
-@dataclass(frozen=True)
-class CanonicalFormsP:
-    eta: tuple
-    f: tuple
-    rho_hat: tuple
-    beta: Multivector
-    vol: Multivector
-    omega: list  # 3x3 value matrix of the total connection
 
 
 def _series_derivs(t: float, order: int, shift: int) -> list:
@@ -140,40 +129,30 @@ class PSpaceChart(Chart):
         lam, mu, b = self.lam, self.mu, float(self.branch)
         J.phi = J.beta * lam**3 - J.eta_f * (b * lam * mu**2)
         J.psi = J.vol * mu**4 - J.eta_om_f * (lam**2 * mu**2 / 2.0)
+        # point values that the identity block and the closed torsion share
+        J.f_val, J.rho_hat_val = (MatrixForm([row]).value() for row in (J.f, J.rho_hat))
+        J.eta_val, J.omega_val, J.rho_val = J.eta.value(), J.omega.value(), J.rho.value()
+        J.beta_val, J.vol_val = J.beta.value(), J.vol.value()
         return J
 
-    # -- contract surfaces ---------------------------------------------------
-    def canonical_forms(self, point) -> CanonicalFormsP:
-        J = self.jets(point, 1)
-        return CanonicalFormsP(
-            eta=tuple(J.eta[0, i].value() for i in range(3)),
-            f=tuple(f.value() for f in J.f),
-            rho_hat=tuple(r.value() for r in J.rho_hat),
-            beta=J.beta.value(),
-            vol=J.vol.value(),
-            omega=[[J.omega[i, j].value() for j in range(3)] for i in range(3)],
-        )
-
-    def structure(self) -> G2Structure:
-        return self._structure
-
-    def adapted_coframe(self, point) -> np.ndarray:
+    @staticmethod
+    def _coframe(J) -> np.ndarray:
         """Rows of (f.g^t, theta): the coframe in which phi is standard."""
-        J = self.jets(point, 1)
         g = J.g_val
         e = components(J.f + J.theta)
         e[:3] = [sum(g[j][i] * e[i] for i in range(3)) for j in range(3)]
         return e
+
+    def structure(self) -> G2Structure:
+        return self._structure
 
     # -- identity block -------------------------------------------------------
     def identity_residuals(self, point) -> dict:
         """Pointwise residuals of the structural and algebraic identities."""
         J = self.jets(point, 1)
         b = float(self.branch)
-        f, rho_hat = (MatrixForm([row]).value() for row in (J.f, J.rho_hat))
-        eta, om, rho = J.eta.value(), J.omega.value(), J.rho.value()
-        beta = J.beta.value()
-        vol = J.vol.value()
+        f, rho_hat, eta, om, rho = J.f_val, J.rho_hat_val, J.eta_val, J.omega_val, J.rho_val
+        beta, vol = J.beta_val, J.vol_val
         st = self.frame.singer_thorpe(tuple(point[3:]))
 
         res = {}
@@ -236,31 +215,16 @@ class PSpaceChart(Chart):
         s = st.s
         lam, mu, b = self.lam, self.mu, float(self.branch)
         tau0 = b * (6.0 / (7.0 * lam * mu**2)) * (mu**2 + 2.0 * s * lam**2)
-        f = MatrixForm([J.f]).value()
-        beta = J.beta.value()
-        star_rho = MatrixForm([[self._star_horizontal(r.value(), point) for r in J.rho_hat]])
+        star_rho = MatrixForm([[self._star_horizontal(J.rho_hat_val[0, i], point) for i in range(3)]])
         tau3 = (
-            (star_rho @ f.T)[0, 0] * lam**2
-            - (J.eta.value() @ f.T)[0, 0] * ((mu**2 - 12.0 * s * lam**2) / 7.0)
-            + beta * (b * (30.0 * s * lam**4 / mu**2 - 6.0 * lam**2) / 7.0)
+            (star_rho @ J.f_val.T)[0, 0] * lam**2
+            - (J.eta_val @ J.f_val.T)[0, 0] * ((mu**2 - 12.0 * s * lam**2) / 7.0)
+            + J.beta_val * (b * (30.0 * s * lam**4 / mu**2 - 6.0 * lam**2) / 7.0)
         )
-        p = np.linalg.inv(self.adapted_coframe(point))
-        t3a = tau3.transform(p)
-        s7 = self.structure()
-        mem3 = max(s7.gnorm(t3a.wedge(s7.phi)), s7.gnorm(t3a.wedge(s7.psi)))
-        return TorsionForms(
-            tau0=float(tau0),
-            tau1=Multivector(N, 1),
-            tau2=Multivector(N, 2),
-            tau3=t3a,
-            residual_phi=0.0,
-            residual_psi=0.0,
-            membership_w2=0.0,
-            membership_w3=mem3,
-        )
+        return self._closed_torsion(J, self._structure, float(tau0), tau3)
 
     def torsion_numeric(self, point, tol: float = 1e-9) -> TorsionForms:
-        return torsion_decompose(self.structure(), *self.adapted_derivatives(point), tol)
+        return torsion_decompose(self._structure, *self.jets(point, 1).adapted, tol)
 
     def _star_horizontal(self, mv: Multivector, point) -> Multivector:
         """Base Hodge star on a purely horizontal 2-form, lifted to the chart."""

@@ -17,7 +17,6 @@ system; the torsion cross-check below is the central test of the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,21 +45,6 @@ class DualityHypothesisError(ValueError):
             f"base model violates the {side} hypothesis for branch {branch:+d}: "
             f"residual Weyl norm {norm:.3e}"
         )
-
-
-@dataclass(frozen=True)
-class FiberPointX:
-    a: np.ndarray
-    r: float
-
-
-@dataclass(frozen=True)
-class CanonicalFormsX:
-    eta: tuple
-    f: tuple
-    h: tuple
-    beta: Multivector
-    vol: Multivector
 
 
 class XSpaceChart(Chart):
@@ -100,28 +84,15 @@ class XSpaceChart(Chart):
         J.lam1, J.mu1 = lam_p.truncate(1), mu_p.truncate(1)
         J.a_val = np.array([a.value for a in J.a])
         J.f_val, J.h_val, J.eta_val = (MatrixForm([row]).value() for row in (J.f, J.h, J.eta))
+        J.rho_val = check([r.value() for r in J.rho3])
+        J.beta_val, J.vol_val = J.beta.value(), J.vol.value()
         J.dr = contract(J.f_val, J.a_val) * 2.0
         J.s7 = standard_phi(J.lam.value, J.mu.value, self.branch)
         return J
 
-    # -- contract surfaces -------------------------------------------------
-    def fiber_point(self, point) -> FiberPointX:
-        a = np.asarray(point[:3], dtype=float)
-        return FiberPointX(a=a, r=float(a @ a))
-
-    def canonical_forms(self, point) -> CanonicalFormsX:
-        J = self.jets(point, 1)
-        return CanonicalFormsX(
-            eta=tuple(e.value() for e in J.eta),
-            f=tuple(f.value() for f in J.f),
-            h=tuple(h.value() for h in J.h),
-            beta=J.beta.value(),
-            vol=J.vol.value(),
-        )
-
-    def adapted_coframe(self, point) -> np.ndarray:
+    @staticmethod
+    def _coframe(J) -> np.ndarray:
         """Rows: components of (f1, f2, f3, theta4..theta7) over (da, dx)."""
-        J = self.jets(point, 1)
         return components(J.f + J.theta)
 
     def structure(self, point) -> G2Structure:
@@ -131,8 +102,7 @@ class XSpaceChart(Chart):
     def structure_residuals(self, point) -> dict:
         """Residuals of the closed differential system against jet evaluation."""
         J = self.jets(point, 1)
-        a_val, f_val, h_val, eta_val, dr = J.a_val, J.f_val, J.h_val, J.eta_val, J.dr
-        rho_m = check([r.value() for r in J.rho3])
+        a_val, f_val, h_val, eta_val, dr, rho_m = J.a_val, J.f_val, J.h_val, J.eta_val, J.dr, J.rho_val
         b = float(self.branch)
 
         # d r = 2 f a^t
@@ -158,20 +128,18 @@ class XSpaceChart(Chart):
         d_mu4 = (mu1**4).partial(0)
         d_lam2mu2 = (lam1**2 * mu1**2).partial(0)
         eta_h = (eta_val @ h_val.T)[0, 0]
-        vol = J.vol.value()
-        beta = J.beta.value()
         dphi_closed = (
-            dr.wedge(beta) * d_lam3
+            dr.wedge(J.beta_val) * d_lam3
             + h_rho_a * lam**3
             - b * d_lammu2 * dr.wedge(eta_f)
         )
         dpsi_closed = (
-            dr.wedge(vol) * d_mu4
+            dr.wedge(J.vol_val) * d_mu4
             - d_lam2mu2 * dr.wedge(eta_h)
             + eta_fc_rho_a * (lam**2 * mu**2)
         )
-        res["dphi_system"] = (self.dphi_at(point) - dphi_closed).sup()
-        res["dpsi_system"] = (self.dpsi_at(point) - dpsi_closed).sup()
+        res["dphi_system"] = (J.dphi - dphi_closed).sup()
+        res["dpsi_system"] = (J.dpsi - dpsi_closed).sup()
         return res
 
     # -- torsion, two ways ---------------------------------------------------
@@ -187,7 +155,7 @@ class XSpaceChart(Chart):
         """Closed-form torsion components in the adapted basis."""
         s = self._singer_thorpe(point).s
         J = self.jets(point, 1)
-        b, s7 = float(self.branch), J.s7
+        b = float(self.branch)
         a_val, f_val, h_val, eta_val, lam1, mu1 = J.a_val, J.f_val, J.h_val, J.eta_val, J.lam1, J.mu1
         lam, mu = lam1.value, mu1.value
         t1_coef = (2.0 / (3.0 * lam**2 * mu**4)) * (
@@ -202,28 +170,14 @@ class XSpaceChart(Chart):
             -b * t2_coef
         )
 
-        rho_b = check([r.value() for r in J.rho3]) + check(eta_val) * (b * s)
+        rho_b = J.rho_val + check(eta_val) * (b * s)
         tau3 = contract(f_val @ rho_b, a_val) * (-b * lam**2)
-
-        p = np.linalg.inv(self.adapted_coframe(point))
-        t1a, t2a, t3a = (t.transform(p) for t in (tau1, tau2, tau3))
-        e14 = s7.w14_eigenvalue
-        mem2 = s7.gnorm(t2a.wedge(s7.phi) - e14 * s7.hodge(t2a))
-        mem3 = max(s7.gnorm(t3a.wedge(s7.phi)), s7.gnorm(t3a.wedge(s7.psi)))
-        return TorsionForms(
-            tau0=0.0,
-            tau1=t1a,
-            tau2=t2a,
-            tau3=t3a,
-            residual_phi=0.0,
-            residual_psi=0.0,
-            membership_w2=mem2,
-            membership_w3=mem3,
-        )
+        return self._closed_torsion(J, J.s7, 0.0, tau3, (tau1, tau2))
 
     def torsion_numeric(self, point, tol: float = 1e-9) -> TorsionForms:
         """Torsion via jet differentiation and the pointwise decomposition."""
-        return torsion_decompose(self.structure(point), *self.adapted_derivatives(point), tol)
+        J = self.jets(point, 1)
+        return torsion_decompose(J.s7, *J.adapted, tol)
 
     def sample_points(self, count: int, rng, a_max: float = 1.2) -> np.ndarray:
         """Seeded probes: base in the model safe box, fiber within |a| <= a_max

@@ -187,6 +187,11 @@ class RunConfig:
             cfg.make_profile()
         except (ValueError, ArithmeticError) as exc:
             raise ConfigError(f"invalid value for key 'profile': {exc}") from None
+        try:
+            get_model(cfg.model, **cfg.params)
+        except ArithmeticError as exc:
+            msg = f"building {cfg.model!r} fails: {exc}"
+            raise ConfigError(f"invalid value for key 'params.kappa': {msg}") from None
         return cfg
 
     def to_dict(self) -> dict:

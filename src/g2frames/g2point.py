@@ -97,11 +97,15 @@ def _unit_structure_split(branch: int):
 
 
 def _scale(lam: float, mu: float, v: int, h: int) -> float:
-    """lam**v * mu**h; a power that overflows raises an OverflowError naming it."""
+    """lam**v * mu**h; a power that overflows, or a scale that underflows to
+    0, raises an ArithmeticError naming it."""
     try:
-        return lam**v * mu**h
+        out = lam**v * mu**h
     except OverflowError:
         raise OverflowError(f"lam**{v} * mu**{h} overflows at lam = {lam!r}, mu = {mu!r}") from None
+    if out == 0.0:
+        raise FloatingPointError(f"lam**{v} * mu**{h} underflows to 0 at lam = {lam!r}, mu = {mu!r}")
+    return out
 
 
 class G2Structure:

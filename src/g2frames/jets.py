@@ -264,12 +264,18 @@ class Jet:
         return self.compose(_inverse_powers("reciprocal", v, self.order + 1))
 
     def power(self, p: float) -> "Jet":
+        """self**p; a power of the value that overflows raises an
+        OverflowError naming the power and v."""
         v = self.value
-        ders = [v**p]
-        c = p
-        for k in range(1, self.order + 1):
-            ders.append(c * v ** (p - k))
-            c *= p - k
+        k = 0
+        try:
+            ders = [v**p]
+            c = p
+            for k in range(1, self.order + 1):
+                ders.append(c * v ** (p - k))
+                c *= p - k
+        except OverflowError:
+            raise OverflowError(f"jet power {p:g} at v = {v!r}: v**{p - k:g} overflows") from None
         return self.compose(ders)
 
     def sqrt(self) -> "Jet":

@@ -206,8 +206,10 @@ def test_each_probe_builds_its_base_frame_once(monkeypatch, config):
     monkeypatch.setattr(FrameBundle, "_build", counted("build", FrameBundle._build))
     monkeypatch.setattr(frames4, "_assemble_blocks", counted("blocks", frames4._assemble_blocks))
     monkeypatch.setattr(cli, "_frame_values", lambda chart, x: seen.append((chart, x)) or frame_values(chart, x))
+    cls = XSpaceChart if cfg.space == "X" else PSpaceChart
+    monkeypatch.setattr(cls, "_coframe", staticmethod(counted("coframe", cls._coframe)))
     assert run(cfg).passed
-    assert calls == {"build": 10, "blocks": 10}
+    assert calls == {"build": 10, "blocks": 10, "coframe": 10}
     # the frame records read the base points of the chart's own probes
     chart = seen[0][0]
     base = chart.sample_points(10, np.random.default_rng(cfg.seed))[:, 3:]
@@ -302,6 +304,9 @@ def test_list_suites_mentions_core_checks(capsys):
         ({"model": "fubiniStudy", "params": {"kappa": 7.0}}, "params.kappa"),
         ({"model": "complexHyperbolic", "params": {"kappa": 7.0}}, "params.kappa"),
         ({"model": "productS2H2", "branch": 1, "params": {"kappa": 7.0}}, "params.kappa"),
+        # the model divides by kappa**2, which overflows or underflows to 0
+        ({"params": {"kappa": 1e200}}, "params.kappa"),
+        ({"params": {"kappa": 1e-200}}, "params.kappa"),
     ],
 )
 def test_main_rejects_mistyped_config(tmp_path, capsys, change, key):
@@ -457,14 +462,26 @@ def test_overflowing_run_fails_with_one_line(tmp_path, capsys, config):
         ),
         (
             dict(BS_SPHERE, profile={"kind": "bs", "s": 1.0, "c0": 1e-160, "c1": 1.0}, probes=3, seed=1),
-            "X records, probe 0: jet reciprocal at v = 1e-320: v**2 is 0 in the term -1/v**2",
+            "X records, probe 0: lam**3 * mu**4 underflows to 0 at lam = 9.9999",
         ),
         (
             dict(BS_SPHERE, params={"kappa": 1e-3}, profile={"kind": "bs", "s": 1e6, "c0": 1.0, "c1": 1.0}),
             "frame records, probe 0: ",
         ),
+        (
+            dict(P_OVERFLOW, branch=1, profile={"kind": "constant", "lam": 1e-200, "mu": 1.0}, probes=2),
+            "P records: lam**2 * mu**0 underflows",
+        ),
+        (
+            dict(BS_SPHERE, profile={"kind": "constant", "lam": 1e-200, "mu": 1.0}, probes=2, seed=1),
+            "X records, probe 0: ",
+        ),
+        (
+            dict(BS_SPHERE, model="flat", branch=1, profile={"kind": "bs", "s": 0.0, "c0": 1.0, "c1": 1e-300}),
+            "X records, probe 0: jet power -0.5 at v = 1e-300: v**-1.5 overflows",
+        ),
     ],
-    ids=["P-lam-1e100", "X-bs-c0-1e-160", "frame-kappa-1e-3"],
+    ids=["P-lam-1e100", "X-bs-c0-1e-160", "frame-kappa-1e-3", "P-lam-1e-200", "X-lam-1e-200", "X-bs-c1-1e-300"],
 )
 def test_numerical_failure_names_its_stage_and_probe(tmp_path, capsys, config, where):
     path = tmp_path / "cfg.json"

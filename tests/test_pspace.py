@@ -65,6 +65,10 @@ def test_adapted_basis_standardizes_phi_psi():
         p = np.linalg.inv(chart.adapted_coframe(pt))
         assert (chart.phi_at(pt).transform(p) - s7.phi).sup() < 1e-10
         assert (chart.psi_at(pt).transform(p) - s7.psi).sup() < 1e-10
+        # the build holds (d phi, d psi) in the adapted coframe
+        dphi_a, dpsi_a = chart.adapted_derivatives(pt)
+        assert np.array_equal(dphi_a.coef, chart.dphi_at(pt).transform(p).coef)
+        assert np.array_equal(dpsi_a.coef, chart.dpsi_at(pt).transform(p).coef)
 
 
 def test_always_cocalibrated_never_calibrated():
@@ -167,13 +171,15 @@ def test_canonical_forms_exposed():
     chart = make_chart("sphere4", 1, 1.0, 1.0)
     rng = np.random.default_rng(SEED)
     pt = tuple(chart.sample_points(1, rng)[0])
-    forms = chart.canonical_forms(pt)
+    J = chart.jets(pt)
     # beta = f1 f2 f3 and the connection matrix is skew
-    beta = forms.f[0].wedge(forms.f[1]).wedge(forms.f[2])
-    assert (beta - forms.beta).sup() < 1e-12
+    f = [x.value() for x in J.f]
+    beta = f[0].wedge(f[1]).wedge(f[2])
+    assert (beta - J.beta.value()).sup() < 1e-12
+    omega = J.omega.value()
     for i in range(3):
         for j in range(3):
-            assert (forms.omega[i][j] + forms.omega[j][i]).sup() < 1e-12
+            assert (omega[i, j] + omega[j, i]).sup() < 1e-12
 
 
 def test_star_horizontal_rejects_vertical_component():

@@ -42,8 +42,8 @@ def test_flat_constant_profile_is_parallel():
 
 def test_fiber_point_and_radius():
     chart = make_chart("sphere4", -1)
-    fp = chart.fiber_point((0.3, -0.4, 1.2, 0, 0, 0, 0))
-    assert fp.r == pytest.approx(0.09 + 0.16 + 1.44)
+    J = chart.jets((0.3, -0.4, 1.2, 0, 0, 0, 0))
+    assert J.r.value == pytest.approx(0.09 + 0.16 + 1.44)
 
 
 def test_canonical_form_identities():
@@ -51,13 +51,13 @@ def test_canonical_form_identities():
     chart = make_chart("hyperbolic4", -1, random_smooth_profile(np.random.default_rng(1)))
     rng = np.random.default_rng(RNG_SEED)
     for pt in chart.sample_points(5, rng):
-        forms = chart.canonical_forms(tuple(pt))
-        f = forms.f
+        J = chart.jets(tuple(pt))
+        f, h = ([x.value() for x in forms] for forms in (J.f, J.h))
         expect_h = (f[1].wedge(f[2]), f[2].wedge(f[0]), f[0].wedge(f[1]))
-        for a, b in zip(forms.h, expect_h):
+        for a, b in zip(h, expect_h):
             assert (a - b).sup() < 1e-12
-        third = sum((forms.h[i].wedge(f[i]) for i in (1, 2)), forms.h[0].wedge(f[0]))
-        assert (third * (1.0 / 3.0) - forms.beta).sup() < 1e-12
+        third = sum((h[i].wedge(f[i]) for i in (1, 2)), h[0].wedge(f[0]))
+        assert (third * (1.0 / 3.0) - J.beta.value()).sup() < 1e-12
 
 
 def test_structure_residuals_all_models():
@@ -78,6 +78,10 @@ def test_adapted_basis_standardizes_phi_psi():
         p = np.linalg.inv(chart.adapted_coframe(pt))
         assert (chart.phi_at(pt).transform(p) - s7.phi).sup() < 1e-10
         assert (chart.psi_at(pt).transform(p) - s7.psi).sup() < 1e-10
+        # the build holds (d phi, d psi) in the adapted coframe
+        dphi_a, dpsi_a = chart.adapted_derivatives(pt)
+        assert np.array_equal(dphi_a.coef, chart.dphi_at(pt).transform(p).coef)
+        assert np.array_equal(dpsi_a.coef, chart.dpsi_at(pt).transform(p).coef)
 
 
 def test_metric_recovery_from_chart_phi():
