@@ -471,9 +471,8 @@ class ScalarField:
     """A scalar quantity on a chart, evaluable as a jet at any point.
 
     Built either from a function of seeded coordinate jets (``fn``) or from
-    a direct jet evaluator (``jet_fn``), e.g. a view into a cached chart
-    pipeline.  Arithmetic composes at the jet level, so mixed origins
-    combine freely.
+    a direct jet evaluator (``jet_fn``).  It has no arithmetic of its own:
+    combine quantities inside ``fn``, where they are jets.
     """
 
     __slots__ = ("nvars", "_jet_fn")
@@ -500,42 +499,6 @@ class ScalarField:
 
     def __call__(self, point) -> float:
         return self.jet(point, 0).value
-
-    def _combine(self, other, op):
-        if isinstance(other, ScalarField):
-            if other.nvars != self.nvars:
-                raise DimensionMismatch("scalar fields of different arity")
-            return ScalarField(
-                self.nvars, jet_fn=lambda pt, o: op(self.jet(pt, o), other.jet(pt, o))
-            )
-        if isinstance(other, (int, float, np.integer, np.floating)):
-            return ScalarField(self.nvars, jet_fn=lambda pt, o: op(self.jet(pt, o), other))
-        return NotImplemented
-
-    def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._combine(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._combine(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._combine(other, lambda a, b: a / b)
-
-    def __neg__(self):
-        return ScalarField(self.nvars, jet_fn=lambda pt, o: -self.jet(pt, o))
-
-    def __pow__(self, p):
-        return ScalarField(self.nvars, jet_fn=lambda pt, o: self.jet(pt, o) ** p)
 
 
 # ----------------------------------------------------------------------

@@ -110,18 +110,20 @@ def _kahler_metric(hyperbolic: bool):
                 return 2.0 * (1.0 + sgn * p) / uu
             if entry == "a":
                 return sgn * -2.0 * alpha / uu
-            return sgn * -2.0 * beta / uu  # entry == "b"
+            if entry == "b":
+                return sgn * -2.0 * beta / uu
+            return -(sgn * -2.0 * beta / uu)  # entry == "-b"
 
         return ScalarField(4, fn=f)
 
     d1, d2 = make("d1"), make("d2")
-    a, b = make("a"), make("b")
+    a, b, nb = make("a"), make("b"), make("-b")
     z = _const(0.0)
     # rows/cols in coordinate order (x0, x1, x2, x3)
     return [
         [d1, z, a, b],
-        [z, d1, -b, a],
-        [a, -b, d2, z],
+        [z, d1, nb, a],
+        [a, nb, d2, z],
         [b, a, z, d2],
     ]
 

@@ -569,25 +569,6 @@ def test_form_field_degree_overflow_is_zero_form():
         assert form.coef.shape == (0, jet_table(n, 1).size)
 
 
-def test_scalar_field_defers_to_form_field_and_rejects_other_operands():
-    rng = np.random.default_rng(22)
-    n = 4
-    f = _random_scalar_field(rng, n)
-    pt = (0.4, 0.1, -0.5, 0.3)
-    form = _random_polynomial_field(rng, n, 1)(pt, 1)
-    # a scalar field leaves forms to the form's operations, which take its jet
-    assert f.__mul__(form) is NotImplemented
-    with pytest.raises(TypeError):
-        f * form
-    assert np.array_equal((form * f.jet(pt, 1)).coef, (f.jet(pt, 1) * form).coef)
-    with pytest.raises(TypeError):
-        f + "oops"
-    with pytest.raises(TypeError):
-        f * [1.0]
-    assert (f * np.float64(2.0))(pt) == pytest.approx(2.0 * f(pt), abs=1e-14)
-    assert (f + np.int64(3))(pt) == pytest.approx(f(pt) + 3.0, abs=1e-14)
-
-
 def test_dform_missing_jet_order_reported():
     n = 7
     field = _random_polynomial_field(np.random.default_rng(17), n, 1)
@@ -599,20 +580,6 @@ def test_dform_missing_jet_order_reported():
     with pytest.raises(JetOrderError) as err:
         d3.d_jets()
     assert err.value.order == 1
-
-
-def test_scalarfield_arithmetic():
-    n = 3
-    x = ScalarField.coordinate(n, 0)
-    y = ScalarField.coordinate(n, 1)
-    expr = (x * y + 2.0) / (x + 3.0) - y**2
-    pt = (0.7, -0.5, 0.0)
-    expect = (0.7 * -0.5 + 2.0) / 3.7 - 0.25
-    assert expr(pt) == pytest.approx(expect, abs=1e-14)
-    j = expr.jet(pt, 2)
-    h = 1e-6
-    fd = ((x * y + 2.0) / (x + 3.0) - y**2)((0.7 + h, -0.5, 0.0))
-    assert j.partial(0) == pytest.approx((fd - expect) / h, abs=1e-5)
 
 
 def test_jetform_wedge_matches_multivector():
