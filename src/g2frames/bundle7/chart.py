@@ -4,8 +4,8 @@ Both are 7-dimensional charts with fiber coordinates first (labels 1..3) and
 base coordinates last (labels 4..7).  A subclass builds every chart quantity
 at one point as 7-variable jet forms (``_build``) and names its adapted
 coframe (``_coframe``); this base keeps only the latest ``(point, order)``
-build, adds to it d phi, d psi, the adapted coframe, its inverse and
-(d phi, d psi) in that coframe, and ends the closed torsion of both charts.
+build, adds to it d phi, d psi, the adapted coframe, its inverse's compounds
+and (d phi, d psi) in that coframe, and ends the closed torsion of both charts.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..exterior import JetForm, Multivector, combo_pos, combos
+from ..exterior import JetForm, Multivector, combo_pos, combos, compounds
 from ..g2point import TorsionForms
 from ..jets import _embed_index
 from ..jets import table as jet_table
@@ -58,6 +58,11 @@ def components(forms) -> np.ndarray:
     return np.array([jf.coef[:, 0] for jf in forms])
 
 
+def _adapt(J, mv: Multivector) -> Multivector:
+    """``mv.transform`` by the inverse adapted coframe, from the build's compounds."""
+    return Multivector(N, mv.k, J.compounds[mv.k].T @ mv.coef)
+
+
 def torsion_gap(closed: TorsionForms, numeric: TorsionForms) -> float:
     """Componentwise gap between closed and numeric torsion forms."""
     gaps = [
@@ -86,16 +91,16 @@ class Chart:
         self._last = None  # (key, build) of the latest build only
 
     def jets(self, point, order: int = 1):
-        """The build at ``(point, order)``, with d phi, d psi and the adapted
-        coframe (rows over (du, dx)), its inverse and (d phi, d psi) in it."""
+        """The build at ``(point, order)``, with d phi, d psi, the adapted coframe
+        (rows over (du, dx)), its inverse's compounds and (d phi, d psi) in it."""
         key = (tuple(float(v) for v in point), order)
         last = self._last
         if last is None or last[0] != key:
             J = self._build(key[0], order)
             J.dphi, J.dpsi = J.phi.d_value(), J.psi.d_value()
             J.coframe = self._coframe(J)
-            J.coframe_inv = np.linalg.inv(J.coframe)
-            J.adapted = (J.dphi.transform(J.coframe_inv), J.dpsi.transform(J.coframe_inv))
+            J.compounds = compounds(np.linalg.inv(J.coframe), 5)
+            J.adapted = (_adapt(J, J.dphi), _adapt(J, J.dpsi))
             last = self._last = (key, J)
         return last[1]
 
@@ -127,12 +132,12 @@ class Chart:
     def _closed_torsion(J, s7, tau0: float, tau3, tau12=None) -> TorsionForms:
         """Closed torsion forms moved to the adapted coframe, with their W2
         and W3 membership; ``tau12 = None`` stands for tau1 = tau2 = 0."""
-        t3a = tau3.transform(J.coframe_inv)
+        t3a = _adapt(J, tau3)
         mem3 = max(s7.gnorm(t3a.wedge(s7.phi)), s7.gnorm(t3a.wedge(s7.psi)))
         if tau12 is None:
             t1a, t2a, mem2 = Multivector(N, 1), Multivector(N, 2), 0.0
         else:
-            t1a, t2a = (t.transform(J.coframe_inv) for t in tau12)
+            t1a, t2a = (_adapt(J, t) for t in tau12)
             mem2 = s7.gnorm(t2a.wedge(s7.phi) - s7.w14_eigenvalue * s7.hodge(t2a))
         return TorsionForms(
             tau0, t1a, t2a, t3a, residual_phi=0.0, residual_psi=0.0, membership_w2=mem2, membership_w3=mem3

@@ -232,10 +232,8 @@ class PSpaceChart(Chart):
         rows = _promoted_rows(2)
         if np.delete(mv.coef, rows).any():
             raise ValueError("form is not horizontal")
-        in_frame = Multivector(4, 2, mv.coef[rows]).transform(bd.frame_val)
-        starred = in_frame.hodge(np.ones(4), 1).transform(bd.coeff_val)
         out = Multivector(N, 2)
-        out.coef[rows] = starred.coef
+        out.coef[rows] = bd.star2 @ mv.coef[rows]
         return out
 
     def sample_points(self, count: int, rng, u_max: float = 2.2) -> np.ndarray:

@@ -11,7 +11,7 @@ One algebra in two representations, over one set of combinatorial tables:
   vector over ``combos(n, k)``: the order-0 case of ``JetForm``.  Both run
   one wedge kernel, one linear structure and one term scatter; the float
   form adds the metric operations (Hodge star, inner and interior product,
-  change of basis).
+  change of basis by the minors of ``compounds``, from the wedge kernel).
 
 ``MatrixForm`` is a matrix of forms of one kind held as one array; its
 product ``@`` runs one stacked wedge kernel call per inner index over all
@@ -235,6 +235,21 @@ def _wedge(a, b):
     return a._new(a.k + b.k, _wedge_stack(a, b, a.coef.ravel(), b.coef.ravel()))
 
 
+def compounds(p, k: int) -> list:
+    """Compound matrices of the rows of ``p`` (m x n, k <= m) in degrees 0..k:
+    entry (I, J) of degree j is the minor det p[I, J].  Row I of degree j + 1
+    is row I[:-1] of degree j wedged with row I[-1] of ``p`` (the last-slot
+    entries of ``_interior_table``): one wedge kernel call per degree."""
+    p = np.asarray(p, dtype=float)
+    m, n = p.shape
+    out = [np.ones((1, 1))]
+    for j in range(k):
+        _, lab, _, dst = _interior_table(m, j + 1)
+        last = slice(j, None, j + 1)
+        out.append(_wedge_stack(Multivector(n, j), Multivector(n, 1), out[j][dst[last]], p[lab[last]]))
+    return out
+
+
 class _Form:
     """Linear structure of ``Multivector`` and ``JetForm``: both carry ``n``,
     ``k``, a jet ``table`` and ``coef`` (first axis over ``combos(n, k)``), and
@@ -342,11 +357,8 @@ class Multivector(_Form):
         """Value on k vectors (multilinear, alternating)."""
         if len(vectors) != self.k:
             raise DimensionMismatch(f"need {self.k} vectors")
-        if self.k == 0:
-            return float(self.coef[0])
-        idx = _label_array(self.n, self.k)
-        mats = np.stack([np.asarray(v, dtype=float)[idx] for v in vectors], axis=-1)
-        return float(np.dot(self.coef, np.linalg.det(mats)))
+        v = np.asarray(vectors, dtype=float).reshape(self.k, self.n)
+        return float(self.coef @ compounds(v, self.k)[self.k][0])
 
     def hodge(self, metric_diag, orientation: int = 1) -> "Multivector":
         """Hodge star for a diagonal metric: a ^ *b = <a, b> vol."""
@@ -379,12 +391,7 @@ class Multivector(_Form):
         p = np.asarray(p, dtype=float)
         if p.shape != (self.n, self.n):
             raise DimensionMismatch("transform matrix of wrong shape")
-        if self.k == 0:
-            return Multivector(self.n, 0, self.coef.copy())
-        idx = _label_array(self.n, self.k)
-        mats = p[idx[:, None, :, None], idx[None, :, None, :]]
-        dets = np.linalg.det(mats)  # dets[old, new]
-        return Multivector(self.n, self.k, dets.T @ self.coef)
+        return Multivector(self.n, self.k, compounds(p, self.k)[self.k].T @ self.coef)
 
     def __repr__(self):
         terms = self.terms()

@@ -29,8 +29,10 @@ from .exterior import (
     JetForm,
     MatrixForm,
     ScalarField,
+    _hodge_table,
     check,
     combos,
+    compounds,
     max_sup,
     zero_forms,
 )
@@ -144,7 +146,9 @@ class BaseData:
 
     ``order`` is the jet order of the metric stage; the connection ``conn``
     lives one order lower and the curvature ``curv`` (``None`` below order 2)
-    two lower, each a 4x4 ``MatrixForm``; ``blocks`` caches ``singer_thorpe``.
+    two lower, each a 4x4 ``MatrixForm``; ``frame_c2``, the degree-2 compound
+    of ``frame_val``, moves 2-forms from the dx to the theta basis, ``star2``
+    is the Hodge star on 2-forms in the dx basis; ``blocks`` caches ``singer_thorpe``.
     """
 
     point: tuple
@@ -153,6 +157,8 @@ class BaseData:
     theta_low: list
     coeff_val: np.ndarray
     frame_val: np.ndarray
+    frame_c2: np.ndarray
+    star2: np.ndarray
     conn: MatrixForm
     curv: MatrixForm | None
     _duality: dict = field(default_factory=dict, repr=False)
@@ -195,6 +201,10 @@ class FrameBundle:
         coeff_low = _truncate_matrix(coeff, low)
         inv_low = _upper_inverse(coeff_low)
         frame_val = np.array([[e.value for e in row] for row in inv_low])
+        frame_c2 = compounds(frame_val, 2)[2]
+        # to the theta basis, the unit-metric star there, back to the dx basis
+        sign, comp = _hodge_table(DIM, 2)
+        star2 = (compounds(coeff_val, 2)[2].T[:, comp] * sign) @ frame_c2.T
         theta = [JetForm._of(DIM, 1, coeff[0][0].table, np.array([e.coef for e in row])) for row in coeff]
         theta_low = [t.truncate(low) for t in theta]
         # d(theta)^a = 1/2 c[a][b][e] theta^b ^ theta^e: substitute
@@ -213,7 +223,7 @@ class FrameBundle:
         if order >= 2:
             om = conn.truncate(low - 1)
             curv = conn.d_jets() + om @ om
-        return BaseData(point, order, theta, theta_low, coeff_val, frame_val, conn, curv)
+        return BaseData(point, order, theta, theta_low, coeff_val, frame_val, frame_c2, star2, conn, curv)
 
     # -- residual diagnostics -------------------------------------------
     def cartan_residual(self, point) -> float:
@@ -249,11 +259,10 @@ class FrameBundle:
         on the duality pairs of frame vectors, halved into their sums and
         differences with the twin pairs."""
         bd = self.base(point, 2)
+        # in the theta basis, rho(e_p, e_q) is the theta^pq coefficient
+        rows = np.array([r.coef[:, 0] for branch in (1, -1) for r in bd.duality(branch)[2]]) @ bd.frame_c2
         blocks = []
-        for branch in (1, -1):
-            _, _, rho3 = bd.duality(branch)
-            # in the theta basis, rho(e_p, e_q) is the theta^pq coefficient
-            rho = np.array([r.value().transform(bd.frame_val).coef for r in rho3])
+        for rho in (rows[:3], rows[3:]):
             pair, twin = rho[:, _PAIR_ROWS[0]], _SIGN_ROW * rho[:, _PAIR_ROWS[1]]
             blocks += [0.5 * (pair + twin), 0.5 * (pair - twin)]
         return tuple(blocks)

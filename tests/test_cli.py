@@ -8,12 +8,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from g2frames import cli, frames4
+from g2frames import cli, exterior, frames4
+from g2frames.bundle7 import chart as chart_module
 from g2frames.bundle7.profiles import ProfileDomainError
 from g2frames.bundle7.pspace import ChartBoundError, PSpaceChart
 from g2frames.bundle7.radial import QuadratureError
 from g2frames.bundle7.xspace import EDGE_MARGIN, XSpaceChart
 from g2frames.cli import ConfigError, RunConfig, SUITES, list_suites, main, run
+from g2frames.exterior import Multivector
 from g2frames.frames4 import FrameBundle, NonSPDMetricError, ResidualError, pairing_sign
 from g2frames.g2point import DecompositionError, DegeneratePhiError
 
@@ -214,6 +216,28 @@ def test_each_probe_builds_its_base_frame_once(monkeypatch, config):
     chart = seen[0][0]
     base = chart.sample_points(10, np.random.default_rng(cfg.seed))[:, 3:]
     assert all(c is chart for c, _ in seen) and np.array_equal([x for _, x in seen], base)
+
+
+@pytest.mark.parametrize("config", [BS_SPHERE, P_HYPER], ids=["X", "P"])
+def test_run_reads_changes_of_basis_from_compounds(monkeypatch, config):
+    cfg = RunConfig.from_dict(dict(config, probes=10))
+    pairing_sign()  # the sign anchor builds its own sphere frame once per process
+    calls = Counter()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a minor by determinant")
+
+    def counted(*args):
+        calls["compounds"] += 1
+        return exterior.compounds(*args)
+
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    monkeypatch.setattr(Multivector, "transform", refuse)
+    for module in (frames4, chart_module):
+        monkeypatch.setattr(module, "compounds", counted)
+    assert run(cfg).passed
+    # per probe: the adapted coframe, and the base frame and coframe
+    assert calls["compounds"] == 30
 
 
 def test_reports_deterministic_and_parallel_identical():

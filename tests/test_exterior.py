@@ -17,6 +17,7 @@ from g2frames.exterior import (
     _d_stack,
     check,
     combos,
+    compounds,
     contract,
     hat,
     merge_sign,
@@ -426,6 +427,24 @@ def test_matrix_shape_and_dimension_errors():
 
 # ----------------------------------------------------------------------
 # transforms
+
+
+def _minors(p, k):
+    """The k x k minors det p[I, J] of p by np.linalg.det, rows I and columns
+    J over the k-subsets."""
+    rows, cols = (np.array(combos(m, k), dtype=np.intp).reshape(-1, k) - 1 for m in p.shape)
+    return np.linalg.det(p[rows[:, None, :, None], cols[None, :, None, :]])
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (7, 7), (3, 7), (2, 5)])
+def test_compounds_are_the_minors(shape):
+    p = np.random.default_rng(sum(shape)).normal(size=shape)
+    got = compounds(p, shape[0])
+    assert len(got) == shape[0] + 1 and np.array_equal(got[0], np.ones((1, 1)))
+    for k in range(1, shape[0] + 1):
+        ref = _minors(p, k)
+        assert got[k].shape == ref.shape
+        assert np.max(np.abs(got[k] - ref)) <= 1e-12 * np.max(np.abs(ref)), (shape, k)
 
 
 def test_transform_round_trip_and_composition():

@@ -389,6 +389,20 @@ def test_blocks_match_frame_vector_evaluation(name):
             assert np.max(np.abs(g - r)) <= 1e-12 * scale, name
 
 
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_base_star_matrix_matches_the_frame_route(name):
+    spec = get_model(name)
+    fb = spec.bundle()
+    for pt in _probe(spec, 3):
+        bd = fb.base(pt, 2)
+        for i in range(6):
+            dx = Multivector(4, 2, np.eye(6)[i])
+            ref = dx.transform(bd.frame_val).hodge(np.ones(4)).transform(bd.coeff_val)
+            assert np.max(np.abs(bd.star2[:, i] - ref.coef)) <= 1e-12, (name, i)
+        # ** = 1 on 2-forms of an oriented Riemannian 4-manifold
+        assert np.max(np.abs(bd.star2 @ bd.star2 - np.eye(6))) <= 1e-12, name
+
+
 def test_base_keeps_only_the_latest_build():
     bundle = get_model("sphere4").bundle()
     p, q = (0.1, 0.2, 0.3, 0.4), (0.2, 0.1, 0.0, -0.1)
