@@ -88,6 +88,10 @@ _PROFILE_KEYS = {
 
 _PARAM_KEYS = {"kappa": float}
 
+# largest probe count: 1,000 times the largest benchmark run (100 probes), and
+# far below the sizes at which the probe array cannot be allocated
+MAX_PROBES = 100_000
+
 _TYPE_NAMES = {
     int: "an integer",
     float: "a finite number",
@@ -177,8 +181,8 @@ class RunConfig:
             tol=float(raw.get("tol", 1e-8)),
             report=raw.get("report"),
         )
-        if cfg.probes < 1:
-            raise ConfigError("invalid value for key 'probes': must be >= 1")
+        if not 1 <= cfg.probes <= MAX_PROBES:
+            raise ConfigError(f"invalid value for key 'probes': must be between 1 and {MAX_PROBES}")
         if cfg.seed < 0:
             raise ConfigError("invalid value for key 'seed': must be >= 0")
         if cfg.tol <= 0:
@@ -490,10 +494,10 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        print(f"config error: --config {args.config!r}: {exc}", file=sys.stderr)
         return 2
     if not isinstance(raw, dict):
         print(f"config error: the top level is {type(raw).__name__}, not a JSON object", file=sys.stderr)
@@ -521,8 +525,13 @@ def main(argv=None) -> int:
         print(f"label: {report.torsion_label}")
     out_path = args.json_out or config.report
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(report.to_json() + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(report.to_json() + "\n")
+        except OSError as exc:
+            where = "--json" if args.json_out else "key 'report'"
+            print(f"config error: invalid value for {where}: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     if not report.passed:
         failing = next(r for r in report.records if not r.passed)
         print(f"FAILED: {failing.check} = {failing.value:.6e}", file=sys.stderr)

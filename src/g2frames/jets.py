@@ -349,12 +349,17 @@ class JetBatch:
 
 def _inverse_powers(name: str, v: float, count: int) -> list:
     """The first ``count`` of 1/v, -1/v**2, 2/v**3, -6/v**4; a power of v that
-    is 0 raises a ZeroDivisionError naming v and the term."""
+    is 0 raises a ZeroDivisionError, one that overflows an OverflowError,
+    naming v and the power."""
     out = []
     for c, p in ((1.0, 1), (-1.0, 2), (2.0, 3), (-6.0, 4))[:count]:
-        if v**p == 0.0:
+        try:
+            vp = v**p
+        except OverflowError:
+            raise OverflowError(f"jet {name} at v = {v!r}: v**{p} overflows") from None
+        if vp == 0.0:
             raise ZeroDivisionError(f"jet {name} at v = {v!r}: v**{p} is 0 in the term {c:g}/v**{p}")
-        out.append(c / v**p)
+        out.append(c / vp)
     return out
 
 

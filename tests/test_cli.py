@@ -62,6 +62,9 @@ def test_config_rejects_bad_values():
     with pytest.raises(ConfigError, match="profile.gamma"):
         cfg = dict(BS_SPHERE, profile={"kind": "bs", "s": 1.0, "c0": 1.0, "c1": 1.0, "gamma": 2})
         RunConfig.from_dict(cfg)
+    assert RunConfig.from_dict(dict(BS_SPHERE, probes=cli.MAX_PROBES)).probes == 100_000
+    with pytest.raises(ConfigError, match="'probes'"):
+        RunConfig.from_dict(dict(BS_SPHERE, probes=cli.MAX_PROBES + 1))
 
 
 def test_parallel_structure_report():
@@ -301,6 +304,8 @@ def test_list_suites_mentions_core_checks(capsys):
         ({"branch": True}, "branch"),
         ({"probes": 2.7}, "probes"),
         ({"probes": "abc"}, "probes"),
+        # an integral float far beyond MAX_PROBES, which no probe array could hold
+        ({"probes": 1e300}, "probes"),
         ({"seed": -1}, "seed"),
         ({"tol": float("nan")}, "tol"),
         ({"tol": "x"}, "tol"),
@@ -350,6 +355,26 @@ def test_main_rejects_non_object_config(tmp_path, capsys, top, override):
     assert main(["run", "--config", str(path), "--quiet", *override]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, extra, named",
+    [
+        (b"\xff\xfe{}", [], "--config"),
+        (json.dumps(dict(BS_SPHERE, probes=2, report="{tmp}/missing/report.json")).encode(), [], "'report'"),
+        (json.dumps(dict(BS_SPHERE, probes=2)).encode(), ["--json", "{tmp}"], "--json"),
+        (json.dumps(BS_SPHERE).encode(), ["--probes", str(10**20)], "'probes'"),
+    ],
+    ids=["config-not-utf8", "report-in-missing-directory", "json-is-a-directory", "probes-flag-too-large"],
+)
+def test_main_unusable_input_is_one_config_error(tmp_path, capsys, text, extra, named):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text.replace(b"{tmp}", str(tmp_path).encode()))
+    extra = [arg.replace("{tmp}", str(tmp_path)) for arg in extra]
+    assert main(["run", "--config", str(path), "--quiet", *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and named in err, err
     assert "Traceback" not in err
 
 
@@ -504,8 +529,20 @@ def test_overflowing_run_fails_with_one_line(tmp_path, capsys, config):
             dict(BS_SPHERE, model="flat", branch=1, profile={"kind": "bs", "s": 0.0, "c0": 1.0, "c1": 1e-300}),
             "X records, probe 0: jet power -0.5 at v = 1e-300: v**-1.5 overflows",
         ),
+        (
+            dict(BS_SPHERE, params={"kappa": 1e-150}, probes=2, seed=1),
+            "frame records, probe 0: jet reciprocal at v = 1.5244325217875997e+299: v**2 overflows",
+        ),
     ],
-    ids=["P-lam-1e100", "X-bs-c0-1e-160", "frame-kappa-1e-3", "P-lam-1e-200", "X-lam-1e-200", "X-bs-c1-1e-300"],
+    ids=[
+        "P-lam-1e100",
+        "X-bs-c0-1e-160",
+        "frame-kappa-1e-3",
+        "P-lam-1e-200",
+        "X-lam-1e-200",
+        "X-bs-c1-1e-300",
+        "frame-kappa-1e-150",
+    ],
 )
 def test_numerical_failure_names_its_stage_and_probe(tmp_path, capsys, config, where):
     path = tmp_path / "cfg.json"
