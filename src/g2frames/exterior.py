@@ -211,7 +211,8 @@ def _wedge_stack(a, b, ca, cb):
     count = math.prod(prod.shape[:-1])
     bins, size = _offset_bins(_jet_wedge_index, key, count)
     out = np.bincount(bins, prod.ravel(), count * size)
-    return out.reshape(prod.shape[:-1] + (-1,) + a.coef.shape[1:])
+    # C(n, j + k) spelled out, since an empty stack (count 0) cannot infer it
+    return out.reshape(prod.shape[:-1] + (size // a.table.size,) + a.coef.shape[1:])
 
 
 def _d_stack(a, ca):
@@ -236,7 +237,7 @@ def _wedge(a, b):
 
 
 def compounds(p, k: int) -> list:
-    """Compound matrices of the rows of ``p`` (m x n, k <= m) in degrees 0..k:
+    """Compound matrices of the rows of ``p`` (m x n) in degrees 0..k:
     entry (I, J) of degree j is the minor det p[I, J].  Row I of degree j + 1
     is row I[:-1] of degree j wedged with row I[-1] of ``p`` (the last-slot
     entries of ``_interior_table``): one wedge kernel call per degree."""
