@@ -88,8 +88,7 @@ _PROFILE_KEYS = {
 
 _PARAM_KEYS = {"kappa": float}
 
-# largest probe count: 1,000 times the largest benchmark run (100 probes), and
-# far below the sizes at which the probe array cannot be allocated
+# largest probe count, 1,000 times the largest benchmark run (100 probes)
 MAX_PROBES = 100_000
 
 _TYPE_NAMES = {
