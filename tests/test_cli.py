@@ -304,8 +304,6 @@ def test_list_suites_mentions_core_checks(capsys):
         ({"branch": True}, "branch"),
         ({"probes": 2.7}, "probes"),
         ({"probes": "abc"}, "probes"),
-        # an integral float far beyond MAX_PROBES, which no probe array could hold
-        ({"probes": 1e300}, "probes"),
         ({"seed": -1}, "seed"),
         ({"tol": float("nan")}, "tol"),
         ({"tol": "x"}, "tol"),
@@ -336,6 +334,8 @@ def test_list_suites_mentions_core_checks(capsys):
         # the model divides by kappa**2, which overflows or underflows to 0
         ({"params": {"kappa": 1e200}}, "params.kappa"),
         ({"params": {"kappa": 1e-200}}, "params.kappa"),
+        # an integral float far beyond MAX_PROBES, which no probe array could hold
+        ({"probes": 1e300}, "probes"),
     ],
 )
 def test_main_rejects_mistyped_config(tmp_path, capsys, change, key):
