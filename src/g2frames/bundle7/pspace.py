@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..exterior import MatrixForm, Multivector, check, hat, max_sup, zero_forms
+from ..exterior import MatrixForm, Multivector, _hodge_table, check, compounds, hat, max_sup, zero_forms
 from ..g2point import G2Structure, TorsionForms, standard_phi, torsion_decompose
 from ..jets import Jet
 from ..models import ModelSpec
@@ -48,6 +48,13 @@ def _series_derivs(t: float, order: int, shift: int) -> list:
             acc += term
         out.append(acc)
     return out
+
+
+def _base_star(bd) -> np.ndarray:
+    """The base Hodge star on 2-forms as one 6x6 matrix in the dx basis."""
+    # to the theta basis, the unit-metric star there, back to the dx basis
+    sign, comp = _hodge_table(4, 2)
+    return (compounds(bd.coeff_val, 2)[2].T[:, comp] * sign) @ bd.frame_c2.T
 
 
 def rotation_jets(u_jets):
@@ -215,7 +222,7 @@ class PSpaceChart(Chart):
         s = st.s
         lam, mu, b = self.lam, self.mu, float(self.branch)
         tau0 = b * (6.0 / (7.0 * lam * mu**2)) * (mu**2 + 2.0 * s * lam**2)
-        star_rho = MatrixForm([[self._star_horizontal(J.rho_hat_val[0, i], point) for i in range(3)]])
+        star_rho = MatrixForm([self._star_horizontal([J.rho_hat_val[0, i] for i in range(3)], point)])
         tau3 = (
             (star_rho @ J.f_val.T)[0, 0] * lam**2
             - (J.eta_val @ J.f_val.T)[0, 0] * ((mu**2 - 12.0 * s * lam**2) / 7.0)
@@ -226,14 +233,17 @@ class PSpaceChart(Chart):
     def torsion_numeric(self, point, tol: float = 1e-9) -> TorsionForms:
         return torsion_decompose(self._structure, *self.jets(point, 1).adapted, tol)
 
-    def _star_horizontal(self, mv: Multivector, point) -> Multivector:
-        """Base Hodge star on a purely horizontal 2-form, lifted to the chart."""
-        bd = self.frame.base(tuple(point[3:]), 2)
+    def _star_horizontal(self, forms, point) -> list:
+        """Base Hodge star on purely horizontal 2-forms, lifted to the chart."""
+        star = _base_star(self.frame.base(tuple(point[3:]), 2))
         rows = _promoted_rows(2)
-        if np.delete(mv.coef, rows).any():
-            raise ValueError("form is not horizontal")
-        out = Multivector(N, 2)
-        out.coef[rows] = bd.star2 @ mv.coef[rows]
+        out = []
+        for mv in forms:
+            if np.delete(mv.coef, rows).any():
+                raise ValueError("form is not horizontal")
+            lifted = Multivector(N, 2)
+            lifted.coef[rows] = star @ mv.coef[rows]
+            out.append(lifted)
         return out
 
     def sample_points(self, count: int, rng, u_max: float = 2.2) -> np.ndarray:

@@ -42,7 +42,7 @@ class DualityHypothesisError(ValueError):
     def __init__(self, branch, norm):
         side = "anti-self-dual (W+ = 0)" if branch == 1 else "self-dual (W- = 0)"
         super().__init__(
-            f"base model violates the {side} hypothesis for branch {branch:+d}: "
+            f"base model violates the {side} hypothesis for branch {int(branch):+d}: "
             f"residual Weyl norm {norm:.3e}"
         )
 

@@ -148,7 +148,7 @@ class RunConfig:
                 side = "anti-self-dual (W+ = 0)" if raw["branch"] == 1 else "self-dual (W- = 0)"
                 raise ConfigError(
                     f"invalid value for key 'branch': 2-form bundle runs on branch "
-                    f"{raw['branch']:+d} need the base model to be {side}; {raw['model']!r} is not"
+                    f"{int(raw['branch']):+d} need the base model to be {side}; {raw['model']!r} is not"
                 )
         prof = raw["profile"]
         kind = prof.get("kind")

@@ -476,37 +476,21 @@ class JetForm(_Form):
 
 
 class ScalarField:
-    """A scalar quantity on a chart, evaluable as a jet at any point.
+    """A jet function of the point: ``fn`` of the seeded coordinate jets,
+    returning a jet or a matrix of jets.
 
-    Built either from a function of seeded coordinate jets (``fn``) or from
-    a direct jet evaluator (``jet_fn``).  It has no arithmetic of its own:
-    combine quantities inside ``fn``, where they are jets.
+    One call evaluates every entry, so entries share their subexpressions.
+    It has no arithmetic of its own: combine quantities inside ``fn``, where
+    they are jets.
     """
 
-    __slots__ = ("nvars", "_jet_fn")
+    __slots__ = ("fn",)
 
-    def __init__(self, nvars: int, fn=None, jet_fn=None):
-        if (fn is None) == (jet_fn is None):
-            raise ValueError("provide exactly one of fn, jet_fn")
-        self.nvars = nvars
-        self._jet_fn = jet_fn if fn is None else lambda pt, o: fn(*variables(pt, o))
+    def __init__(self, fn):
+        self.fn = fn
 
-    @staticmethod
-    def constant(nvars: int, value: float) -> "ScalarField":
-        return ScalarField(nvars, jet_fn=lambda pt, o: Jet.constant(value, nvars, o))
-
-    @staticmethod
-    def coordinate(nvars: int, index: int) -> "ScalarField":
-        def jf(pt, o):
-            return Jet.variable(float(pt[index]), index, nvars, o)
-
-        return ScalarField(nvars, jet_fn=jf)
-
-    def jet(self, point, order: int) -> Jet:
-        return self._jet_fn(tuple(point), order)
-
-    def __call__(self, point) -> float:
-        return self.jet(point, 0).value
+    def jet(self, point, order: int):
+        return self.fn(*variables(point, order))
 
 
 # ----------------------------------------------------------------------

@@ -28,8 +28,6 @@ import numpy as np
 from .exterior import (
     JetForm,
     MatrixForm,
-    ScalarField,
-    _hodge_table,
     check,
     combos,
     compounds,
@@ -147,8 +145,8 @@ class BaseData:
     ``order`` is the jet order of the metric stage; the connection ``conn``
     lives one order lower and the curvature ``curv`` (``None`` below order 2)
     two lower, each a 4x4 ``MatrixForm``; ``frame_c2``, the degree-2 compound
-    of ``frame_val``, moves 2-forms from the dx to the theta basis, ``star2``
-    is the Hodge star on 2-forms in the dx basis; ``blocks`` caches ``singer_thorpe``.
+    of ``frame_val``, moves 2-forms from the dx to the theta basis;
+    ``blocks`` caches ``singer_thorpe``.
     """
 
     point: tuple
@@ -158,7 +156,6 @@ class BaseData:
     coeff_val: np.ndarray
     frame_val: np.ndarray
     frame_c2: np.ndarray
-    star2: np.ndarray
     conn: MatrixForm
     curv: MatrixForm | None
     _duality: dict = field(default_factory=dict, repr=False)
@@ -180,7 +177,8 @@ class BaseData:
 
 
 class FrameBundle:
-    """Frame calculus over one chart metric."""
+    """Frame calculus over one chart metric, a ``ScalarField`` whose jet is
+    the 4x4 matrix of metric jets."""
 
     def __init__(self, metric):
         self.metric = metric
@@ -194,7 +192,7 @@ class FrameBundle:
         return last[1]
 
     def _build(self, point, order):
-        g = [[self.metric[i][j].jet(point, order) for j in range(DIM)] for i in range(DIM)]
+        g = self.metric.jet(point, order)
         coeff = _jet_cholesky(g, point)
         coeff_val = np.array([[e.value for e in row] for row in coeff])
         low = order - 1
@@ -202,9 +200,6 @@ class FrameBundle:
         inv_low = _upper_inverse(coeff_low)
         frame_val = np.array([[e.value for e in row] for row in inv_low])
         frame_c2 = compounds(frame_val, 2)[2]
-        # to the theta basis, the unit-metric star there, back to the dx basis
-        sign, comp = _hodge_table(DIM, 2)
-        star2 = (compounds(coeff_val, 2)[2].T[:, comp] * sign) @ frame_c2.T
         theta = [JetForm._of(DIM, 1, coeff[0][0].table, np.array([e.coef for e in row])) for row in coeff]
         theta_low = [t.truncate(low) for t in theta]
         # d(theta)^a = 1/2 c[a][b][e] theta^b ^ theta^e: substitute
@@ -223,7 +218,7 @@ class FrameBundle:
         if order >= 2:
             om = conn.truncate(low - 1)
             curv = conn.d_jets() + om @ om
-        return BaseData(point, order, theta, theta_low, coeff_val, frame_val, frame_c2, star2, conn, curv)
+        return BaseData(point, order, theta, theta_low, coeff_val, frame_val, frame_c2, conn, curv)
 
     # -- residual diagnostics -------------------------------------------
     def cartan_residual(self, point) -> float:
@@ -313,22 +308,14 @@ def pairing_sign() -> int:
     The one free sign in reading the curvature 2-forms against the dual
     bivectors is chosen so the unit round sphere gets s = +1, and asserted.
     """
-    bundle = FrameBundle(_unit_sphere_metric())
-    raw = bundle._blocks_raw((0.12, -0.07, 0.23, 0.18))
+    # models imports this module, so importing models at load time would be a cycle
+    from .models import get_model
+
+    raw = get_model("sphere4").bundle()._blocks_raw((0.12, -0.07, 0.23, 0.18))
     trace = -float(np.trace(raw[0]))  # tr(A) for sign +1
     if abs(abs(trace) - 3.0) > 1e-8:
         raise AssertionError(f"sphere anchor failed: tr A = {trace}")
     return 1 if trace > 0 else -1
-
-
-def _unit_sphere_metric():
-    def f(x0, x1, x2, x3):
-        r2 = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
-        c = 2.0 / (1.0 + r2)
-        return c * c
-
-    conformal, zero = ScalarField(4, fn=f), ScalarField.constant(4, 0.0)
-    return [[conformal if i == j else zero for j in range(4)] for i in range(4)]
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +352,7 @@ def curvature_oracle(metric, point) -> dict:
     values.  Returns the fully lowered Riemann tensor R[i,j,k,l] with
     R(d_k, d_l)d_j = R^m_{jkl} d_m.
     """
-    g = [[metric[i][j].jet(point, 2) for j in range(DIM)] for i in range(DIM)]
+    g = metric.jet(point, 2)
     g_low = _truncate_matrix(g, 1)
     ginv = _jet_matrix_inverse(g_low)
     gamma = [[[None] * DIM for _ in range(DIM)] for _ in range(DIM)]

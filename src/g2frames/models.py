@@ -18,6 +18,7 @@ import numpy as np
 
 from .exterior import ScalarField
 from .frames4 import FrameBundle
+from .jets import Jet
 
 MODEL_NAMES = (
     "flat",
@@ -47,7 +48,7 @@ class ExpectedFlags:
 @dataclass(frozen=True)
 class ModelSpec:
     name: str
-    metric: list
+    metric: ScalarField  # the 4x4 matrix of metric jets at a point
     safe_box: tuple  # per-coordinate (lo, hi)
     expected: ExpectedFlags
     params: dict = field(default_factory=dict)
@@ -61,33 +62,29 @@ class ModelSpec:
         return lo + (hi - lo) * rng.random((count, 4))
 
 
-def _const(v: float) -> ScalarField:
-    return ScalarField.constant(4, v)
+def _diagonal(d) -> list:
+    """The 4x4 jet matrix with diagonal ``d`` and +0.0 constants elsewhere."""
+    zero = Jet.constant(0.0, d[0].nvars, d[0].order)
+    return [[d[i] if i == j else zero for j in range(4)] for i in range(4)]
 
 
-def _diag_conformal(fn) -> list:
-    f = ScalarField(4, fn=fn)
-    z = _const(0.0)
-    return [[f if i == j else z for j in range(4)] for i in range(4)]
+def _flat_metric(x0, x1, x2, x3):
+    return _diagonal([Jet.constant(1.0, 4, x0.order)] * 4)
 
 
-def _flat_metric():
-    return [[_const(1.0 if i == j else 0.0) for j in range(4)] for i in range(4)]
-
-
-def _ball_metric(kappa: float, sign: float):
+def _ball_metric(kappa: float, sign: float) -> ScalarField:
     """Conformally flat chart of the round sphere (sign +1) or of hyperbolic
     space (sign -1) of radius kappa."""
     k2 = kappa * kappa
 
-    def f(x0, x1, x2, x3):
+    def g(x0, x1, x2, x3):
         c = 2.0 / (1.0 + sign * (x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3) / k2)
-        return c * c
+        return _diagonal([c * c] * 4)
 
-    return _diag_conformal(f)
+    return ScalarField(g)
 
 
-def _kahler_metric(hyperbolic: bool):
+def _kahler_metric(hyperbolic: bool) -> ScalarField:
     """Constant holomorphic curvature metric on a complex 2-space chart.
 
     Chart coordinates pair into z1 = x0 + i x1, z2 = x2 + i x3; the Kaehler
@@ -96,56 +93,35 @@ def _kahler_metric(hyperbolic: bool):
     """
     sgn = -1.0 if hyperbolic else 1.0
 
-    def make(entry):
-        def f(x0, x1, x2, x3):
-            p = x0 * x0 + x1 * x1
-            q = x2 * x2 + x3 * x3
-            u = 1.0 + sgn * (p + q)
-            alpha = x0 * x2 + x1 * x3
-            beta = x0 * x3 - x1 * x2
-            uu = u * u
-            if entry == "d1":
-                return 2.0 * (1.0 + sgn * q) / uu
-            if entry == "d2":
-                return 2.0 * (1.0 + sgn * p) / uu
-            if entry == "a":
-                return sgn * -2.0 * alpha / uu
-            if entry == "b":
-                return sgn * -2.0 * beta / uu
-            return -(sgn * -2.0 * beta / uu)  # entry == "-b"
+    def g(x0, x1, x2, x3):
+        p = x0 * x0 + x1 * x1
+        q = x2 * x2 + x3 * x3
+        u = 1.0 + sgn * (p + q)
+        alpha = x0 * x2 + x1 * x3
+        beta = x0 * x3 - x1 * x2
+        r = (u * u).reciprocal()  # x / (u * u) is x * r, bit for bit
+        d1 = 2.0 * (1.0 + sgn * q) * r
+        d2 = 2.0 * (1.0 + sgn * p) * r
+        a = sgn * -2.0 * alpha * r
+        b = sgn * -2.0 * beta * r
+        nb = -b
+        z = Jet.constant(0.0, 4, x0.order)
+        # rows/cols in coordinate order (x0, x1, x2, x3)
+        return [
+            [d1, z, a, b],
+            [z, d1, nb, a],
+            [a, nb, d2, z],
+            [b, a, z, d2],
+        ]
 
-        return ScalarField(4, fn=f)
-
-    d1, d2 = make("d1"), make("d2")
-    a, b, nb = make("a"), make("b"), make("-b")
-    z = _const(0.0)
-    # rows/cols in coordinate order (x0, x1, x2, x3)
-    return [
-        [d1, z, a, b],
-        [z, d1, nb, a],
-        [a, nb, d2, z],
-        [b, a, z, d2],
-    ]
+    return ScalarField(g)
 
 
-def _product_metric():
-    def f_sphere(x0, x1, x2, x3):
-        c = 2.0 / (1.0 + x0 * x0 + x1 * x1)
-        return c * c
-
-    def f_hyper(x0, x1, x2, x3):
-        c = 2.0 / (1.0 - x2 * x2 - x3 * x3)
-        return c * c
-
-    fs = ScalarField(4, fn=f_sphere)
-    fh = ScalarField(4, fn=f_hyper)
-    z = _const(0.0)
-    return [
-        [fs, z, z, z],
-        [z, fs, z, z],
-        [z, z, fh, z],
-        [z, z, z, fh],
-    ]
+def _product_metric(x0, x1, x2, x3):
+    cs = 2.0 / (1.0 + x0 * x0 + x1 * x1)
+    ch = 2.0 / (1.0 - x2 * x2 - x3 * x3)
+    fs, fh = cs * cs, ch * ch
+    return _diagonal([fs, fs, fh, fh])
 
 
 _BALL_BOX = tuple((-0.33, 0.33) for _ in range(4))
@@ -161,7 +137,7 @@ def get_model(name: str, kappa: float = 1.0) -> ModelSpec:
     if name == "flat":
         return ModelSpec(
             name,
-            _flat_metric(),
+            ScalarField(_flat_metric),
             _FLAT_BOX,
             ExpectedFlags(True, True, True, True, 0, True, 0.0),
         )
@@ -198,7 +174,7 @@ def get_model(name: str, kappa: float = 1.0) -> ModelSpec:
         )
     return ModelSpec(
         name,
-        _product_metric(),
+        ScalarField(_product_metric),
         _BALL_BOX,
         ExpectedFlags(False, True, True, True, 0, True, 0.0),
     )

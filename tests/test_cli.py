@@ -10,6 +10,7 @@ import pytest
 
 from g2frames import cli, exterior, frames4
 from g2frames.bundle7 import chart as chart_module
+from g2frames.bundle7 import pspace as pspace_module
 from g2frames.bundle7.profiles import ProfileDomainError
 from g2frames.bundle7.pspace import ChartBoundError, PSpaceChart
 from g2frames.bundle7.radial import QuadratureError
@@ -221,8 +222,10 @@ def test_each_probe_builds_its_base_frame_once(monkeypatch, config):
     assert all(c is chart for c, _ in seen) and np.array_equal([x for _, x in seen], base)
 
 
-@pytest.mark.parametrize("config", [BS_SPHERE, P_HYPER], ids=["X", "P"])
-def test_run_reads_changes_of_basis_from_compounds(monkeypatch, config):
+# per probe: the adapted coframe and the base frame; a P probe also reads the
+# base coframe's compound, for the base Hodge star in the closed torsion
+@pytest.mark.parametrize("config, per_probe", [(BS_SPHERE, 2), (P_HYPER, 3)], ids=["X", "P"])
+def test_run_reads_changes_of_basis_from_compounds(monkeypatch, config, per_probe):
     cfg = RunConfig.from_dict(dict(config, probes=10))
     pairing_sign()  # the sign anchor builds its own sphere frame once per process
     calls = Counter()
@@ -236,11 +239,10 @@ def test_run_reads_changes_of_basis_from_compounds(monkeypatch, config):
 
     monkeypatch.setattr(np.linalg, "det", refuse)
     monkeypatch.setattr(Multivector, "transform", refuse)
-    for module in (frames4, chart_module):
+    for module in (frames4, chart_module, pspace_module):
         monkeypatch.setattr(module, "compounds", counted)
     assert run(cfg).passed
-    # per probe: the adapted coframe, and the base frame and coframe
-    assert calls["compounds"] == 30
+    assert calls["compounds"] == 10 * per_probe
 
 
 def test_reports_deterministic_and_parallel_identical():
@@ -336,6 +338,8 @@ def test_list_suites_mentions_core_checks(capsys):
         ({"params": {"kappa": 1e-200}}, "params.kappa"),
         # an integral float far beyond MAX_PROBES, which no probe array could hold
         ({"probes": 1e300}, "probes"),
+        # an integral float branch is accepted as an integer, so the message formats it as one
+        ({"model": "fubiniStudy", "branch": 1.0}, "branch"),
     ],
 )
 def test_main_rejects_mistyped_config(tmp_path, capsys, change, key):

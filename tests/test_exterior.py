@@ -471,11 +471,10 @@ def test_transform_respects_wedge():
 
 def test_dform_constant_and_polynomial():
     n = 4
-    pt = (0.3, 0.4, 0.1, 0.9)
-    const = JetForm(n, 2, {(1, 2): ScalarField.constant(n, 3.5).jet(pt, 1)})
+    const = JetForm(n, 2, {(1, 2): Jet.constant(3.5, n, 1)})
     assert const.d_value().sup() == 0.0
     pt = (0.7, -0.3, 0.2, 0.5)
-    x1_dx2 = JetForm(n, 1, {(2,): ScalarField.coordinate(n, 0).jet(pt, 1)})
+    x1_dx2 = JetForm(n, 1, {(2,): Jet.variable(pt[0], 0, n, 1)})
     assert (x1_dx2.d_value() - Multivector.basis(n, (1, 2))).sup() == 0.0
 
 
@@ -495,7 +494,7 @@ def _random_polynomial_field(rng, n, k):
                     acc = acc + float(c[i, j]) * jets[i] * jets[j]
             return acc
 
-        coeffs[idx] = ScalarField(n, fn=fn)
+        coeffs[idx] = ScalarField(fn)
 
     def jets(point, order):
         c = {idx: field.jet(point, order) for idx, field in coeffs.items()}
@@ -533,7 +532,7 @@ def _random_scalar_field(rng, n):
             acc = acc + float(c[i]) * jets[i] * jets[(i + 1) % n]
         return acc
 
-    return ScalarField(n, fn=fn)
+    return ScalarField(fn)
 
 
 def test_form_field_arithmetic_matches_jetform():
@@ -570,7 +569,7 @@ def test_form_field_zero_form_leibniz():
     f = _random_scalar_field(rng, n)
     jf = f.jet(pt, 1)
     lhs = (a * jf).d_value()
-    rhs = JetForm(n, 0, {(): jf}).d_value().wedge(a.value()) + a.d_value() * f(pt)
+    rhs = JetForm(n, 0, {(): jf}).d_value().wedge(a.value()) + a.d_value() * jf.value
     assert lhs.k == 3
     assert (lhs - rhs).sup() < 1e-12
 

@@ -15,6 +15,7 @@ from g2frames.frames4 import (
     predicates,
     sectional,
 )
+from g2frames.bundle7.pspace import _base_star
 from g2frames.jets import Jet
 from g2frames.models import get_model
 
@@ -56,14 +57,16 @@ def test_coframe_reproduces_metric():
         fb = spec.bundle()
         for pt in spec.sample_points(20, rng):
             bd = fb.base(tuple(pt), 1)
-            g = np.array([[spec.metric[i][j].jet(tuple(pt), 0).value for j in range(4)] for i in range(4)])
+            g = np.array([[e.value for e in row] for row in spec.metric.jet(tuple(pt), 0)])
             assert np.max(np.abs(bd.coeff_val.T @ bd.coeff_val - g)) < 1e-10
 
 
 def test_non_spd_metric_rejected_with_point():
-    bad = [[ScalarField.constant(4, 1.0 if i == j else 0.0) for j in range(4)] for i in range(4)]
-    bad[2][2] = ScalarField.constant(4, -2.0)
-    fb = FrameBundle(bad)
+    def bad(*x):
+        diag = (1.0, 1.0, -2.0, 1.0)
+        return [[Jet.constant(diag[i] if i == j else 0.0, 4, x[0].order) for j in range(4)] for i in range(4)]
+
+    fb = FrameBundle(ScalarField(bad))
     with pytest.raises(NonSPDMetricError) as err:
         fb.base((0.1, 0.2, 0.3, 0.4), 2)
     assert err.value.point == (0.1, 0.2, 0.3, 0.4)
@@ -249,10 +252,11 @@ def test_conformally_flat_smoke():
                 acc = acc + float(c[i, j]) * x[i] * x[j]
         return (acc * 0.25).exp()
 
-    f = ScalarField(4, fn=factor)
-    z = ScalarField.constant(4, 0.0)
-    metric = [[f if i == j else z for j in range(4)] for i in range(4)]
-    fb = FrameBundle(metric)
+    def metric(*x):
+        f, z = factor(*x), Jet.constant(0.0, 4, x[0].order)
+        return [[f if i == j else z for j in range(4)] for i in range(4)]
+
+    fb = FrameBundle(ScalarField(metric))
     for _ in range(5):
         pt = tuple(rng.uniform(-0.5, 0.5, size=4))
         st = fb.singer_thorpe(pt)
@@ -310,8 +314,7 @@ def _entrywise_conn_curv(metric, point, order):
     """Reference connection and curvature as nested lists: the structure
     constants and the weights as scalar jets, one ``contract`` per entry, then
     ``d_jets`` plus ``omega ^ omega`` per entry."""
-    g = [[metric[i][j].jet(point, order) for j in range(4)] for i in range(4)]
-    coeff = _jet_cholesky(g, point)
+    coeff = _jet_cholesky(metric.jet(point, order), point)
     low = order - 1
     inv_low = _upper_inverse(_truncate_matrix(coeff, low))
     theta = [JetForm._of(4, 1, coeff[0][0].table, np.array([e.coef for e in row])) for row in coeff]
@@ -395,12 +398,13 @@ def test_base_star_matrix_matches_the_frame_route(name):
     fb = spec.bundle()
     for pt in _probe(spec, 3):
         bd = fb.base(pt, 2)
+        star = _base_star(bd)
         for i in range(6):
             dx = Multivector(4, 2, np.eye(6)[i])
             ref = dx.transform(bd.frame_val).hodge(np.ones(4)).transform(bd.coeff_val)
-            assert np.max(np.abs(bd.star2[:, i] - ref.coef)) <= 1e-12, (name, i)
+            assert np.max(np.abs(star[:, i] - ref.coef)) <= 1e-12, (name, i)
         # ** = 1 on 2-forms of an oriented Riemannian 4-manifold
-        assert np.max(np.abs(bd.star2 @ bd.star2 - np.eye(6))) <= 1e-12, name
+        assert np.max(np.abs(star @ star - np.eye(6))) <= 1e-12, name
 
 
 def test_base_keeps_only_the_latest_build():

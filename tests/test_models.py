@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from g2frames.frames4 import predicates
+from g2frames.exterior import ScalarField
+from g2frames.frames4 import curvature_oracle, predicates
+from g2frames.jets import Jet
+from g2frames.jets import table as jet_table
 from g2frames.models import MODEL_NAMES, UnknownModelError, expected_table, get_model
 
 
@@ -56,8 +59,41 @@ def test_metrics_spd_on_safe_box():
     for name in MODEL_NAMES:
         spec = get_model(name)
         for pt in spec.sample_points(10, rng):
-            g = np.array(
-                [[spec.metric[i][j].jet(tuple(pt), 0).value for j in range(4)] for i in range(4)]
-            )
+            g = np.array([[e.value for e in row] for row in spec.metric.jet(tuple(pt), 0)])
             assert np.all(np.linalg.eigvalsh(g) > 0), name
             assert np.max(np.abs(g - g.T)) < 1e-14
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_metric_is_read_once_per_base_build_and_oracle_call(monkeypatch, name):
+    spec = get_model(name)
+    pt = tuple(spec.sample_points(1, np.random.default_rng(23))[0])
+    calls = []
+    jet = ScalarField.jet
+
+    def counted(self, point, order):
+        calls.append(order)
+        return jet(self, point, order)
+
+    monkeypatch.setattr(ScalarField, "jet", counted)
+    spec.bundle()._build(pt, 2)
+    assert calls == [2]
+    curvature_oracle(spec.metric, pt)
+    assert calls == [2, 2]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_metric_is_one_symmetric_jet_matrix(name, order):
+    spec = get_model(name)
+    for pt in spec.sample_points(3, np.random.default_rng(24)):
+        g = spec.metric.jet(tuple(pt), order)
+        assert len(g) == 4 and all(len(row) == 4 for row in g)
+        for i in range(4):
+            for j in range(4):
+                e = g[i][j]
+                assert isinstance(e, Jet) and e.table is jet_table(4, order)
+                assert e.coef.tobytes() == g[j][i].coef.tobytes(), (name, i, j)
+                # the Cholesky factor reads the sign of a zero entry
+                if not e.coef.any():
+                    assert not np.signbit(e.coef).any(), (name, i, j)

@@ -186,7 +186,7 @@ def test_star_horizontal_rejects_vertical_component():
     chart = make_chart("sphere4", 1)
     pt = tuple(chart.sample_points(1, np.random.default_rng(SEED))[0])
     horizontal = Multivector.basis(7, (4, 5))
-    assert chart._star_horizontal(horizontal, pt).sup() > 0.0
+    assert chart._star_horizontal([horizontal], pt)[0].sup() > 0.0
     for idx in ((1, 4), (2, 3)):
         with pytest.raises(ValueError, match="not horizontal"):
-            chart._star_horizontal(horizontal + Multivector.basis(7, idx), pt)
+            chart._star_horizontal([horizontal + Multivector.basis(7, idx)], pt)
