@@ -2,10 +2,11 @@
 
 Both are 7-dimensional charts with fiber coordinates first (labels 1..3) and
 base coordinates last (labels 4..7).  A subclass builds every chart quantity
-at one point as 7-variable jet forms (``_build``) and names its adapted
-coframe (``_coframe``); this base keeps only the latest ``(point, order)``
-build, adds to it d phi, d psi, the adapted coframe, its inverse's compounds
-and (d phi, d psi) in that coframe, and ends the closed torsion of both charts.
+at each point of a chunk as 7-variable jet forms with a leading probe axis
+(``_chunk``) and names its adapted coframe (``_coframe``); this base keeps
+only the latest chunk build, adds to it d phi, d psi, the adapted coframe,
+its inverse's compounds and (d phi, d psi) in that coframe, and ends the
+closed torsion of both charts.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..exterior import JetForm, Multivector, combo_pos, combos, compounds
-from ..g2point import TorsionForms
+from ..exterior import ChunkCache, JetForm, Multivector, combo_pos, combos, compounds
+from ..g2point import TorsionForms, larger
 from ..jets import _embed_index
 from ..jets import table as jet_table
 from ..models import ModelSpec
@@ -39,28 +40,31 @@ def _promoted_rows(k: int) -> np.ndarray:
 
 def promote(jf: JetForm) -> JetForm:
     """Lift a base jet form (labels 1..4) to the chart (labels 4..7)."""
-    order = jf.table.order
-    out = JetForm(N, jf.k, table=jet_table(N, order))
-    cols = _embed_index(jf.table.nvars, order, N, _BASE_POSITIONS)
-    out.coef[np.ix_(_promoted_rows(jf.k), cols)] = jf.coef
-    return out
+    tab = jet_table(N, jf.table.order)
+    out = np.zeros(jf.probes + (len(combos(N, jf.k)), tab.size))
+    cols = _embed_index(jf.table.nvars, tab.order, N, _BASE_POSITIONS)
+    out[..., _promoted_rows(jf.k)[:, None], cols] = jf.coef
+    return JetForm._of(N, jf.k, tab, out)
 
 
 def fiber_form(jets) -> JetForm:
     """The 1-form sum_v jets[v] du^v over the three fiber coordinates."""
-    coef = np.zeros((N, jets[0].table.size))
-    coef[:3] = [j.coef for j in jets]
+    coefs = np.stack(np.broadcast_arrays(*(j.coef for j in jets)), axis=-2)
+    coef = np.zeros(coefs.shape[:-2] + (N, coefs.shape[-1]))
+    coef[..., :3, :] = coefs
     return JetForm._of(N, 1, jets[0].table, coef)
 
 
 def components(forms) -> np.ndarray:
-    """Rows: values of the 1-forms' components over (dx1, ..., dx7)."""
-    return np.array([jf.coef[:, 0] for jf in forms])
+    """Rows: values of the 1-forms' components over (dx1, ..., dx7), after
+    the probe axis."""
+    return np.stack([jf.coef[..., 0] for jf in forms], axis=-2)
 
 
-def _adapt(J, mv: Multivector) -> Multivector:
-    """``mv.transform`` by the inverse adapted coframe, from the build's compounds."""
-    return Multivector(N, mv.k, J.compounds[mv.k].T @ mv.coef)
+def _adapt(comp, mv: Multivector) -> Multivector:
+    """``mv.transform`` by the inverse adapted coframe, from its compounds
+    ``comp``; one matrix-vector product per probe."""
+    return Multivector(N, mv.k, (comp[mv.k].swapaxes(-1, -2) @ mv.coef[..., None])[..., 0])
 
 
 def torsion_gap(closed: TorsionForms, numeric: TorsionForms) -> float:
@@ -74,12 +78,14 @@ def torsion_gap(closed: TorsionForms, numeric: TorsionForms) -> float:
     return float(np.max(gaps))  # a NaN gap propagates
 
 
-class Chart:
+class Chart(ChunkCache):
     """One branch of a rank-3 bundle chart over a catalog model.
 
-    Subclasses provide ``_build(point, order)``, returning a namespace with
-    at least ``phi`` and ``psi`` jet forms; ``_coframe(J)``, the adapted
-    coframe of a build; and ``torsion_closed`` and ``torsion_numeric``.
+    Subclasses provide ``_chunk(points, order)``, returning a namespace with
+    at least ``phi`` and ``psi`` jet forms over a chunk of points;
+    ``_coframe(J)``, the adapted coframe of a build; and ``torsion_closed``
+    and ``torsion_numeric``.  ``load(points)`` builds a chunk; the per-point
+    methods read one probe's row of it, and each readout runs once per chunk.
     """
 
     def __init__(self, model: ModelSpec, branch: int):
@@ -88,21 +94,26 @@ class Chart:
         self.model = model
         self.branch = branch
         self.frame = model.bundle()
-        self._last = None  # (key, build) of the latest build only
+
+    def load(self, points, order: int = 1):
+        return super().load(points, order)
+
+    def _build(self, points, order):
+        """The chunk build, with d phi, d psi, the adapted coframe (rows over
+        (du, dx)), (d phi, d psi) in it and its inverse's compounds up to
+        degree 3."""
+        J = self._chunk(points, order)
+        J.readouts = {}
+        J.dphi, J.dpsi = J.phi.d_value(), J.psi.d_value()
+        J.coframe = self._coframe(J)
+        comp = compounds(np.linalg.inv(J.coframe), 5)
+        J.adapted = (_adapt(comp, J.dphi), _adapt(comp, J.dpsi))
+        J.compounds = comp[:4]  # the closed torsion adapts forms of degree <= 3
+        return J
 
     def jets(self, point, order: int = 1):
-        """The build at ``(point, order)``, with d phi, d psi, the adapted coframe
-        (rows over (du, dx)), its inverse's compounds and (d phi, d psi) in it."""
-        key = (tuple(float(v) for v in point), order)
-        last = self._last
-        if last is None or last[0] != key:
-            J = self._build(key[0], order)
-            J.dphi, J.dpsi = J.phi.d_value(), J.psi.d_value()
-            J.coframe = self._coframe(J)
-            J.compounds = compounds(np.linalg.inv(J.coframe), 5)
-            J.adapted = (_adapt(J, J.dphi), _adapt(J, J.dpsi))
-            last = self._last = (key, J)
-        return last[1]
+        """The build at one point: its row of the loaded chunk."""
+        return self._row(point, order)
 
     def phi_at(self, point):
         return self.jets(point, 1).phi.value()
@@ -132,12 +143,12 @@ class Chart:
     def _closed_torsion(J, s7, tau0: float, tau3, tau12=None) -> TorsionForms:
         """Closed torsion forms moved to the adapted coframe, with their W2
         and W3 membership; ``tau12 = None`` stands for tau1 = tau2 = 0."""
-        t3a = _adapt(J, tau3)
-        mem3 = max(s7.gnorm(t3a.wedge(s7.phi)), s7.gnorm(t3a.wedge(s7.psi)))
+        t3a = _adapt(J.compounds, tau3)
+        mem3 = larger(s7.gnorm(t3a.wedge(s7.phi)), s7.gnorm(t3a.wedge(s7.psi)))
         if tau12 is None:
             t1a, t2a, mem2 = Multivector(N, 1), Multivector(N, 2), 0.0
         else:
-            t1a, t2a = (_adapt(J, t) for t in tau12)
+            t1a, t2a = (_adapt(J.compounds, t) for t in tau12)
             mem2 = s7.gnorm(t2a.wedge(s7.phi) - s7.w14_eigenvalue * s7.hodge(t2a))
         return TorsionForms(
             tau0, t1a, t2a, t3a, residual_phi=0.0, residual_psi=0.0, membership_w2=mem2, membership_w3=mem3

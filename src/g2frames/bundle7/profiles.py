@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..jets import Jet, JetBatch
+from ..jets import Jet, libm_pow
 
 
 class ProfileDomainError(ValueError):
@@ -34,18 +34,22 @@ class Profile:
     params: dict = field(default_factory=dict)
     r0: float | None = None
 
-    def _check(self, r: float):
-        if not (self.r_min <= r < self.r_max):
+    def _check(self, r):
+        """Raise naming the first radius of ``r`` (a float or an array) outside the domain."""
+        inside = (self.r_min <= r) & (r < self.r_max)
+        if not (inside if isinstance(inside, bool) else inside.all()):
+            bad = float(np.ravel(r)[np.argmin(np.ravel(inside))])
             raise ProfileDomainError(
-                f"r = {r:.6g} outside profile domain [{self.r_min:.6g}, {self.r_max:.6g})"
+                f"r = {bad:.6g} outside profile domain [{self.r_min:.6g}, {self.r_max:.6g})"
                 + (f"; violated bound r < r0 = {self.r0:.6g}" if self.r0 is not None else "")
             )
 
-    def lam_jet(self, r: float, order: int) -> Jet:
+    # r is a float or an array of radii, whose jets then carry a probe axis
+    def lam_jet(self, r, order: int) -> Jet:
         self._check(r)
         return self.lam_fn(Jet.variable(r, 0, 1, order))
 
-    def mu_jet(self, r: float, order: int) -> Jet:
+    def mu_jet(self, r, order: int) -> Jet:
         self._check(r)
         return self.mu_fn(Jet.variable(r, 0, 1, order))
 
@@ -56,20 +60,18 @@ class Profile:
         return self.mu_jet(r, 0).value
 
     def lam_values(self, r: np.ndarray) -> np.ndarray:
-        """lam at an array of radii: ``lam_fn`` once on a batch of order-0
-        jets, equal to ``lam`` at each radius bit for bit.  The first radius
-        outside the domain raises as ``lam`` would."""
-        inside = (self.r_min <= r) & (r < self.r_max)
-        if not inside.all():
-            self._check(float(r[np.argmin(inside)]))
-        return self.lam_fn(JetBatch(r)).value
+        """lam at an array of radii: ``lam_fn`` once on order-0 jets with a
+        probe axis, equal to ``lam`` at each radius bit for bit.  The first
+        radius outside the domain raises as ``lam`` would."""
+        return self.lam_jet(r, 0).value
 
-    def condition_residuals(self, s: float, r: float) -> dict:
-        """Pointwise residuals of the three coupled conditions."""
+    def condition_residuals(self, s: float, r) -> dict:
+        """Residuals of the three coupled conditions at a radius, or at each
+        radius of an array in one batch of jets."""
         lam = self.lam_jet(r, 1)
         mu = self.mu_jet(r, 1)
         const = (lam * mu).partial(0)
-        t1 = (lam**2 * mu**4).partial(0) - s * (lam.value**4) * (mu.value**2)
+        t1 = (lam**2 * mu**4).partial(0) - s * libm_pow(lam.value, 4) * libm_pow(mu.value, 2)
         t2 = (mu**2 / lam**2).partial(0) - 2.0 * s
         return {"const": abs(const), "tau1": abs(t1), "tau2": abs(t2)}
 
@@ -191,7 +193,7 @@ def random_smooth_profile(rng, r_max: float = 20.0) -> Profile:
 
 
 def two_of_three_report(profile: Profile, s: float, r_samples) -> dict:
-    """Worst-case residuals of all three conditions over the samples; a NaN
-    at any sample propagates."""
-    rows = [profile.condition_residuals(s, float(r)) for r in r_samples]
-    return {key: float(np.max([row[key] for row in rows])) for key in ("const", "tau1", "tau2")}
+    """Worst-case residuals of all three conditions over the samples, all
+    evaluated in one batch; a NaN at any sample propagates."""
+    res = profile.condition_residuals(s, np.asarray(r_samples, dtype=float))
+    return {key: float(np.max(res[key])) for key in ("const", "tau1", "tau2")}

@@ -22,8 +22,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..exterior import MatrixForm, Multivector, _hodge_table, check, compounds, hat, max_sup, zero_forms
+from ..frames4 import chunk_blocks
 from ..g2point import G2Structure, TorsionForms, standard_phi, torsion_decompose
-from ..jets import Jet
+from ..jets import Jet, libm_pow
 from ..models import ModelSpec
 from .chart import N, Chart, _promoted_rows, components, fiber_form, promote
 
@@ -44,17 +45,18 @@ def _series_derivs(t: float, order: int, shift: int) -> list:
     for m in range(order + 1):
         acc = 0.0
         for j in range(m, m + 30):
-            term = (-1.0) ** j * math.perm(j, m) * t ** (j - m) / math.factorial(2 * j + shift)
+            term = (-1.0) ** j * math.perm(j, m) * libm_pow(t, j - m) / math.factorial(2 * j + shift)
             acc += term
         out.append(acc)
     return out
 
 
 def _base_star(bd) -> np.ndarray:
-    """The base Hodge star on 2-forms as one 6x6 matrix in the dx basis."""
+    """The base Hodge star on 2-forms as one 6x6 matrix in the dx basis (one
+    per probe on a chunk)."""
     # to the theta basis, the unit-metric star there, back to the dx basis
     sign, comp = _hodge_table(4, 2)
-    return (compounds(bd.coeff_val, 2)[2].T[:, comp] * sign) @ bd.frame_c2.T
+    return (compounds(bd.coeff_val, 2)[2].swapaxes(-1, -2)[..., comp] * sign) @ bd.frame_c2.swapaxes(-1, -2)
 
 
 def rotation_jets(u_jets):
@@ -103,23 +105,23 @@ class PSpaceChart(Chart):
         self.mu = float(mu)
         self._structure = standard_phi(self.lam, self.mu, branch)
 
-    def _build(self, point, p):
-        """All chart quantities at one point, as 7-variable jet forms."""
-        u = np.asarray(point[:3], dtype=float)
-        unorm = float(np.linalg.norm(u))
-        if unorm >= CHART_BOUND:
-            raise ChartBoundError(unorm)
-        x = point[3:]
-        base = self.frame.base(x, p + 1)
+    def _chunk(self, points, p):
+        """All chart quantities at each point of a chunk, as 7-variable jet
+        forms with a leading probe axis."""
+        for u in points[:, :3]:
+            unorm = float(np.linalg.norm(u))
+            if unorm >= CHART_BOUND:
+                raise ChartBoundError(unorm)
+        base = self.frame.load(points[:, 3:], p + 1)
         eta4, conn4, rho4 = base.duality(self.branch)
-        J = SimpleNamespace()
+        J = SimpleNamespace(base=base)
         J.theta = tuple(promote(t) for t in base.theta_low)
         eta_p = tuple(promote(e) for e in eta4)
 
-        u_hi = tuple(Jet.variable(point[i], i, N, p + 1) for i in range(3))
+        u_hi = tuple(Jet.variable(points[:, i], i, N, p + 1) for i in range(3))
         g_hi = rotation_jets(u_hi)
         gm = zero_forms(N, u_hi[0].table, [[e.coef for e in row] for row in g_hi]).truncate(p)
-        J.g_val = gm.coef[:, :, 0, 0]
+        J.g_val = np.moveaxis(gm.coef[..., 0, 0], (0, 1), (-2, -1))
         dg = MatrixForm(
             [[fiber_form([g_hi[k][j].derivative(v) for v in range(3)]) for j in range(3)] for k in range(3)]
         )
@@ -145,9 +147,9 @@ class PSpaceChart(Chart):
     @staticmethod
     def _coframe(J) -> np.ndarray:
         """Rows of (f.g^t, theta): the coframe in which phi is standard."""
-        g = J.g_val
+        g = J.g_val[..., None]
         e = components(J.f + J.theta)
-        e[:3] = [sum(g[j][i] * e[i] for i in range(3)) for j in range(3)]
+        e[..., :3, :] = np.stack([sum(g[..., j, i, :] * e[..., i, :] for i in range(3)) for j in range(3)], axis=-2)
         return e
 
     def structure(self) -> G2Structure:
@@ -156,11 +158,13 @@ class PSpaceChart(Chart):
     # -- identity block -------------------------------------------------------
     def identity_residuals(self, point) -> dict:
         """Pointwise residuals of the structural and algebraic identities."""
-        J = self.jets(point, 1)
+        return self._readout(self.jets(point, 1), "identities", self._identity_residuals)
+
+    def _identity_residuals(self, J) -> dict:
         b = float(self.branch)
         f, rho_hat, eta, om, rho = J.f_val, J.rho_hat_val, J.eta_val, J.omega_val, J.rho_val
         beta, vol = J.beta_val, J.vol_val
-        st = self.frame.singer_thorpe(tuple(point[3:]))
+        st = chunk_blocks(J.base)
 
         res = {}
         # skewness of the total connection
@@ -186,7 +190,7 @@ class PSpaceChart(Chart):
         res["beta_sixth"] = ((fom @ f.T)[0, 0] * (1.0 / 6.0) - beta).sup()
         # omega f^t f = 2 beta 1 = f^t f omega
         omft = om @ f.T
-        two_beta = MatrixForm._of(beta, np.eye(3)[:, :, None] * 2.0 * beta.coef)
+        two_beta = MatrixForm._of(beta, np.eye(3).reshape((3, 3) + (1,) * beta.coef.ndim) * 2.0 * beta.coef)
         res["omega_ftf"] = max_sup([omft @ f - two_beta, f.T @ f @ om - two_beta])
         # omega omega f^t = 0
         res["omega_omega_ft"] = (omom @ f.T).sup()
@@ -217,36 +221,43 @@ class PSpaceChart(Chart):
     # -- torsion ---------------------------------------------------------------
     def torsion_closed(self, point) -> TorsionForms:
         """Closed-form torsion (tau1 = tau2 = 0 for constant scales)."""
-        J = self.jets(point, 1)
-        st = self.frame.singer_thorpe(tuple(point[3:]))
-        s = st.s
+        return self._readout(self.jets(point, 1), "torsion_closed", self._torsion_closed)
+
+    def _torsion_closed(self, J) -> TorsionForms:
+        s = chunk_blocks(J.base).s
         lam, mu, b = self.lam, self.mu, float(self.branch)
         tau0 = b * (6.0 / (7.0 * lam * mu**2)) * (mu**2 + 2.0 * s * lam**2)
-        star_rho = MatrixForm([self._star_horizontal([J.rho_hat_val[0, i] for i in range(3)], point)])
+        star_rho = MatrixForm([_lift_star([J.rho_hat_val[0, i] for i in range(3)], _base_star(J.base))])
         tau3 = (
             (star_rho @ J.f_val.T)[0, 0] * lam**2
             - (J.eta_val @ J.f_val.T)[0, 0] * ((mu**2 - 12.0 * s * lam**2) / 7.0)
             + J.beta_val * (b * (30.0 * s * lam**4 / mu**2 - 6.0 * lam**2) / 7.0)
         )
-        return self._closed_torsion(J, self._structure, float(tau0), tau3)
+        return self._closed_torsion(J, self._structure, tau0, tau3)
 
     def torsion_numeric(self, point, tol: float = 1e-9) -> TorsionForms:
-        return torsion_decompose(self._structure, *self.jets(point, 1).adapted, tol)
+        J = self.jets(point, 1)
+        return self._readout(J, ("torsion_numeric", tol), lambda J: torsion_decompose(self._structure, *J.adapted, tol))
 
     def _star_horizontal(self, forms, point) -> list:
         """Base Hodge star on purely horizontal 2-forms, lifted to the chart."""
-        star = _base_star(self.frame.base(tuple(point[3:]), 2))
-        rows = _promoted_rows(2)
-        out = []
-        for mv in forms:
-            if np.delete(mv.coef, rows).any():
-                raise ValueError("form is not horizontal")
-            lifted = Multivector(N, 2)
-            lifted.coef[rows] = star @ mv.coef[rows]
-            out.append(lifted)
-        return out
+        return _lift_star(forms, _base_star(self.frame.base(tuple(point[3:]), 2)))
 
     def sample_points(self, count: int, rng, u_max: float = 2.2) -> np.ndarray:
         """Seeded probes: u in the exponential chart, base in the safe box."""
         bound = min(u_max, CHART_BOUND)
         return self._sample(count, rng, u_max, lambda u: np.linalg.norm(u) < bound)
+
+
+def _lift_star(forms, star) -> list:
+    """The base star matrix ``star`` (one per probe on a chunk) applied to
+    purely horizontal 2-forms, lifted to the chart."""
+    rows = _promoted_rows(2)
+    out = []
+    for mv in forms:
+        if np.delete(mv.coef, rows, axis=-1).any():
+            raise ValueError("form is not horizontal")
+        lifted = np.zeros(mv.coef.shape)
+        lifted[..., rows] = (star @ mv.coef[..., rows, None])[..., 0]
+        out.append(Multivector(N, 2, lifted))
+    return out

@@ -22,8 +22,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..exterior import MatrixForm, Multivector, check, contract
+from ..frames4 import chunk_blocks
 from ..g2point import G2Structure, TorsionForms, standard_phi, torsion_decompose
-from ..jets import Jet
+from ..jets import Jet, libm_pow
 from ..models import ModelSpec
 from .chart import N, Chart, components, fiber_form, promote
 
@@ -54,16 +55,16 @@ class XSpaceChart(Chart):
         super().__init__(model, branch)
         self.profile = profile
 
-    def _build(self, point, p):
-        """All chart quantities at one point, as 7-variable jet forms."""
-        x = point[3:]
-        base = self.frame.base(x, p + 1)
+    def _chunk(self, points, p):
+        """All chart quantities at each point of a chunk, as 7-variable jet
+        forms with a leading probe axis."""
+        base = self.frame.load(points[:, 3:], p + 1)
         eta4, conn4, rho4 = base.duality(self.branch)
-        J = SimpleNamespace()
+        J = SimpleNamespace(base=base)
         J.theta = tuple(promote(t) for t in base.theta_low)
         J.eta = tuple(promote(e) for e in eta4)
         J.rho3 = tuple(promote(r) for r in rho4)
-        J.a = tuple(Jet.variable(point[i], i, N, p) for i in range(3))
+        J.a = tuple(Jet.variable(points[:, i], i, N, p) for i in range(3))
         om = check([promote(w) for w in conn4])
         da = [fiber_form([Jet.constant(float(i == v), N, p) for v in range(3)]) for i in range(3)]
         f = J.f = tuple(da[i] - contract([om[j, i] for j in range(3)], J.a) for i in range(3))
@@ -73,8 +74,8 @@ class XSpaceChart(Chart):
         J.r = J.a[0] * J.a[0] + J.a[1] * J.a[1] + J.a[2] * J.a[2]
         lam_p = self.profile.lam_jet(J.r.value, p)
         mu_p = self.profile.mu_jet(J.r.value, p)
-        J.lam = J.r.compose([lam_p.coef[k] * _FACT[k] for k in range(p + 1)])
-        J.mu = J.r.compose([mu_p.coef[k] * _FACT[k] for k in range(p + 1)])
+        J.lam = J.r.compose([lam_p.coef[..., k] * _FACT[k] for k in range(p + 1)])
+        J.mu = J.r.compose([mu_p.coef[..., k] * _FACT[k] for k in range(p + 1)])
         eta = MatrixForm([J.eta])
         mixed = (eta @ MatrixForm([J.f]).T)[0, 0]
         J.eta_h = (eta @ MatrixForm([J.h]).T)[0, 0]
@@ -82,11 +83,11 @@ class XSpaceChart(Chart):
         J.psi = J.vol * (J.mu**4) - J.eta_h * (J.lam**2 * J.mu**2)
         # point values that the closed system and the closed torsion share
         J.lam1, J.mu1 = lam_p.truncate(1), mu_p.truncate(1)
-        J.a_val = np.array([a.value for a in J.a])
+        J.a_val = np.stack([a.value for a in J.a], axis=-1)
         J.f_val, J.h_val, J.eta_val = (MatrixForm([row]).value() for row in (J.f, J.h, J.eta))
         J.rho_val = check([r.value() for r in J.rho3])
         J.beta_val, J.vol_val = J.beta.value(), J.vol.value()
-        J.dr = contract(J.f_val, J.a_val) * 2.0
+        J.dr = contract(J.f_val, J.a_val.T) * 2.0
         J.s7 = standard_phi(J.lam.value, J.mu.value, self.branch)
         return J
 
@@ -101,12 +102,15 @@ class XSpaceChart(Chart):
     # -- two evaluation paths for d(phi), d(psi) ----------------------------
     def structure_residuals(self, point) -> dict:
         """Residuals of the closed differential system against jet evaluation."""
-        J = self.jets(point, 1)
+        return self._readout(self.jets(point, 1), "structure", self._structure_residuals)
+
+    def _structure_residuals(self, J) -> dict:
         a_val, f_val, h_val, eta_val, dr, rho_m = J.a_val, J.f_val, J.h_val, J.eta_val, J.dr, J.rho_val
         b = float(self.branch)
 
         # d r = 2 f a^t
-        dr_direct = Multivector(N, 1, np.concatenate([2.0 * a_val, np.zeros(4)]))
+        dr_direct = Multivector(N, 1, np.concatenate([2.0 * a_val, np.zeros(a_val.shape[:-1] + (4,))], axis=-1))
+        a_val = a_val.T
         res = {"dr": (dr - dr_direct).sup()}
 
         # d(eta a^t) = eta ^ f^t
@@ -122,7 +126,8 @@ class XSpaceChart(Chart):
         res["d_eta_ht"] = (J.eta_h.d_value() + eta_fc_rho_a).sup()
 
         # closed structure system for d phi and d psi
-        lam, mu, lam1, mu1 = J.lam.value, J.mu.value, J.lam1, J.mu1
+        lam1, mu1 = J.lam1, J.mu1
+        (lam3, lam2), (mu2,) = _powers(J.lam.value, 3, 2), _powers(J.mu.value, 2)
         d_lam3 = (lam1**3).partial(0)
         d_lammu2 = (lam1 * mu1**2).partial(0)
         d_mu4 = (mu1**4).partial(0)
@@ -130,54 +135,58 @@ class XSpaceChart(Chart):
         eta_h = (eta_val @ h_val.T)[0, 0]
         dphi_closed = (
             dr.wedge(J.beta_val) * d_lam3
-            + h_rho_a * lam**3
+            + h_rho_a * lam3
             - b * d_lammu2 * dr.wedge(eta_f)
         )
         dpsi_closed = (
             dr.wedge(J.vol_val) * d_mu4
             - d_lam2mu2 * dr.wedge(eta_h)
-            + eta_fc_rho_a * (lam**2 * mu**2)
+            + eta_fc_rho_a * (lam2 * mu2)
         )
         res["dphi_system"] = (J.dphi - dphi_closed).sup()
         res["dpsi_system"] = (J.dpsi - dpsi_closed).sup()
         return res
 
     # -- torsion, two ways ---------------------------------------------------
-    def _singer_thorpe(self, point):
-        st = self.frame.singer_thorpe(tuple(point[3:]))
+    def _singer_thorpe(self, J):
+        st = chunk_blocks(J.base)
         wrong = st.wplus if self.branch == 1 else st.wminus
-        norm = float(np.max(np.abs(wrong)))
-        if norm > HYP_TOL:
-            raise DualityHypothesisError(self.branch, norm)
+        norm = np.ravel(np.max(np.abs(wrong), axis=(-2, -1)))
+        if np.any(norm > HYP_TOL):
+            raise DualityHypothesisError(self.branch, norm[np.argmax(norm > HYP_TOL)])
         return st
 
     def torsion_closed(self, point) -> TorsionForms:
         """Closed-form torsion components in the adapted basis."""
-        s = self._singer_thorpe(point).s
-        J = self.jets(point, 1)
+        return self._readout(self.jets(point, 1), "torsion_closed", self._torsion_closed)
+
+    def _torsion_closed(self, J) -> TorsionForms:
+        s = self._singer_thorpe(J).s
         b = float(self.branch)
-        a_val, f_val, h_val, eta_val, lam1, mu1 = J.a_val, J.f_val, J.h_val, J.eta_val, J.lam1, J.mu1
+        a_val, f_val, h_val, eta_val, lam1, mu1 = J.a_val.T, J.f_val, J.h_val, J.eta_val, J.lam1, J.mu1
         lam, mu = lam1.value, mu1.value
-        t1_coef = (2.0 / (3.0 * lam**2 * mu**4)) * (
-            (lam1**2 * mu1**4).partial(0) - s * lam**4 * mu**2
+        lam2, lam3, lam4 = _powers(lam, 2, 3, 4)
+        mu2, mu4 = _powers(mu, 2, 4)
+        t1_coef = (2.0 / (3.0 * lam2 * mu4)) * (
+            (lam1**2 * mu1**4).partial(0) - s * lam4 * mu2
         )
         tau1 = J.dr * t1_coef
 
         t2_coef = (mu1**2 / lam1**2).partial(0) - 2.0 * s
         h_at = contract(h_val, a_val)
         eta_at = contract(eta_val, a_val)
-        tau2 = (h_at * (4.0 * lam**3 / (3.0 * mu**2)) + eta_at * (b * 2.0 * lam / 3.0)) * (
+        tau2 = (h_at * (4.0 * lam3 / (3.0 * mu2)) + eta_at * (b * 2.0 * lam / 3.0)) * (
             -b * t2_coef
         )
 
         rho_b = J.rho_val + check(eta_val) * (b * s)
-        tau3 = contract(f_val @ rho_b, a_val) * (-b * lam**2)
+        tau3 = contract(f_val @ rho_b, a_val) * (-b * lam2)
         return self._closed_torsion(J, J.s7, 0.0, tau3, (tau1, tau2))
 
     def torsion_numeric(self, point, tol: float = 1e-9) -> TorsionForms:
         """Torsion via jet differentiation and the pointwise decomposition."""
         J = self.jets(point, 1)
-        return torsion_decompose(J.s7, *J.adapted, tol)
+        return self._readout(J, ("torsion_numeric", tol), lambda J: torsion_decompose(J.s7, *J.adapted, tol))
 
     def sample_points(self, count: int, rng, a_max: float = 1.2) -> np.ndarray:
         """Seeded probes: base in the model safe box, fiber within |a| <= a_max
@@ -190,3 +199,8 @@ class XSpaceChart(Chart):
 
 
 _FACT = (1.0, 1.0, 2.0, 6.0)
+
+
+def _powers(v, *exponents) -> list:
+    """v**e for each exponent, by libm at each probe, as Python floats take them."""
+    return [libm_pow(v, e) for e in exponents]

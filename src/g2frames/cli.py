@@ -4,12 +4,14 @@ A run selects a base model, a bundle (2-form bundle X or coframe bundle P),
 a branch, and a scale profile, then executes every check relevant to that
 scenario over the chart's seeded probe points.  Each record names the
 identity it verifies via a stable anchor string, so independent
-implementations can be compared field by field.  Probes run one at a time,
-the frame records at the probe's base point on the chart's own frame bundle
-first, so each probe builds its base frame once.  Each named per-probe value
-is reduced over all probes with NaN-propagating maxima (``np.max``; the
-never-calibrated bound takes ``np.min``): a report is deterministic for a
-fixed seed and a NaN on any probe fails its record.
+implementations can be compared field by field.  Probes run in chunks of
+``PROBE_CHUNK``: the chart's own frame bundle builds the chunk's base points
+in one batched pass, the chart builds the chunk in another, and each probe's
+frame and chart values are its rows of them, so each probe builds its base
+frame once.  Each named per-probe value is reduced over all probes with
+NaN-propagating maxima (``np.max``; the never-calibrated bound takes
+``np.min``): a report is deterministic for a fixed seed and a NaN on any
+probe fails its record.
 """
 
 from __future__ import annotations
@@ -309,16 +311,43 @@ def _frame_values(chart, x) -> dict:
     }
 
 
+# probes per batched pass.  Kernel time per X probe (wedge, d and jet
+# products recorded from one probe and timed with a probe axis, on a 2-core
+# x86-64 host): 1.8 ms one at a time, 0.89 ms in chunks of 8, 0.76 ms of 16,
+# 0.67 ms of 32; 16 gets most of the gain while a chunk's working set stays
+# small next to the run's.
+PROBE_CHUNK = 16
+
+
+def _chunk_rows(stage: str, chart, probe, points, first: int) -> list:
+    """The rows of one chunk of probes, numbered from ``first``: the frame
+    pass over their base points, then the chart pass."""
+    with _stage(f"frame records, probe {first}"):
+        chart.clear()  # so the last chunk's chart build is not held while this one builds
+        chart.frame.load(points[:, 3:], 2)
+        rows = [_frame_values(chart, tuple(pt[3:])) for pt in points]
+    with _stage(f"{stage}, probe {first}"):
+        chart.load(points)
+        for row, pt in zip(rows, points):
+            row.update(probe(tuple(pt)))
+    return rows
+
+
 def _probe_rows(stage: str, chart, probe, points) -> list:
     """Each probe's named values, in probe order: its frame values at pt[3:],
-    then its chart values; an error names the stage and the probe (from 0)."""
+    then its chart values.  A chunk whose pass raises runs again one probe at
+    a time, each as a chunk of one, so an error names the stage and the
+    probe (from 0) where the first failing probe fails."""
     rows = []
-    for i, pt in enumerate(points):
-        with _stage(f"frame records, probe {i}"):
-            row = _frame_values(chart, tuple(pt[3:]))
-        with _stage(f"{stage}, probe {i}"):
-            row.update(probe(tuple(pt)))
-        rows.append(row)
+    for first in range(0, len(points), PROBE_CHUNK):
+        chunk = points[first : first + PROBE_CHUNK]
+        try:
+            rows += _chunk_rows(stage, chart, probe, chunk, first)
+        except Exception:
+            if len(chunk) == 1:
+                raise
+            for i in range(len(chunk)):
+                rows += _chunk_rows(stage, chart, probe, chunk[i : i + 1], first + i)
     return rows
 
 

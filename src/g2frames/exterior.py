@@ -33,10 +33,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jets import Jet, JetOrderError, variables
+from .jets import Jet, JetOrderError, _out, _scalar, stacked_bincount, variables
 from .jets import table as jet_table
 
 MAX_DIM = 8
+# terms per block of a stacked wedge: a wedge over a chunk of probes runs in
+# blocks of stacks of at most this many terms, so its gathers stay small (a
+# chunk of 16 X probes peaks at 2.6 MB of allocations in one block)
+MAX_TERMS = 8192
 
 
 class DimensionMismatch(ValueError):
@@ -185,34 +189,33 @@ def _jet_d_index(n: int, k: int, nvars: int, order: int):
     return np.concatenate(src), np.concatenate(w), low, np.concatenate(dst), size
 
 
-@lru_cache(maxsize=None)
-def _offset_bins(index, key, count):
-    """The ``dst`` of the tables ``index(*key)`` for ``count`` stacked kernel
-    calls, each offset by the flat stack index times the output size, and
-    that size."""
-    *_, dst, size = index(*key)
-    return (np.arange(count)[:, None] * size + dst).ravel(), size
-
-
 def _wedge_stack(a, b, ca, cb):
     """Wedges of stacked forms of the kinds of ``a`` and ``b``: ``ca`` and
-    ``cb`` hold flattened coefficient rows on leading axes that broadcast
-    against each other.  One gather over ``_jet_wedge_index`` and one
-    ``np.bincount`` whose bins are offset by the flat stack index, so each
-    bin gets the terms of one unstacked wedge in the same order.  Returns
-    the coefficients, of shape ``lead + (C(n, j + k),) + jet tail``."""
+    ``cb`` hold flattened coefficient rows on leading axes (stacks, probes)
+    that broadcast against each other.  One gather over ``_jet_wedge_index``
+    and one ``stacked_bincount``, so each bin gets the terms of one unstacked
+    wedge in the same order.  Returns the coefficients, of shape ``lead +
+    (C(n, j + k),) + jet tail``."""
     if a.n != b.n:
         raise DimensionMismatch("different ambient dimensions")
     if a.table is not b.table:
         raise ValueError("jets from different tables")
-    key = (a.n, a.k, b.k, a.table.nvars, a.table.order)
-    src_a, src_b, sign, _, _ = _jet_wedge_index(*key)
-    prod = ca.take(src_a, axis=-1) * cb.take(src_b, axis=-1) * sign
-    count = math.prod(prod.shape[:-1])
-    bins, size = _offset_bins(_jet_wedge_index, key, count)
-    out = np.bincount(bins, prod.ravel(), count * size)
-    # C(n, j + k) spelled out, since an empty stack (count 0) cannot infer it
-    return out.reshape(prod.shape[:-1] + (size // a.table.size,) + a.coef.shape[1:])
+    src_a, src_b, sign, dst, size = _jet_wedge_index(a.n, a.k, b.k, a.table.nvars, a.table.order)
+    lead = ca.shape[:-1] if ca.shape[:-1] == cb.shape[:-1] else np.broadcast_shapes(ca.shape[:-1], cb.shape[:-1])
+    count = math.prod(lead)
+    if count * len(src_a) <= MAX_TERMS:
+        out = stacked_bincount(dst, ca.take(src_a, axis=-1) * cb.take(src_b, axis=-1) * sign, size)
+    else:
+        ca, cb = (np.broadcast_to(c, lead + c.shape[-1:]).reshape(count, -1) for c in (ca, cb))
+        step = MAX_TERMS // len(src_a) or 1
+        out = np.empty((count, size))
+        for s in range(0, count, step):
+            prod = ca[s : s + step].take(src_a, axis=-1)
+            prod *= cb[s : s + step].take(src_b, axis=-1)
+            prod *= sign
+            out[s : s + step] = stacked_bincount(dst, prod, size)
+    # C(n, j + k) spelled out, since an empty stack cannot infer it
+    return out.reshape(lead + (size // a.table.size,) + a._tail)
 
 
 def _d_stack(a, ca):
@@ -222,41 +225,53 @@ def _d_stack(a, ca):
     low.size)``, and the lower jet table ``low``."""
     if a.table.order < 1:
         raise JetOrderError(1)
-    key = (a.n, a.k, a.table.nvars, a.table.order)
-    src, w, low, _, _ = _jet_d_index(*key)
+    src, w, low, dst, size = _jet_d_index(a.n, a.k, a.table.nvars, a.table.order)
     terms = ca.take(src, axis=-1) * w
-    count = math.prod(terms.shape[:-1])
-    bins, size = _offset_bins(_jet_d_index, key, count)
-    out = np.bincount(bins, terms.ravel(), count * size)
-    return out.reshape(terms.shape[:-1] + (-1, low.size)), low
+    return stacked_bincount(dst, terms, size).reshape(terms.shape[:-1] + (-1, low.size)), low
 
 
 def _wedge(a, b):
     """Wedge of two forms of one kind; a float form is the order-0 case."""
-    return a._new(a.k + b.k, _wedge_stack(a, b, a.coef.ravel(), b.coef.ravel()))
+    return a._new(a.k + b.k, _wedge_stack(a, b, a._rows(a.coef), b._rows(b.coef)))
 
 
 def compounds(p, k: int) -> list:
     """Compound matrices of the rows of ``p`` (m x n) in degrees 0..k:
     entry (I, J) of degree j is the minor det p[I, J].  Row I of degree j + 1
     is row I[:-1] of degree j wedged with row I[-1] of ``p`` (the last-slot
-    entries of ``_interior_table``): one wedge kernel call per degree."""
+    entries of ``_interior_table``): one wedge kernel call per degree.  A
+    stack of matrices ``p`` gives stacks of compounds."""
     p = np.asarray(p, dtype=float)
-    m, n = p.shape
+    m, n = p.shape[-2:]
     out = [np.ones((1, 1))]
     for j in range(k):
         _, lab, _, dst = _interior_table(m, j + 1)
         last = slice(j, None, j + 1)
-        out.append(_wedge_stack(Multivector(n, j), Multivector(n, 1), out[j][dst[last]], p[lab[last]]))
+        rows = (out[j][..., dst[last], :], p[..., lab[last], :])
+        out.append(_wedge_stack(Multivector(n, j), Multivector(n, 1), *rows))
     return out
 
 
 class _Form:
     """Linear structure of ``Multivector`` and ``JetForm``: both carry ``n``,
-    ``k``, a jet ``table`` and ``coef`` (first axis over ``combos(n, k)``), and
-    ``_new(k, coef)`` builds a form of the same kind, dimension and table."""
+    ``k``, a jet ``table`` and ``coef`` (an optional leading probe axis, then
+    an axis over ``combos(n, k)``), and ``_new(k, coef)`` builds a form of the
+    same kind, dimension and table.  ``_form_ndim`` counts the axes of one
+    form at one probe."""
 
     __slots__ = ()
+    # an array of per-probe scalars times a form defers to _Form.__rmul__
+    __array_ufunc__ = None
+
+    @property
+    def probes(self) -> tuple:
+        """The probe axis of ``coef``: ``()`` or ``(count,)``."""
+        return self.coef.shape[: self.coef.ndim - self._form_ndim]
+
+    def _rows(self, coef):
+        """Coefficients of forms of this kind on any leading axes, each form
+        flattened to one row."""
+        return coef.reshape(coef.shape[: coef.ndim - self._form_ndim] + (-1,))
 
     def _check(self, other):
         if self.n != other.n:
@@ -278,7 +293,7 @@ class _Form:
         return self._new(self.k, -self.coef)
 
     def __mul__(self, c):
-        return self._new(self.k, self.coef * float(c))
+        return self._new(self.k, self.coef * _scalar(c, self._form_ndim))
 
     __rmul__ = __mul__
 
@@ -296,6 +311,8 @@ class Multivector(_Form):
 
     __slots__ = ("n", "k", "coef")
     table = jet_table(1, 0)
+    _form_ndim = 1
+    _tail = ()
 
     def __init__(self, n: int, k: int, coef=None):
         if n > MAX_DIM:
@@ -307,7 +324,7 @@ class Multivector(_Form):
             self.coef = np.zeros(size)
         else:
             self.coef = np.asarray(coef, dtype=float)
-            if self.coef.shape != (size,):
+            if self.coef.shape[-1:] != (size,):
                 raise DimensionMismatch("coefficient vector of wrong size")
 
     def _new(self, k, coef):
@@ -336,8 +353,8 @@ class Multivector(_Form):
     def terms(self):
         return {c: float(v) for c, v in zip(combos(self.n, self.k), self.coef) if v != 0.0}
 
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.coef))) if self.coef.size else 0.0
+    def sup(self):
+        return _out(np.max(np.abs(self.coef), axis=-1, initial=0.0))
 
     # -- algebra ---------------------------------------------------------
     def wedge(self, other: "Multivector") -> "Multivector":
@@ -364,27 +381,24 @@ class Multivector(_Form):
     def hodge(self, metric_diag, orientation: int = 1) -> "Multivector":
         """Hodge star for a diagonal metric: a ^ *b = <a, b> vol."""
         g = np.asarray(metric_diag, dtype=float)
-        if g.shape != (self.n,):
+        if g.shape[-1:] != (self.n,):
             raise DimensionMismatch("metric diagonal of wrong length")
         if np.any(g <= 0):
             raise ValueError("non-positive metric entry")
         sign, comp = _hodge_table(self.n, self.k)
-        root_det = float(np.sqrt(np.prod(g)))
-        idx = _label_array(self.n, self.k)
-        factors = np.prod(1.0 / g[idx], axis=1) if self.k else np.ones(1)
-        out = np.zeros(len(combos(self.n, self.n - self.k)))
-        out[comp] = orientation * sign * root_det * factors * self.coef
+        root_det = np.sqrt(np.prod(g, axis=-1))[..., None]
+        out = np.zeros(np.broadcast_shapes(g.shape[:-1], self.probes) + (len(comp),))
+        out[..., comp] = orientation * sign * root_det * _inverse_weights(g, self.k) * self.coef
         return Multivector(self.n, self.n - self.k, out)
 
-    def inner(self, other: "Multivector", metric_diag) -> float:
+    def inner(self, other: "Multivector", metric_diag):
         self._check(other)
         g = np.asarray(metric_diag, dtype=float)
-        idx = _label_array(self.n, self.k)
-        factors = np.prod(1.0 / g[idx], axis=1) if self.k else np.ones(1)
-        return float(np.sum(self.coef * other.coef * factors))
+        # each probe's row is contiguous, so np.sum adds it as it adds one vector
+        return _out(np.sum(self.coef * other.coef * _inverse_weights(g, self.k), axis=-1))
 
-    def gnorm(self, metric_diag) -> float:
-        return float(np.sqrt(max(self.inner(self, metric_diag), 0.0)))
+    def gnorm(self, metric_diag):
+        return _out(np.sqrt(np.maximum(self.inner(self, metric_diag), 0.0)))
 
     def transform(self, p: np.ndarray) -> "Multivector":
         """Coefficients in a new basis; ``p[j, i]`` expresses old covector
@@ -402,6 +416,12 @@ class Multivector(_Form):
         return f"Multivector({body})"
 
 
+def _inverse_weights(g, k: int):
+    """prod 1/g[i] over the labels of each k-index, for a diagonal metric ``g``
+    (or one per probe)."""
+    return np.prod(1.0 / g[..., _label_array(g.shape[-1], k)], axis=-1) if k else np.ones(1)
+
+
 # ----------------------------------------------------------------------
 # jet-coefficient forms
 
@@ -409,12 +429,14 @@ class Multivector(_Form):
 class JetForm(_Form):
     """Degree-k form whose coefficients are jets at a single chart point.
 
-    ``coef`` has shape ``(C(n, k), table.size)``: row ``I`` holds the jet of
-    the ``e^I`` coefficient.  ``JetForm(n, k, {idx: jet})`` builds one from
-    components; ``table`` gives the jet table of an empty one.
+    ``coef`` has shape ``(C(n, k), table.size)``, with a leading probe axis
+    on a chunk: row ``I`` holds the jet of the ``e^I`` coefficient.
+    ``JetForm(n, k, {idx: jet})`` builds one from components; ``table`` gives
+    the jet table of an empty one.
     """
 
     __slots__ = ("n", "k", "table", "coef")
+    _form_ndim = 2
 
     def __init__(self, n: int, k: int, c: dict | None = None, table=None):
         c = c or {}
@@ -431,12 +453,16 @@ class JetForm(_Form):
     def _new(self, k, coef):
         return JetForm._of(self.n, k, self.table, coef)
 
+    @property
+    def _tail(self):
+        return (self.table.size,)
+
     def jet(self, idx) -> Jet:
         """The jet of the ``e^idx`` coefficient."""
         s, key = _canonical(idx)
         if not s:
-            return Jet(self.table, np.zeros(self.table.size))
-        return Jet(self.table, s * self.coef[combo_pos(self.n, self.k)[key]])
+            return Jet(self.table, np.zeros(self.probes + (self.table.size,)))
+        return Jet(self.table, s * self.coef[..., combo_pos(self.n, self.k)[key], :])
 
     def truncate(self, order: int) -> "JetForm":
         """The same form with its coefficient jets cut to a lower order."""
@@ -445,12 +471,12 @@ class JetForm(_Form):
         if order > self.table.order:
             raise JetOrderError(order)
         low = jet_table(self.table.nvars, order)
-        return JetForm._of(self.n, self.k, low, self.coef[:, : low.size].copy())
+        return JetForm._of(self.n, self.k, low, self.coef[..., : low.size].copy())
 
     def __mul__(self, s):
         """Scale by a float or a jet (the wedge with a 0-form)."""
         if isinstance(s, Jet):
-            return _wedge(self, JetForm._of(self.n, 0, s.table, s.coef[None, :]))
+            return _wedge(self, JetForm._of(self.n, 0, s.table, s.coef[..., None, :]))
         return _Form.__mul__(self, s)
 
     __rmul__ = __mul__
@@ -459,7 +485,7 @@ class JetForm(_Form):
         return _wedge(self, other)
 
     def value(self) -> Multivector:
-        return Multivector(self.n, self.k, self.coef[:, 0].copy())
+        return Multivector(self.n, self.k, self.coef[..., 0].copy())
 
     def d_value(self) -> Multivector:
         """Exterior derivative at the point (coefficients need order >= 1)."""
@@ -467,7 +493,7 @@ class JetForm(_Form):
 
     def d_jets(self) -> "JetForm":
         """Exterior derivative with jet coefficients (one order lower)."""
-        coef, low = _d_stack(self, self.coef.ravel())
+        coef, low = _d_stack(self, self._rows(self.coef))
         return JetForm._of(self.n, self.k + 1, low, coef)
 
 
@@ -501,8 +527,9 @@ class MatrixForm:
     """Rectangular matrix of forms of one kind and degree, held as one array.
 
     ``coef`` has shape ``(r, c) + proto.coef.shape``; the prototype entry
-    ``proto`` gives ``n``, ``k``, the jet table and the form class.  The
-    product ``@`` wedges entries, ``(A @ B)[i, j] = sum_q A[i, q] ^ B[q, j]``.
+    ``proto`` gives ``n``, ``k``, the jet table, the form class and the probe
+    axis every entry shares.  The product ``@`` wedges entries, ``(A @ B)[i,
+    j] = sum_q A[i, q] ^ B[q, j]``.
     """
 
     __slots__ = ("proto", "coef")
@@ -511,11 +538,14 @@ class MatrixForm:
         entries = [list(row) for row in entries]
         if any(len(row) != len(entries[0]) for row in entries):
             raise ShapeMismatch("ragged matrix")
-        self.proto = entries[0][0]
+        proto = entries[0][0]
         for row in entries:
             for e in row:
-                self.proto._check(e)
-        self.coef = np.array([[e.coef for e in row] for row in entries])
+                proto._check(e)
+        # entries without a probe axis broadcast against those with one
+        coefs = np.broadcast_arrays(*(e.coef for row in entries for e in row))
+        self.coef = np.reshape(coefs, (len(entries), len(entries[0])) + coefs[0].shape)
+        self.proto = proto._new(proto.k, self.coef[0, 0])
 
     @staticmethod
     def _of(proto, coef) -> "MatrixForm":
@@ -535,15 +565,18 @@ class MatrixForm:
         return self.proto._new(self.proto.k, self.coef[ij[0], ij[1]])
 
     def __matmul__(self, other: "MatrixForm") -> "MatrixForm":
-        """One stacked wedge per inner index over all ``(i, j)`` blocks; the
-        partial sums are added from left to right."""
+        """One stacked wedge per inner index over all ``(i, j)`` blocks (and
+        probes); the partial sums are added from left to right."""
         (r, s), (s2, t) = self.shape, other.shape
         if s != s2:
             raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
+        pa, pb = self.proto.probes, other.proto.probes
+        # a probe axis on both sides (of length 1 where one has none), so they broadcast
+        probes = 1 if pa or pb else 0
         acc = None
         for q in range(s):
-            ca = self.coef[:, q].reshape(r, 1, -1)
-            cb = other.coef[q].reshape(1, t, -1)
+            ca = self.proto._rows(self.coef[:, q]).reshape((r, 1) + (pa or (1,)) * probes + (-1,))
+            cb = other.proto._rows(other.coef[q]).reshape((1, t) + (pb or (1,)) * probes + (-1,))
             term = _wedge_stack(self.proto, other.proto, ca, cb)
             acc = term if acc is None else acc + term
         proto = self.proto._new(self.proto.k + other.proto.k, acc[0, 0])
@@ -566,7 +599,7 @@ class MatrixForm:
         return MatrixForm._of(self.proto, -self.coef)
 
     def __mul__(self, s):
-        return MatrixForm._of(self.proto, self.coef * float(s))
+        return MatrixForm._of(self.proto, self.coef * _scalar(s, self.proto._form_ndim))
 
     __rmul__ = __mul__
 
@@ -582,25 +615,29 @@ class MatrixForm:
     def d_jets(self) -> "MatrixForm":
         """The exterior derivative of every entry, in one stacked kernel call."""
         p = self.proto
-        coef, low = _d_stack(p, self.coef.reshape(self.shape + (-1,)))
+        coef, low = _d_stack(p, p._rows(self.coef))
         return MatrixForm._of(JetForm._of(p.n, p.k + 1, low, coef[0, 0]), coef)
 
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.coef))) if self.coef.size else 0.0
+    def sup(self):
+        """Largest absolute coefficient over every entry, per probe."""
+        form = range(self.coef.ndim - self.proto._form_ndim, self.coef.ndim)
+        return _out(np.max(np.abs(self.coef), axis=(0, 1, *form), initial=0.0))
 
 
 def _stack(forms):
-    """(first form, coefficients stacked on one leading axis) of a sequence of
+    """(prototype, coefficients stacked on one leading axis) of a sequence of
     forms of one kind or of a matrix's entries, row by row."""
     if isinstance(forms, MatrixForm):
         return forms.proto, forms.coef.reshape((-1,) + forms.proto.coef.shape)
-    return forms[0], np.array([f.coef for f in forms])
+    coefs = np.broadcast_arrays(*(f.coef for f in forms))
+    return forms[0]._new(forms[0].k, coefs[0]), np.array(coefs)
 
 
 def zero_forms(n: int, table, coef) -> MatrixForm:
     """The matrix of 0-forms on labels 1..n whose ``(i, j)`` entry has the jet
-    coefficients ``coef[i][j]`` in ``table``."""
-    coef = np.asarray(coef)[:, :, None]
+    coefficients ``coef[i][j]`` in ``table`` (with a probe axis before the
+    jet axis on a chunk)."""
+    coef = np.asarray(coef)[..., None, :]
     return MatrixForm._of(JetForm._of(n, 0, table, coef[0, 0]), coef)
 
 
@@ -624,23 +661,132 @@ def hat(m: MatrixForm):
 
 def contract(forms, weights):
     """Linear combination sum_i forms[i] * weights[i] with float or jet
-    weights: one broadcast multiply, or one stacked wedge with the weights
-    as 0-forms, then the terms added from left to right."""
+    weights (``weights[i]`` an array over the probes on a chunk): one
+    broadcast multiply, or one stacked wedge with the weights as 0-forms,
+    then the terms added from left to right."""
     proto, coef = _stack(forms)
     if isinstance(weights[0], Jet):
         w = np.array([x.coef for x in weights])
-        zero_form = JetForm._of(proto.n, 0, weights[0].table, w[:1])
-        terms = _wedge_stack(proto, zero_form, coef.reshape(len(coef), -1), w)
+        zero_form = JetForm._of(proto.n, 0, weights[0].table, w[0, ..., None, :])
+        terms = _wedge_stack(proto, zero_form, proto._rows(coef), w)
     else:
         w = np.asarray(weights, dtype=float)
-        terms = coef * w.reshape(w.shape + (1,) * (coef.ndim - 1))
+        terms = coef * w.reshape(w.shape + (1,) * (coef.ndim - w.ndim))
     acc = terms[0]
     for term in terms[1:]:
         acc = acc + term
     return proto._new(proto.k, acc)
 
 
-def max_sup(forms) -> float:
-    """Largest sup norm of the float forms or matrices; a NaN in any of them
-    propagates."""
-    return float(np.max([f.sup() for f in forms]))
+def max_sup(forms):
+    """Largest sup norm of the float forms or matrices (per probe); a NaN in
+    any of them propagates."""
+    return _out(np.max([f.sup() for f in forms], axis=0))
+
+
+# ----------------------------------------------------------------------
+# chunks of probes
+
+
+def take(x, i: int):
+    """Probe ``i`` of a quantity built on a chunk of probes.  Arrays, jets and
+    forms lose their leading probe axis; containers and plain objects are
+    taken field by field; a quantity without a probe axis (a float, a
+    constant form) is the same at every probe."""
+    if isinstance(x, np.ndarray):
+        return _out(x[i])
+    if isinstance(x, Jet):
+        return Jet(x.table, x.coef[i]) if x.coef.ndim > 1 else x
+    if isinstance(x, _Form):
+        return x._new(x.k, x.coef[i]) if x.probes else x
+    if isinstance(x, MatrixForm):
+        return MatrixForm._of(take(x.proto, i), x.coef[:, :, i]) if x.proto.probes else x
+    if isinstance(x, (tuple, list)):
+        return type(x)(take(e, i) for e in x)
+    if isinstance(x, dict):
+        return {k: take(v, i) for k, v in x.items()}
+    if hasattr(x, "__dict__"):
+        out = object.__new__(type(x))
+        out.__dict__.update(take(vars(x), i))
+        return out
+    return x
+
+
+class ProbeRow:
+    """Probe ``index`` of a chunk build ``data``: each attribute is the
+    build's, taken to this probe on first read, and a method returns its
+    result's row.  It holds no reference back to the chunk's cache, so a
+    dropped chunk is freed at once."""
+
+    def __init__(self, data, index: int, point: tuple):
+        self.data, self.index, self.point = data, index, point
+
+    def __getattr__(self, name):
+        value, index = getattr(self.data, name), self.index
+        if callable(value):
+            method = value
+            value = lambda *args: take(method(*args), index)  # noqa: E731
+        else:
+            value = take(value, index)
+        setattr(self, name, value)
+        return value
+
+
+class _Chunk:
+    __slots__ = ("points", "order", "data", "index", "rows")
+
+    def __init__(self, points, order, data):
+        self.points, self.order, self.data = points, order, data
+        self.index = {}  # point -> its first row
+        for i, p in enumerate(points.tolist()):
+            self.index.setdefault(tuple(p), i)
+        self.rows = {}
+
+
+def readout(data, key, fn):
+    """``fn(data)`` for a chunk build, computed once and kept in its
+    ``readouts``."""
+    if key not in data.readouts:
+        data.readouts[key] = fn(data)
+    return data.readouts[key]
+
+
+class ChunkCache:
+    """The latest build over a chunk of probe points, and one probe's row of it.
+
+    ``load(points, order)`` builds every probe of a chunk (one row of
+    ``points`` each) in one batched pass of ``_build`` unless that chunk is
+    the loaded one; only the latest chunk is kept.  ``_row(point, order)``
+    is one probe's row of it, and a point outside the loaded chunk is built
+    as a chunk of one, so every probe takes the same code path.
+    """
+
+    _last = None
+
+    def clear(self):
+        """Drop the loaded chunk."""
+        self._last = None
+
+    def load(self, points, order: int):
+        points = np.asarray(points, dtype=float)
+        last = self._last
+        if last is None or last.order != order or not np.array_equal(last.points, points):
+            self.clear()  # a build that raises leaves no chunk loaded
+            last = self._last = _Chunk(points, order, self._build(points, order))
+        return last.data
+
+    def _row(self, point, order: int) -> ProbeRow:
+        key = tuple(float(v) for v in point)
+        last = self._last
+        i = None if last is None or last.order != order else last.index.get(key)
+        if i is None:
+            self.load(np.array([key]), order)
+            last, i = self._last, 0
+        if i not in last.rows:
+            last.rows[i] = ProbeRow(last.data, i, key)
+        return last.rows[i]
+
+    @staticmethod
+    def _readout(row: ProbeRow, key, fn):
+        """``fn`` of the whole chunk of ``row``, once per chunk, and the row's share."""
+        return take(readout(row.data, key, fn), row.index)

@@ -26,15 +26,18 @@ from functools import lru_cache
 import numpy as np
 
 from .exterior import (
+    ChunkCache,
     JetForm,
     MatrixForm,
     check,
     combos,
     compounds,
     max_sup,
+    readout,
+    take,
     zero_forms,
 )
-from .jets import Jet
+from .jets import Jet, _out
 
 DIM = 4
 
@@ -54,7 +57,9 @@ class ResidualError(RuntimeError):
 
 
 def _jet_cholesky(g, point):
-    """Upper-triangular coefficient matrix a with a^T a = g (rows = coframe)."""
+    """Upper-triangular coefficient matrix a with a^T a = g (rows = coframe);
+    on a chunk, ``point`` holds one row per probe and a failing pivot names
+    the first probe's point."""
     n = len(g)
     c = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -63,8 +68,10 @@ def _jet_cholesky(g, point):
             for k in range(j):
                 acc = acc - c[i][k] * c[j][k]
             if i == j:
-                if acc.value <= 0.0:
-                    raise NonSPDMetricError(point, f"(pivot {i})")
+                bad = np.asarray(acc.value <= 0.0)
+                if bad.any():
+                    at = np.reshape(point, (-1, n))[bad.argmax()]
+                    raise NonSPDMetricError([float(v) for v in at], f"(pivot {i})")
                 c[i][i] = acc.sqrt()
             else:
                 c[i][j] = acc / c[j][j]
@@ -116,6 +123,13 @@ def _truncate_matrix(m, order):
     return [[e.truncate(order) for e in row] for row in m]
 
 
+def _jet_array(m) -> np.ndarray:
+    """The coefficients of a square matrix of jets as one array, of shape
+    ``probes + (n, n, size)``; constant entries broadcast over the probes."""
+    coefs = np.broadcast_arrays(*(e.coef for row in m for e in row))
+    return np.stack(coefs, axis=-2).reshape(coefs[0].shape[:-1] + (len(m), len(m), -1))
+
+
 # ----------------------------------------------------------------------
 # base pipeline
 
@@ -128,28 +142,35 @@ _SIGN_ROW = np.array(_DUALITY_SIGNS)
 # by (b, e): the row in combos(4, 2) of the theta^{be} coefficient of a 2-form
 # (6: an appended zero row, so the b = e entries are +0.0) and its sign
 _PAIR_INDEX = np.array([[6, 0, 1, 2], [0, 6, 3, 4], [1, 3, 6, 5], [2, 4, 5, 6]])
-_PAIR_SIGN = np.sign(np.arange(DIM) - np.arange(DIM)[:, None])[..., None]
+_PAIR_SIGN = np.sign(np.arange(DIM) - np.arange(DIM)[:, None])
+
+
+def _column(v, ndim: int) -> np.ndarray:
+    """The vector ``v`` on the first axis of an array of ``ndim`` axes."""
+    return np.reshape(v, np.shape(v) + (1,) * (ndim - np.ndim(v)))
 
 
 def _duality_rows(m: MatrixForm, branch: float):
     """The three duality components m[3,2] + b m[1,0], m[1,3] - b m[0,2] and
     m[2,1] + b m[3,0] of a 4x4 matrix of forms, on branch b."""
-    coef = m.coef[[3, 1, 2], [2, 3, 1]] + m.coef[[1, 0, 3], [0, 2, 0]] * (branch * _SIGN_ROW)[:, None, None]
+    twin = m.coef[[1, 0, 3], [0, 2, 0]]
+    coef = m.coef[[3, 1, 2], [2, 3, 1]] + twin * _column(branch * _SIGN_ROW, twin.ndim)
     return tuple(m.proto._new(m.proto.k, x) for x in coef)
 
 
 @dataclass(eq=False)
 class BaseData:
-    """All frame quantities at one chart point, as jets.
+    """All frame quantities at each point of a chunk, as jets with a leading
+    probe axis (``point`` holds one row per probe).
 
     ``order`` is the jet order of the metric stage; the connection ``conn``
     lives one order lower and the curvature ``curv`` (``None`` below order 2)
     two lower, each a 4x4 ``MatrixForm``; ``frame_c2``, the degree-2 compound
     of ``frame_val``, moves 2-forms from the dx to the theta basis;
-    ``blocks`` caches ``singer_thorpe``.
+    ``readouts`` caches the chunk's blocks and residuals.
     """
 
-    point: tuple
+    point: np.ndarray
     order: int
     theta: list
     theta_low: list
@@ -159,7 +180,7 @@ class BaseData:
     conn: MatrixForm
     curv: MatrixForm | None
     _duality: dict = field(default_factory=dict, repr=False)
-    blocks: "SingerThorpe | None" = field(default=None, repr=False)
+    readouts: dict = field(default_factory=dict, repr=False)
 
     def duality(self, branch: int):
         """(eta row, connection row, curvature row) on the chosen branch."""
@@ -176,91 +197,111 @@ class BaseData:
         return self._duality[branch]
 
 
-class FrameBundle:
+class FrameBundle(ChunkCache):
     """Frame calculus over one chart metric, a ``ScalarField`` whose jet is
-    the 4x4 matrix of metric jets."""
+    the 4x4 matrix of metric jets.
+
+    ``load(points, order)`` builds the frame data of a chunk of base points
+    in one batched pass; ``base(point, order)`` and the readouts below give
+    one point's row of the loaded chunk (a point outside it is built as a
+    chunk of one), and each readout runs once per chunk.
+    """
 
     def __init__(self, metric):
         self.metric = metric
-        self._last = None  # (key, BaseData) of the latest build only
 
-    def base(self, point, order: int) -> BaseData:
-        key = (tuple(float(v) for v in point), order)
-        last = self._last
-        if last is None or last[0] != key:
-            last = self._last = (key, self._build(key[0], order))
-        return last[1]
+    def base(self, point, order: int):
+        """The frame data at one point: its row of the loaded chunk."""
+        return self._row(point, order)
 
     def _build(self, point, order):
-        g = self.metric.jet(point, order)
+        # a metric entry constant in the point gets the chunk's probe axis too
+        probes = np.shape(point)[:-1]
+        g = [[Jet(e.table, np.broadcast_to(e.coef, probes + e.coef.shape[-1:])) for e in row] for row in self.metric.jet(point, order)]
         coeff = _jet_cholesky(g, point)
-        coeff_val = np.array([[e.value for e in row] for row in coeff])
         low = order - 1
-        coeff_low = _truncate_matrix(coeff, low)
-        inv_low = _upper_inverse(coeff_low)
-        frame_val = np.array([[e.value for e in row] for row in inv_low])
+        inv_low = _jet_array(_upper_inverse(_truncate_matrix(coeff, low)))
+        coeff = _jet_array(coeff)
+        frame_val = inv_low[..., 0]
         frame_c2 = compounds(frame_val, 2)[2]
-        theta = [JetForm._of(DIM, 1, coeff[0][0].table, np.array([e.coef for e in row])) for row in coeff]
+        theta = [JetForm._of(DIM, 1, g[0][0].table, coeff[..., a, :, :]) for a in range(DIM)]
         theta_low = [t.truncate(low) for t in theta]
         # d(theta)^a = 1/2 c[a][b][e] theta^b ^ theta^e: substitute
         # dx^i = sum_b inv_low[i][b] theta^b into d(theta)^a and read c off
-        rows = [JetForm._of(DIM, 1, inv_low[0][0].table, np.array([e.coef for e in row])) for row in inv_low]
+        rows = [JetForm._of(DIM, 1, theta_low[0].table, inv_low[..., i, :, :]) for i in range(DIM)]
         minors = MatrixForm([[rows[i - 1].wedge(rows[j - 1]) for i, j in combos(DIM, 2)]])
         d_theta = MatrixForm([theta]).d_jets()
         tab = d_theta.proto.table
-        c = (minors @ zero_forms(DIM, tab, d_theta.coef[0].swapaxes(0, 1))).coef[0]
-        c = np.concatenate([c, np.zeros((DIM, 1, tab.size))], axis=1)[:, _PAIR_INDEX] * _PAIR_SIGN
+        c = (minors @ zero_forms(DIM, tab, np.moveaxis(d_theta.coef[0], -2, 0))).coef[0]
+        # c[a][b][e], probe axis after the three frame indices
+        c = np.moveaxis(c, -2, 1)
+        c = np.concatenate([c, np.zeros((DIM, 1) + c.shape[2:])], axis=1)[:, _PAIR_INDEX]
+        c = c * _PAIR_SIGN.reshape(_PAIR_SIGN.shape + (1,) * (c.ndim - 3))
         # omega^a_b = sum_e theta^e A[e][b][a], A[e][b][a] = -1/2 (c_abe + c_bea - c_eab)
-        w = (c.transpose(2, 1, 0, 3) + c.transpose(1, 0, 2, 3) - c.transpose(0, 2, 1, 3)) * -0.5
-        om = MatrixForm([theta_low]) @ zero_forms(DIM, tab, w.reshape(DIM, DIM * DIM, tab.size))
+        w = (c.swapaxes(0, 2) + c.swapaxes(0, 1) - c.swapaxes(1, 2)) * -0.5
+        om = MatrixForm([theta_low]) @ zero_forms(DIM, tab, w.reshape((DIM, DIM * DIM) + w.shape[3:]))
         conn = MatrixForm._of(om.proto, om.coef.reshape((DIM, DIM) + om.proto.coef.shape))
         curv = None
         if order >= 2:
             om = conn.truncate(low - 1)
             curv = conn.d_jets() + om @ om
-        return BaseData(point, order, theta, theta_low, coeff_val, frame_val, frame_c2, conn, curv)
+        return BaseData(point, order, theta, theta_low, coeff[..., 0], frame_val, frame_c2, conn, curv)
 
     # -- residual diagnostics -------------------------------------------
     def cartan_residual(self, point) -> float:
         """max |d(theta) + theta ^ omega| over the four components."""
-        bd = self.base(point, 2)
-        residuals = []
-        for a in range(DIM):
-            acc = bd.theta[a].d_value()
-            for b in range(DIM):
-                acc = acc + bd.theta_low[b].value().wedge(bd.conn[b, a].value())
-            residuals.append(acc)
-        return max_sup(residuals)
+        return self._readout(self.base(point, 2), "cartan", _cartan_residual)
 
     def duality_residuals(self, point, branch: int) -> dict:
         """Structure equation and algebraic Bianchi residuals on one branch."""
-        eta, conn3, rho3 = self.base(point, 2).duality(branch)
-        eta = MatrixForm([eta])
-        eta_val = eta.value()
-        struct = (eta.d_jets().value() - eta_val @ check([c.value() for c in conn3])).sup()
-        bianchi = (eta_val @ check([r.value() for r in rho3])).sup()
-        return {"structure": struct, "bianchi": bianchi}
+        return self._readout(self.base(point, 2), ("duality", branch), lambda bd: _duality_residuals(bd, branch))
 
     # -- curvature blocks --------------------------------------------------
     def singer_thorpe(self, point) -> "SingerThorpe":
-        """Curvature blocks at ``point``, assembled once per base build."""
-        bd = self.base(point, 2)
-        if bd.blocks is None:
-            bd.blocks = _assemble_blocks(self._blocks_raw(point), pairing_sign())
-        return bd.blocks
+        """Curvature blocks at ``point``, assembled once per chunk build."""
+        row = self.base(point, 2)
+        return take(chunk_blocks(row.data), row.index)
 
     def _blocks_raw(self, point):
-        """(A~, B~ on branch +1, B~, C~ on branch -1): the curvature rows read
-        on the duality pairs of frame vectors, halved into their sums and
-        differences with the twin pairs."""
-        bd = self.base(point, 2)
-        # in the theta basis, rho(e_p, e_q) is the theta^pq coefficient
-        rows = np.array([r.coef[:, 0] for branch in (1, -1) for r in bd.duality(branch)[2]]) @ bd.frame_c2
-        blocks = []
-        for rho in (rows[:3], rows[3:]):
-            pair, twin = rho[:, _PAIR_ROWS[0]], _SIGN_ROW * rho[:, _PAIR_ROWS[1]]
-            blocks += [0.5 * (pair + twin), 0.5 * (pair - twin)]
-        return tuple(blocks)
+        return _blocks_raw(self.base(point, 2))
+
+
+def _cartan_residual(bd):
+    residuals = []
+    for a in range(DIM):
+        acc = bd.theta[a].d_value()
+        for b in range(DIM):
+            acc = acc + bd.theta_low[b].value().wedge(bd.conn[b, a].value())
+        residuals.append(acc)
+    return max_sup(residuals)
+
+
+def _duality_residuals(bd, branch: int) -> dict:
+    eta, conn3, rho3 = bd.duality(branch)
+    eta = MatrixForm([eta])
+    eta_val = eta.value()
+    struct = (eta.d_jets().value() - eta_val @ check([c.value() for c in conn3])).sup()
+    bianchi = (eta_val @ check([r.value() for r in rho3])).sup()
+    return {"structure": struct, "bianchi": bianchi}
+
+
+def chunk_blocks(bd) -> "SingerThorpe":
+    """The curvature blocks of a chunk build, assembled once per build."""
+    return readout(bd, "blocks", lambda bd: _assemble_blocks(_blocks_raw(bd), pairing_sign()))
+
+
+def _blocks_raw(bd):
+    """(A~, B~ on branch +1, B~, C~ on branch -1): the curvature rows read
+    on the duality pairs of frame vectors, halved into their sums and
+    differences with the twin pairs."""
+    # in the theta basis, rho(e_p, e_q) is the theta^pq coefficient
+    curv = [r.coef[..., 0] for branch in (1, -1) for r in bd.duality(branch)[2]]
+    rows = np.stack(curv, axis=-2) @ bd.frame_c2
+    blocks = []
+    for rho in (rows[..., :3, :], rows[..., 3:, :]):
+        pair, twin = rho[..., _PAIR_ROWS[0]], _SIGN_ROW * rho[..., _PAIR_ROWS[1]]
+        blocks += [0.5 * (pair + twin), 0.5 * (pair - twin)]
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -279,25 +320,28 @@ class SingerThorpe:
 
 
 def _assemble_blocks(raw, sign):
+    """The blocks of one point, or of each probe of a chunk (every field then
+    has a leading probe axis); an asymmetric block names the first probe's."""
     a_t, _, b_t, c_t = raw
     a = -sign * a_t
     c = sign * c_t
     b = sign * b_t
-    sym = float(np.max([np.abs(a - a.T), np.abs(c - c.T)]))
-    if sym > 1e-6:
-        raise ResidualError(f"curvature blocks not symmetric ({sym:.2e})")
-    tra, trc = float(np.trace(a)), float(np.trace(c))
+    sym = np.max([np.abs(a - a.swapaxes(-1, -2)), np.abs(c - c.swapaxes(-1, -2))], axis=(0, -2, -1))
+    bad = sym > 1e-6
+    if np.any(bad):
+        raise ResidualError(f"curvature blocks not symmetric ({np.ravel(sym)[np.argmax(bad)]:.2e})")
+    tra, trc = np.trace(a, axis1=-2, axis2=-1), np.trace(c, axis1=-2, axis2=-1)
     s = tra / 3.0
     return SingerThorpe(
         a=a,
         b=b,
         c=c,
-        wplus=a - (tra / 3.0) * np.eye(3),
-        wminus=c - (trc / 3.0) * np.eye(3),
-        s=s,
-        scal=4.0 * tra,
-        sym_residual=sym,
-        trace_residual=abs(tra - trc),
+        wplus=a - (tra / 3.0)[..., None, None] * np.eye(3),
+        wminus=c - (trc / 3.0)[..., None, None] * np.eye(3),
+        s=_out(s),
+        scal=_out(4.0 * tra),
+        sym_residual=_out(sym),
+        trace_residual=_out(abs(tra - trc)),
     )
 
 

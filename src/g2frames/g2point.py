@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exterior import MatrixForm, Multivector, _label_array, combos
+from .jets import _out
 
 VERT = (1, 2, 3)
 HORIZ = (4, 5, 6, 7)
@@ -96,33 +97,47 @@ def _unit_structure_split(branch: int):
     return float(e14), proj14, proj27
 
 
-def _scale(lam: float, mu: float, v: int, h: int) -> float:
-    """lam**v * mu**h; a power that overflows, or a scale that underflows to
-    0, raises an ArithmeticError naming it."""
+def _scale_one(lam: float, mu: float, v: int, h: int) -> list:
     try:
         out = lam**v * mu**h
     except OverflowError:
         raise OverflowError(f"lam**{v} * mu**{h} overflows at lam = {lam!r}, mu = {mu!r}") from None
     if out == 0.0:
         raise FloatingPointError(f"lam**{v} * mu**{h} underflows to 0 at lam = {lam!r}, mu = {mu!r}")
-    return out
+    return [out]
+
+
+def _scale(lam, mu, v: int, h: int):
+    """lam**v * mu**h, at each probe for arrays of scales; a power that
+    overflows, or a scale that underflows to 0, raises an ArithmeticError
+    naming it (at the first such probe)."""
+    if np.ndim(lam) == 0:
+        return _scale_one(float(lam), float(mu), v, h)[0]
+    return np.array([_scale_one(a, b, v, h)[0] for a, b in zip(lam.tolist(), mu.tolist())])
+
+
+def larger(a, b):
+    """``max(a, b)`` as Python takes it (``a`` unless ``b > a``, so a NaN ``b``
+    is passed over), at each probe."""
+    return _out(np.where(b > a, b, a))
 
 
 class G2Structure:
-    """The pair (phi, psi) with its induced metric data at a point."""
+    """The pair (phi, psi) with its induced metric data at a point, or at each
+    probe of a chunk when ``lam`` and ``mu`` are arrays."""
 
-    def __init__(self, lam: float, mu: float, branch: int):
-        if lam <= 0 or mu <= 0:
+    def __init__(self, lam, mu, branch: int):
+        if np.any(np.asarray(lam) <= 0) or np.any(np.asarray(mu) <= 0):
             raise ValueError("positive definiteness requires lam, mu > 0")
         if branch not in (1, -1):
             raise ValueError("branch must be +1 or -1")
-        self.lam = lam = float(lam)
-        self.mu = mu = float(mu)
+        self.lam = lam = _out(np.asarray(lam, dtype=float))
+        self.mu = mu = _out(np.asarray(mu, dtype=float))
         self.branch = branch
-        self.g_diag = np.array([_scale(lam, mu, 2, 0)] * 3 + [_scale(lam, mu, 0, 2)] * 4)
+        self.g_diag = np.stack([_scale(lam, mu, 2, 0)] * 3 + [_scale(lam, mu, 0, 2)] * 4, axis=-1)
         self.m = _scale(lam, mu, 3, 4)
         self.phi, self.psi = (
-            Multivector(7, k, coef * np.array([_scale(lam, mu, v, k - v) for v in range(k + 1)])[vert])
+            Multivector(7, k, coef * np.stack([_scale(lam, mu, v, k - v) for v in range(k + 1)], axis=-1)[..., vert])
             for k, coef, vert in _unit_forms(branch)
         )
 
@@ -138,14 +153,18 @@ class G2Structure:
         return _unit_structure_split(self.branch)[0]
 
     def _scaled_proj(self, which: int, k: int):
-        w = np.sqrt(np.prod(self.g_diag[_label_array(7, k)], axis=1))
-        return (w[:, None] * _unit_structure_split(self.branch)[which]) / w[None, :]
+        w = np.sqrt(np.prod(self.g_diag[..., _label_array(7, k)], axis=-1))
+        return (w[..., :, None] * _unit_structure_split(self.branch)[which]) / w[..., None, :]
+
+    def _project(self, which: int, a: Multivector) -> Multivector:
+        # one matrix-vector product per probe, as at a single point
+        return Multivector(7, a.k, (self._scaled_proj(which, a.k) @ a.coef[..., None])[..., 0])
 
     def project_w14(self, a: Multivector) -> Multivector:
-        return Multivector(7, 2, self._scaled_proj(1, 2) @ a.coef)
+        return self._project(1, a)
 
     def project_w27(self, a: Multivector) -> Multivector:
-        return Multivector(7, 3, self._scaled_proj(2, 3) @ a.coef)
+        return self._project(2, a)
 
 
 def standard_phi(lam: float, mu: float, branch: int) -> G2Structure:
@@ -224,12 +243,14 @@ def torsion_decompose(
 
     tau0 from the degree-7 pairing (dphi)^phi = 7 tau0 Vol; tau1 from the
     coclosure side; tau2 as the 14-dimensional eigenspace component of the
-    dpsi remainder; tau3 as the Hodge dual of the dphi remainder.
+    dpsi remainder; tau3 as the Hodge dual of the dphi remainder.  On a chunk
+    (forms and structure with a leading probe axis) every field has one, and
+    a failed reconstruction names the first failing probe's residuals.
     """
     if dphi.n != 7 or dphi.k != 4 or dpsi.k != 5:
         raise ValueError("expected a 4-form and a 5-form in dimension 7")
     vol_coef = s.m
-    tau0 = dphi.wedge(s.phi).coef[0] / (7.0 * vol_coef)
+    tau0 = dphi.wedge(s.phi).coef[..., 0] / (7.0 * vol_coef)
     star_dpsi = s.hodge(dpsi)
     tau1 = s.hodge(star_dpsi.wedge(s.psi)) * (1.0 / 3.0)
     remainder_psi = dpsi - tau1.wedge(s.psi)
@@ -242,14 +263,15 @@ def torsion_decompose(
     res_phi = s.gnorm(dphi - rebuilt_phi)
     res_psi = s.gnorm(dpsi - rebuilt_psi)
     mem2 = s.gnorm(tau2.wedge(s.phi) - e14 * s.hodge(tau2))
-    mem3 = max(s.gnorm(tau3.wedge(s.phi)), s.gnorm(tau3.wedge(s.psi)))
+    mem3 = larger(s.gnorm(tau3.wedge(s.phi)), s.gnorm(tau3.wedge(s.psi)))
     # the two equations are always solvable, so genuineness of the input
     # shows up in the membership residuals, not only in reconstruction
-    scale = max(1.0, s.gnorm(dphi), s.gnorm(dpsi))
-    if max(res_phi, res_psi, mem2, mem3) > tol * scale:
-        raise DecompositionError(res_phi, res_psi, mem2, mem3)
+    scale = larger(larger(1.0, s.gnorm(dphi)), s.gnorm(dpsi))
+    bad = np.ravel(larger(larger(larger(res_phi, res_psi), mem2), mem3) > tol * scale)
+    if bad.any():
+        raise DecompositionError(*(np.ravel(r)[bad.argmax()] for r in (res_phi, res_psi, mem2, mem3)))
     return TorsionForms(
-        tau0=float(tau0),
+        tau0=_out(tau0),
         tau1=tau1,
         tau2=tau2,
         tau3=tau3,

@@ -113,9 +113,20 @@ def _embed_index(src_nvars, order, dst_nvars, positions):
 
 
 class Jet:
-    """Truncated Taylor expansion of a scalar quantity at a point."""
+    """Truncated Taylor expansion of a scalar quantity at a point, or at each
+    point of a chunk: ``coef`` has shape ``(table.size,)``, or ``(probes,
+    table.size)`` with a leading probe axis.
+
+    Every operation acts on each probe as it acts on one jet, bit for bit:
+    sums and scalings are elementwise, products add each coefficient's terms
+    in the same order (``stacked_bincount``), and the analytic functions call
+    the same libm routine per value (``libm_pow``, ``_libm``).  Constants and scalars
+    without a probe axis broadcast against a chunk.
+    """
 
     __slots__ = ("table", "coef")
+    # an array of per-probe scalars times a jet defers to Jet.__rmul__
+    __array_ufunc__ = None
 
     def __init__(self, tab: JetTable, coef: np.ndarray):
         self.table = tab
@@ -123,25 +134,24 @@ class Jet:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def constant(value: float, nvars: int, order: int) -> "Jet":
+    def constant(value, nvars: int, order: int) -> "Jet":
         tab = table(nvars, order)
-        coef = np.zeros(tab.size)
-        coef[0] = value
+        coef = np.zeros(getattr(value, "shape", ()) + (tab.size,))
+        coef[..., 0] = value
         return Jet(tab, coef)
 
     @staticmethod
-    def variable(value: float, index: int, nvars: int, order: int) -> "Jet":
-        tab = table(nvars, order)
-        coef = np.zeros(tab.size)
-        coef[0] = value
+    def variable(value, index: int, nvars: int, order: int) -> "Jet":
+        out = Jet.constant(value, nvars, order)
         if order >= 1:
-            coef[tab.unit_pos[index]] = 1.0
-        return Jet(tab, coef)
+            out.coef[..., out.table.unit_pos[index]] = 1.0
+        return out
 
     # -- basic queries -------------------------------------------------
     @property
-    def value(self) -> float:
-        return float(self.coef[0])
+    def value(self):
+        """The value: a float, or an array over the probes of a chunk."""
+        return _out(self.coef[..., 0])
 
     @property
     def order(self) -> int:
@@ -151,11 +161,11 @@ class Jet:
     def nvars(self) -> int:
         return self.table.nvars
 
-    def partial(self, v: int) -> float:
+    def partial(self, v: int):
         """First-order partial derivative with respect to variable ``v``."""
         if self.order < 1:
             raise JetOrderError(1)
-        return float(self.coef[self.table.unit_pos[v]])
+        return _out(self.coef[..., self.table.unit_pos[v]])
 
     def derivative(self, v: int) -> "Jet":
         """Jet of the partial derivative; one order lower."""
@@ -163,8 +173,8 @@ class Jet:
             raise JetOrderError(1)
         src, dst, fac = self.table.deriv_maps()[v]
         lower = table(self.nvars, self.order - 1)
-        coef = np.zeros(lower.size)
-        coef[dst] = self.coef[src] * fac
+        coef = np.zeros(self.coef.shape[:-1] + (lower.size,))
+        coef[..., dst] = self.coef[..., src] * fac
         return Jet(lower, coef)
 
     def truncate(self, order: int) -> "Jet":
@@ -173,15 +183,15 @@ class Jet:
         if order > self.order:
             raise JetOrderError(order)
         tab = table(self.nvars, order)
-        return Jet(tab, self.coef[: tab.size].copy())
+        return Jet(tab, self.coef[..., : tab.size].copy())
 
     def embed(self, dst_nvars: int, positions: tuple) -> "Jet":
         """Reinterpret as a jet in more variables; ``positions[v]`` is the
         destination slot of source variable ``v``."""
         idx = _embed_index(self.nvars, self.order, dst_nvars, tuple(positions))
         dst = table(dst_nvars, self.order)
-        coef = np.zeros(dst.size)
-        coef[idx] = self.coef
+        coef = np.zeros(self.coef.shape[:-1] + (dst.size,))
+        coef[..., idx] = self.coef
         return Jet(dst, coef)
 
     # -- ring operations ----------------------------------------------
@@ -190,9 +200,9 @@ class Jet:
             if other.table is not self.table:
                 raise ValueError("jets from different tables")
             return other
-        if not isinstance(other, (int, float, np.integer, np.floating)):
+        if not isinstance(other, (int, float, np.integer, np.floating, np.ndarray)):
             return None
-        return Jet.constant(float(other), self.nvars, self.order)
+        return Jet.constant(_scalar(other), self.nvars, self.order)
 
     def __add__(self, other):
         other = self._lift(other)
@@ -216,25 +226,25 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            if not isinstance(other, (int, float, np.integer, np.floating)):
+            if not isinstance(other, (int, float, np.integer, np.floating, np.ndarray)):
                 return NotImplemented
-            return Jet(self.table, self.coef * float(other))
+            return Jet(self.table, self.coef * _scalar(other, 1))
         if other.table is not self.table:
             raise ValueError("jets from different tables")
         tab = self.table
-        prod = self.coef[tab.mul_i] * other.coef[tab.mul_j]
-        return Jet(tab, np.bincount(tab.mul_k, prod, tab.size))
+        prod = self.coef.take(tab.mul_i, -1) * other.coef.take(tab.mul_j, -1)
+        return Jet(tab, stacked_bincount(tab.mul_k, prod, tab.size))
 
     def __rmul__(self, other):
-        return Jet(self.table, self.coef * float(other))
+        return Jet(self.table, self.coef * _scalar(other, 1))
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.reciprocal()
-        return Jet(self.table, self.coef / float(other))
+        return Jet(self.table, self.coef / _scalar(other, 1))
 
     def __rtruediv__(self, other):
-        return self.reciprocal() * float(other)
+        return self.reciprocal() * _scalar(other)
 
     def __pow__(self, p):
         if isinstance(p, int) and p >= 0:
@@ -247,126 +257,150 @@ class Jet:
     # -- analytic functions --------------------------------------------
     def compose(self, derivs) -> "Jet":
         """Apply a univariate analytic function given its derivatives
-        ``[f(v), f'(v), ...]`` at ``v = self.value``."""
+        ``[f(v), f'(v), ...]`` at ``v = self.value`` (floats, or arrays over
+        the probes)."""
         u = Jet(self.table, self.coef.copy())
-        u.coef[0] = 0.0
+        u.coef[..., 0] = 0.0
         out = Jet.constant(derivs[0], self.nvars, self.order)
         term = None
         for k in range(1, min(len(derivs), self.order + 1)):
             term = u if term is None else term * u
-            out = out + term * (derivs[k] / math.factorial(k))
+            out = out + term * (derivs[k] / _FACTORIAL[k])
         return out
 
     def reciprocal(self) -> "Jet":
-        v = self.value
-        if v == 0.0:
+        if (self.coef[..., 0] == 0.0).any():
             raise ZeroDivisionError("jet with zero value")
-        return self.compose(_inverse_powers("reciprocal", v, self.order + 1))
+        return self.compose(_derivs(_inverse_powers, self.value, "reciprocal", self.order + 1))
 
     def power(self, p: float) -> "Jet":
         """self**p; a power of the value that overflows raises an
         OverflowError naming the power and v."""
-        v = self.value
-        k = 0
-        try:
-            ders = [v**p]
-            c = p
-            for k in range(1, self.order + 1):
-                ders.append(c * v ** (p - k))
-                c *= p - k
-        except OverflowError:
-            raise OverflowError(f"jet power {p:g} at v = {v!r}: v**{p - k:g} overflows") from None
-        return self.compose(ders)
+        return self.compose(_derivs(_power_derivs, self.value, p, self.order))
 
     def sqrt(self) -> "Jet":
-        if self.value <= 0.0:
+        if (self.coef[..., 0] <= 0.0).any():
             raise ValueError("jet sqrt of non-positive value")
         return self.power(0.5)
 
     def exp(self) -> "Jet":
-        e = math.exp(self.value)
-        return self.compose([e] * (self.order + 1))
+        return self.compose([_libm(math.exp, self.value)] * (self.order + 1))
 
     def log(self) -> "Jet":
         v = self.value
-        return self.compose([math.log(v)] + _inverse_powers("log", v, self.order))
+        return self.compose([_libm(math.log, v)] + _derivs(_inverse_powers, v, "log", self.order))
 
     def sin(self) -> "Jet":
-        s, c = math.sin(self.value), math.cos(self.value)
+        s, c = _libm(math.sin, self.value), _libm(math.cos, self.value)
         return self.compose([s, c, -s, -c][: self.order + 1])
 
     def cos(self) -> "Jet":
-        s, c = math.sin(self.value), math.cos(self.value)
+        s, c = _libm(math.sin, self.value), _libm(math.cos, self.value)
         return self.compose([c, -s, -c, s][: self.order + 1])
 
     def __repr__(self):
-        return f"Jet(n={self.nvars}, order={self.order}, value={self.value:.6g})"
+        return f"Jet(n={self.nvars}, order={self.order}, value={self.value})"
 
 
-class JetBatch:
-    """Order-0 jets of one quantity at many points, held as one array of values.
-
-    Sums and products with constants or batches and the analytic functions
-    of the profile families act elementwise, so a profile's ``lam_fn``
-    evaluates a whole grid of radii in one call.  Each analytic function
-    calls the same libm routine per value as ``Jet`` does: numpy's SIMD
-    ``power`` and ``exp`` round differently from libm on a few percent of
-    inputs, and a batch value must equal the scalar jet's bit for bit.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = np.asarray(value, dtype=float)
-
-    @staticmethod
-    def _lift(other):
-        return other.value if isinstance(other, JetBatch) else float(other)
-
-    def __add__(self, other):
-        return JetBatch(self.value + self._lift(other))
-
-    def __mul__(self, other):
-        return JetBatch(self.value * self._lift(other))
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def power(self, p: float) -> "JetBatch":
-        # an object array runs Python's float pow, which is libm pow
-        return JetBatch(np.power(self.value.astype(object), p).astype(float))
-
-    def sqrt(self) -> "JetBatch":
-        if np.any(self.value <= 0.0):
-            raise ValueError("jet sqrt of non-positive value")
-        return self.power(0.5)
-
-    def exp(self) -> "JetBatch":
-        return JetBatch(np.fromiter(map(math.exp, self.value.tolist()), float, self.value.size))
-
-    def sin(self) -> "JetBatch":
-        return JetBatch(np.fromiter(map(math.sin, self.value.tolist()), float, self.value.size))
+_FACTORIAL = (1, 1, 2, 6)
 
 
-def _inverse_powers(name: str, v: float, count: int) -> list:
+def _out(x):
+    """A float for a value without a probe axis, else the array."""
+    return float(x) if getattr(x, "ndim", 0) == 0 else x
+
+
+def _scalar(c, tail: int = 0):
+    """A scalar factor as a float, or per-probe factors as an array with
+    ``tail`` trailing axes added so they broadcast against coefficients."""
+    if type(c) is float:
+        return c
+    if isinstance(c, np.ndarray):
+        return np.asarray(c, dtype=float).reshape(c.shape + (1,) * tail)
+    return float(c)
+
+
+def libm_pow(v, e):
+    """``v**e`` for a float, or at each value of an array, through Python's
+    float power, that is libm: numpy's SIMD ``power`` rounds differently on a
+    few percent of inputs, and a chunk must equal its probes bit for bit."""
+    if getattr(v, "ndim", 0) == 0:
+        return float(v) ** e
+    return np.power(v.astype(object), e).astype(float)
+
+
+def _libm(fn, v):
+    """The ``math`` routine ``fn`` at a float, or at each value of an array."""
+    if getattr(v, "ndim", 0) == 0:
+        return fn(float(v))
+    return np.fromiter(map(fn, v.ravel().tolist()), float, v.size).reshape(v.shape)
+
+
+def _derivs(fn, v, *args) -> list:
+    """``fn(v, *args)``, a list of derivatives at a float or at an array of
+    values.  An ArithmeticError at an array is raised again as ``fn`` raises
+    it at the first failing value alone, so its message names that value."""
+    if getattr(v, "ndim", 0) == 0:
+        return fn(float(v), *args)
+    try:
+        return fn(v, *args)
+    except ArithmeticError:
+        for x in v.ravel().tolist():
+            fn(x, *args)
+        raise
+
+
+def _power_derivs(v, p: float, order: int) -> list:
+    """v**p and its first ``order`` derivatives in v; a power that overflows
+    raises an OverflowError naming it."""
+    k = 0
+    try:
+        ders = [libm_pow(v, p)]
+        c = p
+        for k in range(1, order + 1):
+            ders.append(c * libm_pow(v, p - k))
+            c *= p - k
+    except OverflowError:
+        raise OverflowError(f"jet power {p:g} at v = {v!r}: v**{p - k:g} overflows") from None
+    return ders
+
+
+def stacked_bincount(dst, terms, size: int) -> np.ndarray:
+    """``np.bincount(dst, terms, size)`` for every stack on the leading axes of
+    ``terms`` at once: one call whose bins are offset by the flat stack index,
+    so each bin adds its terms in the same order as an unstacked call.  The
+    offsets are formed per call, so no cache grows with the stack."""
+    if terms.ndim == 1:
+        return np.bincount(dst, terms, size)
+    lead = terms.shape[:-1]
+    count = math.prod(lead)
+    if count != 1:
+        dst = np.add.outer(np.arange(count) * size, dst).ravel()
+    return np.bincount(dst, terms.ravel(), count * size).reshape(lead + (size,))
+
+
+def _inverse_powers(v, name: str, count: int) -> list:
     """The first ``count`` of 1/v, -1/v**2, 2/v**3, -6/v**4; a power of v that
     is 0 raises a ZeroDivisionError, one that overflows an OverflowError,
     naming v and the power."""
     out = []
     for c, p in ((1.0, 1), (-1.0, 2), (2.0, 3), (-6.0, 4))[:count]:
         try:
-            vp = v**p
+            vp = libm_pow(v, p)
         except OverflowError:
             raise OverflowError(f"jet {name} at v = {v!r}: v**{p} overflows") from None
-        if vp == 0.0:
+        if np.any(vp == 0.0):
             raise ZeroDivisionError(f"jet {name} at v = {v!r}: v**{p} is 0 in the term {c:g}/v**{p}")
         out.append(c / vp)
     return out
 
 
 def variables(point, order: int):
-    """Seed jets for the coordinates of ``point``."""
-    n = len(point)
-    return tuple(Jet.variable(float(x), i, n, order) for i, x in enumerate(point))
+    """Seed jets for the coordinates of ``point``, or of each row of a chunk
+    of points (one jet per coordinate, with a leading probe axis)."""
+    pts = np.asarray(point, dtype=float)
+    n = pts.shape[-1]
+    return tuple(Jet.variable(pts[..., i], i, n, order) for i in range(n))
 
 
 def fd_partial(f, point, v: int, h: float = 1e-5) -> float:

@@ -16,9 +16,10 @@ from g2frames.bundle7.pspace import ChartBoundError, PSpaceChart
 from g2frames.bundle7.radial import QuadratureError
 from g2frames.bundle7.xspace import EDGE_MARGIN, XSpaceChart
 from g2frames.cli import ConfigError, RunConfig, SUITES, list_suites, main, run
-from g2frames.exterior import Multivector
+from g2frames.exterior import Multivector, ScalarField
 from g2frames.frames4 import FrameBundle, NonSPDMetricError, ResidualError, pairing_sign
 from g2frames.g2point import DecompositionError, DegeneratePhiError
+from g2frames.models import get_model
 
 BS_SPHERE = {
     "model": "sphere4",
@@ -194,17 +195,25 @@ def test_records_hold_with_room_at_the_edge_margin(monkeypatch, model, branch, s
             assert rec.value <= 1e-2 * rec.tolerance, (rec.check, rec.value)
 
 
+def _probe_rows(result) -> int:
+    """Probes a chunk quantity covers: the length of its leading probe axis."""
+    return len(result.s) if isinstance(result, frames4.SingerThorpe) else len(result)
+
+
 @pytest.mark.parametrize("config", [BS_SPHERE, P_HYPER], ids=["X", "P"])
 def test_each_probe_builds_its_base_frame_once(monkeypatch, config):
-    cfg = RunConfig.from_dict(dict(config, probes=10))
+    probes = cli.PROBE_CHUNK + 3
+    cfg = RunConfig.from_dict(dict(config, probes=probes))
     pairing_sign()  # the sign anchor builds its own sphere frame once per process
-    calls = Counter()
+    calls, rows = Counter(), Counter()
     seen = []
 
     def counted(name, fn):
         def wrapper(*args):
+            out = fn(*args)
             calls[name] += 1
-            return fn(*args)
+            rows[name] += _probe_rows(out.point if name == "build" else out)
+            return out
 
         return wrapper
 
@@ -215,10 +224,12 @@ def test_each_probe_builds_its_base_frame_once(monkeypatch, config):
     cls = XSpaceChart if cfg.space == "X" else PSpaceChart
     monkeypatch.setattr(cls, "_coframe", staticmethod(counted("coframe", cls._coframe)))
     assert run(cfg).passed
-    assert calls == {"build": 10, "blocks": 10, "coframe": 10}
+    # every probe's base frame, blocks and coframe are formed once, in one pass per chunk
+    assert rows == {"build": probes, "blocks": probes, "coframe": probes}
+    assert calls == {"build": 2, "blocks": 2, "coframe": 2}
     # the frame records read the base points of the chart's own probes
     chart = seen[0][0]
-    base = chart.sample_points(10, np.random.default_rng(cfg.seed))[:, 3:]
+    base = chart.sample_points(probes, np.random.default_rng(cfg.seed))[:, 3:]
     assert all(c is chart for c, _ in seen) and np.array_equal([x for _, x in seen], base)
 
 
@@ -226,23 +237,26 @@ def test_each_probe_builds_its_base_frame_once(monkeypatch, config):
 # base coframe's compound, for the base Hodge star in the closed torsion
 @pytest.mark.parametrize("config, per_probe", [(BS_SPHERE, 2), (P_HYPER, 3)], ids=["X", "P"])
 def test_run_reads_changes_of_basis_from_compounds(monkeypatch, config, per_probe):
-    cfg = RunConfig.from_dict(dict(config, probes=10))
+    probes = cli.PROBE_CHUNK + 3
+    cfg = RunConfig.from_dict(dict(config, probes=probes))
     pairing_sign()  # the sign anchor builds its own sphere frame once per process
-    calls = Counter()
+    calls, rows = Counter(), Counter()
 
     def refuse(*args, **kwargs):
         raise AssertionError("a minor by determinant")
 
-    def counted(*args):
+    def counted(p, k):
         calls["compounds"] += 1
-        return exterior.compounds(*args)
+        rows["compounds"] += len(p)  # each call covers one chunk of probes
+        return exterior.compounds(p, k)
 
     monkeypatch.setattr(np.linalg, "det", refuse)
     monkeypatch.setattr(Multivector, "transform", refuse)
     for module in (frames4, chart_module, pspace_module):
         monkeypatch.setattr(module, "compounds", counted)
     assert run(cfg).passed
-    assert calls["compounds"] == 10 * per_probe
+    assert rows["compounds"] == probes * per_probe
+    assert calls["compounds"] == 2 * per_probe
 
 
 def test_reports_deterministic_and_parallel_identical():
@@ -569,3 +583,56 @@ def test_run_memory_does_not_grow_with_probes(config):
 
     run(RunConfig.from_dict(dict(config, probes=1)))  # lazy tables and anchors
     assert peak(100) <= 3.0 * peak(10)
+
+
+CHUNK_CONFIGS = [
+    BS_SPHERE,
+    dict(BS_SPHERE, model="complexHyperbolic", profile={"kind": "bs", "s": -1.0, "c0": 1.0, "c1": 1.2}),
+    P_HYPER,
+    dict(P_HYPER, branch=1),
+    dict(P_HYPER, model="fubiniStudy", profile={"kind": "constant", "lam": 1.1, "mu": 0.9}),
+    dict(P_HYPER, model="fubiniStudy", branch=1, profile={"kind": "constant", "lam": 1.1, "mu": 0.9}),
+]
+
+
+@pytest.mark.parametrize(
+    "config", CHUNK_CONFIGS, ids=["X-sphere4", "X-disk", "P-hyp-", "P-hyp+", "P-fs-", "P-fs+"]
+)
+def test_reports_do_not_depend_on_the_chunk(monkeypatch, config):
+    chunk = cli.PROBE_CHUNK
+    for probes in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        cfg = RunConfig.from_dict(dict(config, probes=probes))
+        chunked = run(cfg).to_json()
+        monkeypatch.setattr(cli, "PROBE_CHUNK", 1)
+        assert chunked == run(cfg).to_json(), probes
+        monkeypatch.setattr(cli, "PROBE_CHUNK", chunk)
+
+
+def _fail_at(monkeypatch, owner, name, target):
+    """Make ``owner.name`` raise for any chunk of points holding ``target``."""
+    original = getattr(owner, name)
+
+    def patched(self, points, order):
+        if any(np.array_equal(row, target) for row in np.atleast_2d(points)):
+            raise FloatingPointError("injected failure")
+        return original(self, points, order)
+
+    monkeypatch.setattr(owner, name, patched)
+
+
+@pytest.mark.parametrize("stage", ["frame", "chart"])
+def test_failure_in_a_later_chunk_names_its_probe(tmp_path, capsys, monkeypatch, stage):
+    bad = cli.PROBE_CHUNK + 1
+    cfg = RunConfig.from_dict(dict(BS_SPHERE, probes=2 * cli.PROBE_CHUNK + 3))
+    chart = XSpaceChart(get_model(cfg.model), cfg.branch, cfg.make_profile())
+    target = chart.sample_points(cfg.probes, np.random.default_rng(cfg.seed))[bad]
+    if stage == "frame":
+        _fail_at(monkeypatch, ScalarField, "jet", target[3:])
+        where = f"frame records, probe {bad}: injected failure"
+    else:
+        _fail_at(monkeypatch, XSpaceChart, "_chunk", target)
+        where = f"X records, probe {bad}: injected failure"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    assert main(["run", "--config", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"numerical failure: {where}\n"

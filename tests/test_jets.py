@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from g2frames.jets import Jet, JetBatch, JetOrderError, fd_partial, fd_second, table, variables
+from g2frames.jets import Jet, JetOrderError, fd_partial, fd_second, table, variables
 
 FD_STEP = 1e-5
 FD_TOL = 1e-5
@@ -143,7 +145,44 @@ def test_order_zero_batch_matches_scalar_jets_bitwise():
     ]
     for op in ops:
         scalar = np.array([op(Jet.variable(v, 0, 1, 0)).value for v in x.tolist()])
-        batch = op(JetBatch(x)).value
+        batch = op(Jet.variable(x, 0, 1, 0)).value
         assert batch.tobytes() == scalar.tobytes()
     with pytest.raises(ValueError, match="non-positive"):
-        JetBatch(np.array([1.0, 0.0])).sqrt()
+        Jet.variable(np.array([1.0, 0.0]), 0, 1, 0).sqrt()
+
+
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@st.composite
+def _jet_batches(draw):
+    """(table, coefficient rows of a batch of jets, second batch)."""
+    nvars, order = draw(st.sampled_from([(4, 2), (4, 3), (7, 1)]))
+    tab = table(nvars, order)
+    rows = draw(st.integers(1, 5))
+    coef = st.lists(st.lists(_ENTRY, min_size=tab.size, max_size=tab.size), min_size=rows, max_size=rows)
+    return tab, np.array(draw(coef)), np.array(draw(coef))
+
+
+_BATCH_OPS = {
+    "mul": lambda a, b: a * b,
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "reciprocal": lambda a, b: a.reciprocal(),
+    "power": lambda a, b: a.power(-0.75),
+    "sqrt": lambda a, b: a.sqrt(),
+    "exp": lambda a, b: a.exp(),
+    "sin": lambda a, b: a.sin(),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=_jet_batches(), name=st.sampled_from(sorted(_BATCH_OPS)))
+def test_batched_jets_equal_their_rows_bitwise(batch, name):
+    tab, a, b = batch
+    if name in ("reciprocal", "power", "sqrt"):
+        a[:, 0] = np.abs(a[:, 0]) + 0.25  # a positive value
+    op = _BATCH_OPS[name]
+    got = op(Jet(tab, a), Jet(tab, b)).coef
+    for i in range(len(a)):
+        assert got[i].tobytes() == op(Jet(tab, a[i]), Jet(tab, b[i])).coef.tobytes(), (name, i)

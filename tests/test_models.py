@@ -67,19 +67,19 @@ def test_metrics_spd_on_safe_box():
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_metric_is_read_once_per_base_build_and_oracle_call(monkeypatch, name):
     spec = get_model(name)
-    pt = tuple(spec.sample_points(1, np.random.default_rng(23))[0])
+    pts = spec.sample_points(3, np.random.default_rng(23))
     calls = []
     jet = ScalarField.jet
 
     def counted(self, point, order):
-        calls.append(order)
+        calls.append((order, len(np.atleast_2d(point))))  # (order, probe rows)
         return jet(self, point, order)
 
     monkeypatch.setattr(ScalarField, "jet", counted)
-    spec.bundle()._build(pt, 2)
-    assert calls == [2]
-    curvature_oracle(spec.metric, pt)
-    assert calls == [2, 2]
+    spec.bundle()._build(pts, 2)
+    assert calls == [(2, 3)]
+    curvature_oracle(spec.metric, tuple(pts[0]))
+    assert calls == [(2, 3), (2, 1)]
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])

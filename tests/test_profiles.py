@@ -99,8 +99,8 @@ def test_constant_profile():
 
 
 def test_two_of_three_report_propagates_a_later_nan():
-    def lam_fn(r):
-        return r * 0.0 + (np.nan if r.value > 1.0 else 1.0)
+    def lam_fn(r):  # the lemma evaluates its radii as one batch of jets
+        return r * 0.0 + np.where(r.value > 1.0, np.nan, 1.0)
 
     p = Profile(lam_fn=lam_fn, mu_fn=lambda r: r * 0.0 + 1.0, r_min=0.0, r_max=np.inf, kind="test")
     rep = two_of_three_report(p, 1.0, [0.5, 2.0])
