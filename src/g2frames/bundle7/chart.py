@@ -56,14 +56,12 @@ def fiber_form(jets) -> JetForm:
 
 
 def components(forms) -> np.ndarray:
-    """Rows: values of the 1-forms' components over (dx1, ..., dx7), after
-    the probe axis."""
+    """Rows: values of the 1-forms' components over (dx1, ..., dx7)."""
     return np.stack([jf.coef[..., 0] for jf in forms], axis=-2)
 
 
 def _adapt(comp, mv: Multivector) -> Multivector:
-    """``mv.transform`` by the inverse adapted coframe, from its compounds
-    ``comp``; one matrix-vector product per probe."""
+    """``mv.transform`` by the inverse adapted coframe, from its compounds."""
     return Multivector(N, mv.k, (comp[mv.k].swapaxes(-1, -2) @ mv.coef[..., None])[..., 0])
 
 
@@ -84,8 +82,7 @@ class Chart(ChunkCache):
     Subclasses provide ``_chunk(points, order)``, returning a namespace with
     at least ``phi`` and ``psi`` jet forms over a chunk of points;
     ``_coframe(J)``, the adapted coframe of a build; and ``torsion_closed``
-    and ``torsion_numeric``.  ``load(points)`` builds a chunk; the per-point
-    methods read one probe's row of it, and each readout runs once per chunk.
+    and ``torsion_numeric``, read at a point from the loaded chunk.
     """
 
     def __init__(self, model: ModelSpec, branch: int):
@@ -95,13 +92,9 @@ class Chart(ChunkCache):
         self.branch = branch
         self.frame = model.bundle()
 
-    def load(self, points, order: int = 1):
-        return super().load(points, order)
-
     def _build(self, points, order):
         """The chunk build, with d phi, d psi, the adapted coframe (rows over
-        (du, dx)), (d phi, d psi) in it and its inverse's compounds up to
-        degree 3."""
+        (du, dx)), (d phi, d psi) in it and its inverse's compounds."""
         J = self._chunk(points, order)
         J.readouts = {}
         J.dphi, J.dpsi = J.phi.d_value(), J.psi.d_value()
@@ -114,6 +107,9 @@ class Chart(ChunkCache):
     def jets(self, point, order: int = 1):
         """The build at one point: its row of the loaded chunk."""
         return self._row(point, order)
+
+    def _at(self, point):
+        return self.jets(point, 1)
 
     def phi_at(self, point):
         return self.jets(point, 1).phi.value()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..jets import Jet, libm_pow
+from ..jets import Jet, libm
 
 
 class ProfileDomainError(ValueError):
@@ -35,7 +35,6 @@ class Profile:
     r0: float | None = None
 
     def _check(self, r):
-        """Raise naming the first radius of ``r`` (a float or an array) outside the domain."""
         inside = (self.r_min <= r) & (r < self.r_max)
         if not (inside if isinstance(inside, bool) else inside.all()):
             bad = float(np.ravel(r)[np.argmin(np.ravel(inside))])
@@ -66,12 +65,11 @@ class Profile:
         return self.lam_jet(r, 0).value
 
     def condition_residuals(self, s: float, r) -> dict:
-        """Residuals of the three coupled conditions at a radius, or at each
-        radius of an array in one batch of jets."""
+        """Residuals of the three coupled conditions at a radius (or an array)."""
         lam = self.lam_jet(r, 1)
         mu = self.mu_jet(r, 1)
         const = (lam * mu).partial(0)
-        t1 = (lam**2 * mu**4).partial(0) - s * libm_pow(lam.value, 4) * libm_pow(mu.value, 2)
+        t1 = (lam**2 * mu**4).partial(0) - s * libm(pow, lam.value, 4) * libm(pow, mu.value, 2)
         t2 = (mu**2 / lam**2).partial(0) - 2.0 * s
         return {"const": abs(const), "tau1": abs(t1), "tau2": abs(t2)}
 

@@ -21,10 +21,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..exterior import MatrixForm, Multivector, _hodge_table, check, compounds, hat, max_sup, zero_forms
+from ..exterior import MatrixForm, Multivector, _hodge_table, check, compounds, hat, max_sup, per_probe, zero_forms
 from ..frames4 import chunk_blocks
 from ..g2point import G2Structure, TorsionForms, standard_phi, torsion_decompose
-from ..jets import Jet, libm_pow
+from ..jets import Jet, libm
 from ..models import ModelSpec
 from .chart import N, Chart, _promoted_rows, components, fiber_form, promote
 
@@ -45,15 +45,14 @@ def _series_derivs(t: float, order: int, shift: int) -> list:
     for m in range(order + 1):
         acc = 0.0
         for j in range(m, m + 30):
-            term = (-1.0) ** j * math.perm(j, m) * libm_pow(t, j - m) / math.factorial(2 * j + shift)
+            term = (-1.0) ** j * math.perm(j, m) * libm(pow, t, j - m) / math.factorial(2 * j + shift)
             acc += term
         out.append(acc)
     return out
 
 
 def _base_star(bd) -> np.ndarray:
-    """The base Hodge star on 2-forms as one 6x6 matrix in the dx basis (one
-    per probe on a chunk)."""
+    """The base Hodge star on 2-forms as one 6x6 matrix in the dx basis."""
     # to the theta basis, the unit-metric star there, back to the dx basis
     sign, comp = _hodge_table(4, 2)
     return (compounds(bd.coeff_val, 2)[2].swapaxes(-1, -2)[..., comp] * sign) @ bd.frame_c2.swapaxes(-1, -2)
@@ -106,8 +105,7 @@ class PSpaceChart(Chart):
         self._structure = standard_phi(self.lam, self.mu, branch)
 
     def _chunk(self, points, p):
-        """All chart quantities at each point of a chunk, as 7-variable jet
-        forms with a leading probe axis."""
+        """All chart quantities on a chunk of points, as 7-variable jet forms."""
         for u in points[:, :3]:
             unorm = float(np.linalg.norm(u))
             if unorm >= CHART_BOUND:
@@ -156,11 +154,9 @@ class PSpaceChart(Chart):
         return self._structure
 
     # -- identity block -------------------------------------------------------
-    def identity_residuals(self, point) -> dict:
+    @per_probe
+    def identity_residuals(self, J) -> dict:
         """Pointwise residuals of the structural and algebraic identities."""
-        return self._readout(self.jets(point, 1), "identities", self._identity_residuals)
-
-    def _identity_residuals(self, J) -> dict:
         b = float(self.branch)
         f, rho_hat, eta, om, rho = J.f_val, J.rho_hat_val, J.eta_val, J.omega_val, J.rho_val
         beta, vol = J.beta_val, J.vol_val
@@ -219,11 +215,9 @@ class PSpaceChart(Chart):
         return res
 
     # -- torsion ---------------------------------------------------------------
-    def torsion_closed(self, point) -> TorsionForms:
+    @per_probe
+    def torsion_closed(self, J) -> TorsionForms:
         """Closed-form torsion (tau1 = tau2 = 0 for constant scales)."""
-        return self._readout(self.jets(point, 1), "torsion_closed", self._torsion_closed)
-
-    def _torsion_closed(self, J) -> TorsionForms:
         s = chunk_blocks(J.base).s
         lam, mu, b = self.lam, self.mu, float(self.branch)
         tau0 = b * (6.0 / (7.0 * lam * mu**2)) * (mu**2 + 2.0 * s * lam**2)
@@ -235,9 +229,9 @@ class PSpaceChart(Chart):
         )
         return self._closed_torsion(J, self._structure, tau0, tau3)
 
-    def torsion_numeric(self, point, tol: float = 1e-9) -> TorsionForms:
-        J = self.jets(point, 1)
-        return self._readout(J, ("torsion_numeric", tol), lambda J: torsion_decompose(self._structure, *J.adapted, tol))
+    @per_probe
+    def torsion_numeric(self, J, tol: float = 1e-9) -> TorsionForms:
+        return torsion_decompose(self._structure, *J.adapted, tol)
 
     def _star_horizontal(self, forms, point) -> list:
         """Base Hodge star on purely horizontal 2-forms, lifted to the chart."""
@@ -250,8 +244,7 @@ class PSpaceChart(Chart):
 
 
 def _lift_star(forms, star) -> list:
-    """The base star matrix ``star`` (one per probe on a chunk) applied to
-    purely horizontal 2-forms, lifted to the chart."""
+    """The base star ``star`` on purely horizontal 2-forms, lifted to the chart."""
     rows = _promoted_rows(2)
     out = []
     for mv in forms:

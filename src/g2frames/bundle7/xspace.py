@@ -21,10 +21,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..exterior import MatrixForm, Multivector, check, contract
+from ..exterior import MatrixForm, Multivector, check, contract, per_probe
 from ..frames4 import chunk_blocks
 from ..g2point import G2Structure, TorsionForms, standard_phi, torsion_decompose
-from ..jets import Jet, libm_pow
+from ..jets import Jet, libm
 from ..models import ModelSpec
 from .chart import N, Chart, components, fiber_form, promote
 
@@ -56,8 +56,7 @@ class XSpaceChart(Chart):
         self.profile = profile
 
     def _chunk(self, points, p):
-        """All chart quantities at each point of a chunk, as 7-variable jet
-        forms with a leading probe axis."""
+        """All chart quantities on a chunk of points, as 7-variable jet forms."""
         base = self.frame.load(points[:, 3:], p + 1)
         eta4, conn4, rho4 = base.duality(self.branch)
         J = SimpleNamespace(base=base)
@@ -100,11 +99,9 @@ class XSpaceChart(Chart):
         return self.jets(point, 1).s7
 
     # -- two evaluation paths for d(phi), d(psi) ----------------------------
-    def structure_residuals(self, point) -> dict:
+    @per_probe
+    def structure_residuals(self, J) -> dict:
         """Residuals of the closed differential system against jet evaluation."""
-        return self._readout(self.jets(point, 1), "structure", self._structure_residuals)
-
-    def _structure_residuals(self, J) -> dict:
         a_val, f_val, h_val, eta_val, dr, rho_m = J.a_val, J.f_val, J.h_val, J.eta_val, J.dr, J.rho_val
         b = float(self.branch)
 
@@ -127,7 +124,7 @@ class XSpaceChart(Chart):
 
         # closed structure system for d phi and d psi
         lam1, mu1 = J.lam1, J.mu1
-        (lam3, lam2), (mu2,) = _powers(J.lam.value, 3, 2), _powers(J.mu.value, 2)
+        lam3, lam2, mu2 = libm(pow, J.lam.value, 3), libm(pow, J.lam.value, 2), libm(pow, J.mu.value, 2)
         d_lam3 = (lam1**3).partial(0)
         d_lammu2 = (lam1 * mu1**2).partial(0)
         d_mu4 = (mu1**4).partial(0)
@@ -156,17 +153,14 @@ class XSpaceChart(Chart):
             raise DualityHypothesisError(self.branch, norm[np.argmax(norm > HYP_TOL)])
         return st
 
-    def torsion_closed(self, point) -> TorsionForms:
+    @per_probe
+    def torsion_closed(self, J) -> TorsionForms:
         """Closed-form torsion components in the adapted basis."""
-        return self._readout(self.jets(point, 1), "torsion_closed", self._torsion_closed)
-
-    def _torsion_closed(self, J) -> TorsionForms:
         s = self._singer_thorpe(J).s
         b = float(self.branch)
         a_val, f_val, h_val, eta_val, lam1, mu1 = J.a_val.T, J.f_val, J.h_val, J.eta_val, J.lam1, J.mu1
         lam, mu = lam1.value, mu1.value
-        lam2, lam3, lam4 = _powers(lam, 2, 3, 4)
-        mu2, mu4 = _powers(mu, 2, 4)
+        lam2, lam3, lam4, mu2, mu4 = (libm(pow, v, e) for v, e in ((lam, 2), (lam, 3), (lam, 4), (mu, 2), (mu, 4)))
         t1_coef = (2.0 / (3.0 * lam2 * mu4)) * (
             (lam1**2 * mu1**4).partial(0) - s * lam4 * mu2
         )
@@ -183,10 +177,10 @@ class XSpaceChart(Chart):
         tau3 = contract(f_val @ rho_b, a_val) * (-b * lam2)
         return self._closed_torsion(J, J.s7, 0.0, tau3, (tau1, tau2))
 
-    def torsion_numeric(self, point, tol: float = 1e-9) -> TorsionForms:
+    @per_probe
+    def torsion_numeric(self, J, tol: float = 1e-9) -> TorsionForms:
         """Torsion via jet differentiation and the pointwise decomposition."""
-        J = self.jets(point, 1)
-        return self._readout(J, ("torsion_numeric", tol), lambda J: torsion_decompose(J.s7, *J.adapted, tol))
+        return torsion_decompose(J.s7, *J.adapted, tol)
 
     def sample_points(self, count: int, rng, a_max: float = 1.2) -> np.ndarray:
         """Seeded probes: base in the model safe box, fiber within |a| <= a_max
@@ -199,8 +193,3 @@ class XSpaceChart(Chart):
 
 
 _FACT = (1.0, 1.0, 2.0, 6.0)
-
-
-def _powers(v, *exponents) -> list:
-    """v**e for each exponent, by libm at each probe, as Python floats take them."""
-    return [libm_pow(v, e) for e in exponents]

@@ -4,14 +4,13 @@ A run selects a base model, a bundle (2-form bundle X or coframe bundle P),
 a branch, and a scale profile, then executes every check relevant to that
 scenario over the chart's seeded probe points.  Each record names the
 identity it verifies via a stable anchor string, so independent
-implementations can be compared field by field.  Probes run in chunks of
-``PROBE_CHUNK``: the chart's own frame bundle builds the chunk's base points
-in one batched pass, the chart builds the chunk in another, and each probe's
-frame and chart values are its rows of them, so each probe builds its base
-frame once.  Each named per-probe value is reduced over all probes with
-NaN-propagating maxima (``np.max``; the never-calibrated bound takes
-``np.min``): a report is deterministic for a fixed seed and a NaN on any
-probe fails its record.
+implementations can be compared field by field.  Probes run in chunks: the
+chart's own frame bundle builds a chunk's base points in one batched pass,
+the chart the chunk in another, and each probe reads its rows, so each probe
+builds its base frame once.  Each named per-probe value is reduced over all
+probes with NaN-propagating maxima (``np.max``; the never-calibrated bound
+takes ``np.min``): a report is deterministic for a fixed seed and a NaN on
+any probe fails its record.
 """
 
 from __future__ import annotations
@@ -327,7 +326,7 @@ def _chunk_rows(stage: str, chart, probe, points, first: int) -> list:
         chart.frame.load(points[:, 3:], 2)
         rows = [_frame_values(chart, tuple(pt[3:])) for pt in points]
     with _stage(f"{stage}, probe {first}"):
-        chart.load(points)
+        chart.load(points, 1)
         for row, pt in zip(rows, points):
             row.update(probe(tuple(pt)))
     return rows
@@ -335,9 +334,8 @@ def _chunk_rows(stage: str, chart, probe, points, first: int) -> list:
 
 def _probe_rows(stage: str, chart, probe, points) -> list:
     """Each probe's named values, in probe order: its frame values at pt[3:],
-    then its chart values.  A chunk whose pass raises runs again one probe at
-    a time, each as a chunk of one, so an error names the stage and the
-    probe (from 0) where the first failing probe fails."""
+    then its chart values.  A chunk whose pass raises runs again as chunks
+    of one, so an error names the stage and probe (from 0) of the first."""
     rows = []
     for first in range(0, len(points), PROBE_CHUNK):
         chunk = points[first : first + PROBE_CHUNK]

@@ -37,9 +37,8 @@ from .jets import Jet, JetOrderError, _out, _scalar, stacked_bincount, variables
 from .jets import table as jet_table
 
 MAX_DIM = 8
-# terms per block of a stacked wedge: a wedge over a chunk of probes runs in
-# blocks of stacks of at most this many terms, so its gathers stay small (a
-# chunk of 16 X probes peaks at 2.6 MB of allocations in one block)
+# terms per block of a stacked wedge, so that a wedge over a chunk keeps its
+# gathers small (a 16-probe X chunk peaked at 2.6 MB of allocations unblocked)
 MAX_TERMS = 8192
 
 
@@ -215,7 +214,7 @@ def _wedge_stack(a, b, ca, cb):
             prod *= sign
             out[s : s + step] = stacked_bincount(dst, prod, size)
     # C(n, j + k) spelled out, since an empty stack cannot infer it
-    return out.reshape(lead + (size // a.table.size,) + a._tail)
+    return out.reshape(lead + (size // a.table.size,) + a.coef.shape[a.coef.ndim - a._form_ndim + 1 :])
 
 
 def _d_stack(a, ca):
@@ -264,13 +263,11 @@ class _Form:
     __array_ufunc__ = None
 
     @property
-    def probes(self) -> tuple:
-        """The probe axis of ``coef``: ``()`` or ``(count,)``."""
+    def probes(self) -> tuple:  # () or (count,)
         return self.coef.shape[: self.coef.ndim - self._form_ndim]
 
     def _rows(self, coef):
-        """Coefficients of forms of this kind on any leading axes, each form
-        flattened to one row."""
+        """Forms of this kind on any leading axes, each flattened to one row."""
         return coef.reshape(coef.shape[: coef.ndim - self._form_ndim] + (-1,))
 
     def _check(self, other):
@@ -312,7 +309,6 @@ class Multivector(_Form):
     __slots__ = ("n", "k", "coef")
     table = jet_table(1, 0)
     _form_ndim = 1
-    _tail = ()
 
     def __init__(self, n: int, k: int, coef=None):
         if n > MAX_DIM:
@@ -452,10 +448,6 @@ class JetForm(_Form):
 
     def _new(self, k, coef):
         return JetForm._of(self.n, k, self.table, coef)
-
-    @property
-    def _tail(self):
-        return (self.table.size,)
 
     def jet(self, idx) -> Jet:
         """The jet of the ``e^idx`` coefficient."""
@@ -689,10 +681,8 @@ def max_sup(forms):
 
 
 def take(x, i: int):
-    """Probe ``i`` of a quantity built on a chunk of probes.  Arrays, jets and
-    forms lose their leading probe axis; containers and plain objects are
-    taken field by field; a quantity without a probe axis (a float, a
-    constant form) is the same at every probe."""
+    """Probe ``i`` of a quantity built on a chunk: arrays, jets and forms lose
+    their probe axis, containers and objects are taken field by field."""
     if isinstance(x, np.ndarray):
         return _out(x[i])
     if isinstance(x, Jet):
@@ -713,80 +703,64 @@ def take(x, i: int):
 
 
 class ProbeRow:
-    """Probe ``index`` of a chunk build ``data``: each attribute is the
-    build's, taken to this probe on first read, and a method returns its
-    result's row.  It holds no reference back to the chunk's cache, so a
-    dropped chunk is freed at once."""
+    """Probe ``index`` of a chunk build ``data``: each attribute (or method
+    result) is the build's, taken to this probe."""
 
     def __init__(self, data, index: int, point: tuple):
         self.data, self.index, self.point = data, index, point
 
     def __getattr__(self, name):
-        value, index = getattr(self.data, name), self.index
-        if callable(value):
-            method = value
-            value = lambda *args: take(method(*args), index)  # noqa: E731
-        else:
-            value = take(value, index)
+        attr, i = getattr(self.data, name), self.index
+        value = (lambda *args: take(attr(*args), i)) if callable(attr) else take(attr, i)
         setattr(self, name, value)
         return value
 
 
-class _Chunk:
-    __slots__ = ("points", "order", "data", "index", "rows")
-
-    def __init__(self, points, order, data):
-        self.points, self.order, self.data = points, order, data
-        self.index = {}  # point -> its first row
-        for i, p in enumerate(points.tolist()):
-            self.index.setdefault(tuple(p), i)
-        self.rows = {}
-
-
 def readout(data, key, fn):
-    """``fn(data)`` for a chunk build, computed once and kept in its
-    ``readouts``."""
+    """``fn(data)``, computed once per chunk build and kept in its ``readouts``."""
     if key not in data.readouts:
         data.readouts[key] = fn(data)
     return data.readouts[key]
 
 
 class ChunkCache:
-    """The latest build over a chunk of probe points, and one probe's row of it.
+    """The latest build over a chunk of points (``load``: one batched pass of
+    ``_build``) and its rows (``_row``); a point outside it is built as a
+    chunk of one, so every probe takes the same path.  No row refers back to
+    the cache, so a dropped chunk is freed at once."""
 
-    ``load(points, order)`` builds every probe of a chunk (one row of
-    ``points`` each) in one batched pass of ``_build`` unless that chunk is
-    the loaded one; only the latest chunk is kept.  ``_row(point, order)``
-    is one probe's row of it, and a point outside the loaded chunk is built
-    as a chunk of one, so every probe takes the same code path.
-    """
-
-    _last = None
+    _last = None  # (points, order, build, first row of each point, rows made)
 
     def clear(self):
-        """Drop the loaded chunk."""
         self._last = None
 
     def load(self, points, order: int):
         points = np.asarray(points, dtype=float)
         last = self._last
-        if last is None or last.order != order or not np.array_equal(last.points, points):
+        if last is None or last[1] != order or not np.array_equal(last[0], points):
             self.clear()  # a build that raises leaves no chunk loaded
-            last = self._last = _Chunk(points, order, self._build(points, order))
-        return last.data
+            first = {tuple(p): i for i, p in reversed(list(enumerate(points.tolist())))}
+            last = self._last = (points, order, self._build(points, order), first, {})
+        return last[2]
 
     def _row(self, point, order: int) -> ProbeRow:
         key = tuple(float(v) for v in point)
         last = self._last
-        i = None if last is None or last.order != order else last.index.get(key)
+        i = None if last is None or last[1] != order else last[3].get(key)
         if i is None:
-            self.load(np.array([key]), order)
+            self.load([key], order)
             last, i = self._last, 0
-        if i not in last.rows:
-            last.rows[i] = ProbeRow(last.data, i, key)
-        return last.rows[i]
+        return last[4].setdefault(i, ProbeRow(last[2], i, key))
 
-    @staticmethod
-    def _readout(row: ProbeRow, key, fn):
-        """``fn`` of the whole chunk of ``row``, once per chunk, and the row's share."""
-        return take(readout(row.data, key, fn), row.index)
+
+def per_probe(fn):
+    """A method ``fn(self, build, *args)`` of a chunk build, turned into one
+    taking a point: ``fn`` runs once per chunk and the point reads its row
+    (of the build ``self._at(point)`` belongs to)."""
+
+    def at_point(self, point, *args):
+        row = self._at(point)
+        return take(readout(row.data, (fn.__name__,) + args, lambda data: fn(self, data, *args)), row.index)
+
+    at_point.__name__, at_point.__qualname__, at_point.__doc__ = fn.__name__, fn.__qualname__, fn.__doc__
+    return at_point

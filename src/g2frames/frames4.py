@@ -33,8 +33,8 @@ from .exterior import (
     combos,
     compounds,
     max_sup,
+    per_probe,
     readout,
-    take,
     zero_forms,
 )
 from .jets import Jet, _out
@@ -58,8 +58,7 @@ class ResidualError(RuntimeError):
 
 def _jet_cholesky(g, point):
     """Upper-triangular coefficient matrix a with a^T a = g (rows = coframe);
-    on a chunk, ``point`` holds one row per probe and a failing pivot names
-    the first probe's point."""
+    a failing pivot names the point (the first failing row on a chunk)."""
     n = len(g)
     c = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -70,8 +69,7 @@ def _jet_cholesky(g, point):
             if i == j:
                 bad = np.asarray(acc.value <= 0.0)
                 if bad.any():
-                    at = np.reshape(point, (-1, n))[bad.argmax()]
-                    raise NonSPDMetricError([float(v) for v in at], f"(pivot {i})")
+                    raise NonSPDMetricError(np.reshape(point, (-1, n))[bad.argmax()].tolist(), f"(pivot {i})")
                 c[i][i] = acc.sqrt()
             else:
                 c[i][j] = acc / c[j][j]
@@ -124,8 +122,7 @@ def _truncate_matrix(m, order):
 
 
 def _jet_array(m) -> np.ndarray:
-    """The coefficients of a square matrix of jets as one array, of shape
-    ``probes + (n, n, size)``; constant entries broadcast over the probes."""
+    """A square matrix of jets as one array ``probes + (n, n, size)``."""
     coefs = np.broadcast_arrays(*(e.coef for row in m for e in row))
     return np.stack(coefs, axis=-2).reshape(coefs[0].shape[:-1] + (len(m), len(m), -1))
 
@@ -145,16 +142,11 @@ _PAIR_INDEX = np.array([[6, 0, 1, 2], [0, 6, 3, 4], [1, 3, 6, 5], [2, 4, 5, 6]])
 _PAIR_SIGN = np.sign(np.arange(DIM) - np.arange(DIM)[:, None])
 
 
-def _column(v, ndim: int) -> np.ndarray:
-    """The vector ``v`` on the first axis of an array of ``ndim`` axes."""
-    return np.reshape(v, np.shape(v) + (1,) * (ndim - np.ndim(v)))
-
-
 def _duality_rows(m: MatrixForm, branch: float):
     """The three duality components m[3,2] + b m[1,0], m[1,3] - b m[0,2] and
     m[2,1] + b m[3,0] of a 4x4 matrix of forms, on branch b."""
     twin = m.coef[[1, 0, 3], [0, 2, 0]]
-    coef = m.coef[[3, 1, 2], [2, 3, 1]] + twin * _column(branch * _SIGN_ROW, twin.ndim)
+    coef = m.coef[[3, 1, 2], [2, 3, 1]] + twin * (branch * _SIGN_ROW).reshape((3,) + (1,) * (twin.ndim - 1))
     return tuple(m.proto._new(m.proto.k, x) for x in coef)
 
 
@@ -199,13 +191,8 @@ class BaseData:
 
 class FrameBundle(ChunkCache):
     """Frame calculus over one chart metric, a ``ScalarField`` whose jet is
-    the 4x4 matrix of metric jets.
-
-    ``load(points, order)`` builds the frame data of a chunk of base points
-    in one batched pass; ``base(point, order)`` and the readouts below give
-    one point's row of the loaded chunk (a point outside it is built as a
-    chunk of one), and each readout runs once per chunk.
-    """
+    the 4x4 matrix of metric jets; ``load`` builds a chunk of base points,
+    ``base`` and the readouts give one point's row of it."""
 
     def __init__(self, metric):
         self.metric = metric
@@ -247,42 +234,39 @@ class FrameBundle(ChunkCache):
             curv = conn.d_jets() + om @ om
         return BaseData(point, order, theta, theta_low, coeff[..., 0], frame_val, frame_c2, conn, curv)
 
-    # -- residual diagnostics -------------------------------------------
-    def cartan_residual(self, point) -> float:
-        """max |d(theta) + theta ^ omega| over the four components."""
-        return self._readout(self.base(point, 2), "cartan", _cartan_residual)
+    def _at(self, point):
+        return self.base(point, 2)
 
-    def duality_residuals(self, point, branch: int) -> dict:
+    # -- residual diagnostics (at a point, computed per chunk) -------------
+    @per_probe
+    def cartan_residual(self, bd) -> float:
+        """max |d(theta) + theta ^ omega| over the four components."""
+        residuals = []
+        for a in range(DIM):
+            acc = bd.theta[a].d_value()
+            for b in range(DIM):
+                acc = acc + bd.theta_low[b].value().wedge(bd.conn[b, a].value())
+            residuals.append(acc)
+        return max_sup(residuals)
+
+    @per_probe
+    def duality_residuals(self, bd, branch: int) -> dict:
         """Structure equation and algebraic Bianchi residuals on one branch."""
-        return self._readout(self.base(point, 2), ("duality", branch), lambda bd: _duality_residuals(bd, branch))
+        eta, conn3, rho3 = bd.duality(branch)
+        eta = MatrixForm([eta])
+        eta_val = eta.value()
+        struct = (eta.d_jets().value() - eta_val @ check([c.value() for c in conn3])).sup()
+        bianchi = (eta_val @ check([r.value() for r in rho3])).sup()
+        return {"structure": struct, "bianchi": bianchi}
 
     # -- curvature blocks --------------------------------------------------
-    def singer_thorpe(self, point) -> "SingerThorpe":
-        """Curvature blocks at ``point``, assembled once per chunk build."""
-        row = self.base(point, 2)
-        return take(chunk_blocks(row.data), row.index)
+    @per_probe
+    def singer_thorpe(self, bd) -> "SingerThorpe":
+        """Curvature blocks at a point, assembled once per chunk build."""
+        return chunk_blocks(bd)
 
     def _blocks_raw(self, point):
         return _blocks_raw(self.base(point, 2))
-
-
-def _cartan_residual(bd):
-    residuals = []
-    for a in range(DIM):
-        acc = bd.theta[a].d_value()
-        for b in range(DIM):
-            acc = acc + bd.theta_low[b].value().wedge(bd.conn[b, a].value())
-        residuals.append(acc)
-    return max_sup(residuals)
-
-
-def _duality_residuals(bd, branch: int) -> dict:
-    eta, conn3, rho3 = bd.duality(branch)
-    eta = MatrixForm([eta])
-    eta_val = eta.value()
-    struct = (eta.d_jets().value() - eta_val @ check([c.value() for c in conn3])).sup()
-    bianchi = (eta_val @ check([r.value() for r in rho3])).sup()
-    return {"structure": struct, "bianchi": bianchi}
 
 
 def chunk_blocks(bd) -> "SingerThorpe":
@@ -320,8 +304,7 @@ class SingerThorpe:
 
 
 def _assemble_blocks(raw, sign):
-    """The blocks of one point, or of each probe of a chunk (every field then
-    has a leading probe axis); an asymmetric block names the first probe's."""
+    """The blocks at one point or at each probe of a chunk."""
     a_t, _, b_t, c_t = raw
     a = -sign * a_t
     c = sign * c_t

@@ -97,28 +97,23 @@ def _unit_structure_split(branch: int):
     return float(e14), proj14, proj27
 
 
-def _scale_one(lam: float, mu: float, v: int, h: int) -> list:
+def _scale(lam, mu, v: int, h: int):
+    """lam**v * mu**h, at each probe for arrays of scales; a power that
+    overflows, or a scale that underflows to 0, raises an ArithmeticError
+    naming it (at the first such probe)."""
+    if np.ndim(lam):
+        return np.array([_scale(a, b, v, h) for a, b in zip(lam.tolist(), mu.tolist())])
     try:
         out = lam**v * mu**h
     except OverflowError:
         raise OverflowError(f"lam**{v} * mu**{h} overflows at lam = {lam!r}, mu = {mu!r}") from None
     if out == 0.0:
         raise FloatingPointError(f"lam**{v} * mu**{h} underflows to 0 at lam = {lam!r}, mu = {mu!r}")
-    return [out]
-
-
-def _scale(lam, mu, v: int, h: int):
-    """lam**v * mu**h, at each probe for arrays of scales; a power that
-    overflows, or a scale that underflows to 0, raises an ArithmeticError
-    naming it (at the first such probe)."""
-    if np.ndim(lam) == 0:
-        return _scale_one(float(lam), float(mu), v, h)[0]
-    return np.array([_scale_one(a, b, v, h)[0] for a, b in zip(lam.tolist(), mu.tolist())])
+    return out
 
 
 def larger(a, b):
-    """``max(a, b)`` as Python takes it (``a`` unless ``b > a``, so a NaN ``b``
-    is passed over), at each probe."""
+    """``max(a, b)`` at each probe as Python takes it: a NaN ``b`` is passed over."""
     return _out(np.where(b > a, b, a))
 
 
@@ -243,9 +238,8 @@ def torsion_decompose(
 
     tau0 from the degree-7 pairing (dphi)^phi = 7 tau0 Vol; tau1 from the
     coclosure side; tau2 as the 14-dimensional eigenspace component of the
-    dpsi remainder; tau3 as the Hodge dual of the dphi remainder.  On a chunk
-    (forms and structure with a leading probe axis) every field has one, and
-    a failed reconstruction names the first failing probe's residuals.
+    dpsi remainder; tau3 as the Hodge dual of the dphi remainder.  On a
+    chunk, a failed reconstruction names the first failing probe's residuals.
     """
     if dphi.n != 7 or dphi.k != 4 or dpsi.k != 5:
         raise ValueError("expected a 4-form and a 5-form in dimension 7")

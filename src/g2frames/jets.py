@@ -1,9 +1,9 @@
 """Forward-mode jet arithmetic: truncated multivariate Taylor polynomials.
 
 A jet carries the value of a scalar quantity together with all of its
-partial derivatives up to a fixed order (at most 3) at one point.  All
-differentiation in this package runs through jet arithmetic; central finite
-differences survive only as a test oracle (see ``fd_partial``).
+partial derivatives up to a fixed order (at most 3) at one point, or at each
+point of a chunk.  All differentiation in this package runs through jet
+arithmetic; central finite differences survive only as a test oracle.
 
 Coefficients are stored in Taylor normalization, i.e. ``coef[alpha]`` is
 ``d^alpha f / alpha!``, so products are plain truncated polynomial products.
@@ -113,15 +113,13 @@ def _embed_index(src_nvars, order, dst_nvars, positions):
 
 
 class Jet:
-    """Truncated Taylor expansion of a scalar quantity at a point, or at each
-    point of a chunk: ``coef`` has shape ``(table.size,)``, or ``(probes,
-    table.size)`` with a leading probe axis.
+    """Truncated Taylor expansion of a scalar quantity at a point; on a chunk
+    of points ``coef`` has a leading probe axis.
 
-    Every operation acts on each probe as it acts on one jet, bit for bit:
-    sums and scalings are elementwise, products add each coefficient's terms
-    in the same order (``stacked_bincount``), and the analytic functions call
-    the same libm routine per value (``libm_pow``, ``_libm``).  Constants and scalars
-    without a probe axis broadcast against a chunk.
+    Every operation acts on each probe as on one jet, bit for bit: sums and
+    scalings are elementwise, products add each coefficient's terms in the
+    same order (``stacked_bincount``), and the analytic functions call libm
+    per value (``libm``).  Constants without a probe axis broadcast.
     """
 
     __slots__ = ("table", "coef")
@@ -265,7 +263,7 @@ class Jet:
         term = None
         for k in range(1, min(len(derivs), self.order + 1)):
             term = u if term is None else term * u
-            out = out + term * (derivs[k] / _FACTORIAL[k])
+            out = out + term * (derivs[k] / math.factorial(k))
         return out
 
     def reciprocal(self) -> "Jet":
@@ -284,25 +282,22 @@ class Jet:
         return self.power(0.5)
 
     def exp(self) -> "Jet":
-        return self.compose([_libm(math.exp, self.value)] * (self.order + 1))
+        return self.compose([libm(math.exp, self.value)] * (self.order + 1))
 
     def log(self) -> "Jet":
         v = self.value
-        return self.compose([_libm(math.log, v)] + _derivs(_inverse_powers, v, "log", self.order))
+        return self.compose([libm(math.log, v)] + _derivs(_inverse_powers, v, "log", self.order))
 
     def sin(self) -> "Jet":
-        s, c = _libm(math.sin, self.value), _libm(math.cos, self.value)
+        s, c = libm(math.sin, self.value), libm(math.cos, self.value)
         return self.compose([s, c, -s, -c][: self.order + 1])
 
     def cos(self) -> "Jet":
-        s, c = _libm(math.sin, self.value), _libm(math.cos, self.value)
+        s, c = libm(math.sin, self.value), libm(math.cos, self.value)
         return self.compose([c, -s, -c, s][: self.order + 1])
 
     def __repr__(self):
         return f"Jet(n={self.nvars}, order={self.order}, value={self.value})"
-
-
-_FACTORIAL = (1, 1, 2, 6)
 
 
 def _out(x):
@@ -311,8 +306,7 @@ def _out(x):
 
 
 def _scalar(c, tail: int = 0):
-    """A scalar factor as a float, or per-probe factors as an array with
-    ``tail`` trailing axes added so they broadcast against coefficients."""
+    """A float, or per-probe factors with ``tail`` trailing axes added."""
     if type(c) is float:
         return c
     if isinstance(c, np.ndarray):
@@ -320,20 +314,13 @@ def _scalar(c, tail: int = 0):
     return float(c)
 
 
-def libm_pow(v, e):
-    """``v**e`` for a float, or at each value of an array, through Python's
-    float power, that is libm: numpy's SIMD ``power`` rounds differently on a
-    few percent of inputs, and a chunk must equal its probes bit for bit."""
+def libm(fn, v, *args):
+    """``fn(v, *args)`` (``pow`` or a ``math`` routine) at a float or at each
+    value of an array, through libm: numpy's SIMD ``power`` and ``exp`` round
+    differently on a few percent of inputs."""
     if getattr(v, "ndim", 0) == 0:
-        return float(v) ** e
-    return np.power(v.astype(object), e).astype(float)
-
-
-def _libm(fn, v):
-    """The ``math`` routine ``fn`` at a float, or at each value of an array."""
-    if getattr(v, "ndim", 0) == 0:
-        return fn(float(v))
-    return np.fromiter(map(fn, v.ravel().tolist()), float, v.size).reshape(v.shape)
+        return fn(float(v), *args)
+    return np.frompyfunc(fn, 1 + len(args), 1)(v.astype(object), *args).astype(float)
 
 
 def _derivs(fn, v, *args) -> list:
@@ -355,10 +342,10 @@ def _power_derivs(v, p: float, order: int) -> list:
     raises an OverflowError naming it."""
     k = 0
     try:
-        ders = [libm_pow(v, p)]
+        ders = [libm(pow, v, p)]
         c = p
         for k in range(1, order + 1):
-            ders.append(c * libm_pow(v, p - k))
+            ders.append(c * libm(pow, v, p - k))
             c *= p - k
     except OverflowError:
         raise OverflowError(f"jet power {p:g} at v = {v!r}: v**{p - k:g} overflows") from None
@@ -367,9 +354,8 @@ def _power_derivs(v, p: float, order: int) -> list:
 
 def stacked_bincount(dst, terms, size: int) -> np.ndarray:
     """``np.bincount(dst, terms, size)`` for every stack on the leading axes of
-    ``terms`` at once: one call whose bins are offset by the flat stack index,
-    so each bin adds its terms in the same order as an unstacked call.  The
-    offsets are formed per call, so no cache grows with the stack."""
+    ``terms`` in one call, its bins offset by the flat stack index (formed per
+    call): each bin adds its terms in the same order as an unstacked call."""
     if terms.ndim == 1:
         return np.bincount(dst, terms, size)
     lead = terms.shape[:-1]
@@ -386,7 +372,7 @@ def _inverse_powers(v, name: str, count: int) -> list:
     out = []
     for c, p in ((1.0, 1), (-1.0, 2), (2.0, 3), (-6.0, 4))[:count]:
         try:
-            vp = libm_pow(v, p)
+            vp = libm(pow, v, p)
         except OverflowError:
             raise OverflowError(f"jet {name} at v = {v!r}: v**{p} overflows") from None
         if np.any(vp == 0.0):
@@ -401,27 +387,3 @@ def variables(point, order: int):
     pts = np.asarray(point, dtype=float)
     n = pts.shape[-1]
     return tuple(Jet.variable(pts[..., i], i, n, order) for i in range(n))
-
-
-def fd_partial(f, point, v: int, h: float = 1e-5) -> float:
-    """Central-difference first partial; cross-check oracle for jets."""
-    p = np.asarray(point, dtype=float)
-    up, dn = p.copy(), p.copy()
-    up[v] += h
-    dn[v] -= h
-    return (f(up) - f(dn)) / (2 * h)
-
-
-def fd_second(f, point, v: int, w: int, h: float = 1e-4) -> float:
-    """Central-difference second partial d^2 f / dx_v dx_w."""
-    p = np.asarray(point, dtype=float)
-
-    def shift(dv, dw):
-        q = p.copy()
-        q[v] += dv
-        q[w] += dw
-        return f(q)
-
-    if v == w:
-        return (shift(h, 0) - 2 * f(p) + shift(-h, 0)) / h**2
-    return (shift(h, h) - shift(h, -h) - shift(-h, h) + shift(-h, -h)) / (4 * h**2)

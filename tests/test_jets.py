@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2frames.jets import Jet, JetOrderError, fd_partial, fd_second, table, variables
+from g2frames.jets import Jet, JetOrderError, table, variables
+from oracles import fd_partial, fd_second
 
 FD_STEP = 1e-5
 FD_TOL = 1e-5

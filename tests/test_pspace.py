@@ -6,7 +6,8 @@ import pytest
 from g2frames.bundle7.pspace import ChartBoundError, PSpaceChart, rotation_jets
 from g2frames.exterior import Multivector
 from g2frames.g2point import classify
-from g2frames.jets import fd_partial, variables
+from g2frames.jets import variables
+from oracles import fd_partial
 from g2frames.models import MODEL_NAMES, get_model
 
 SEED = 99
