@@ -341,9 +341,7 @@ def _probe_rows(stage: str, chart, probe, points) -> list:
         chunk = points[first : first + PROBE_CHUNK]
         try:
             rows += _chunk_rows(stage, chart, probe, chunk, first)
-        except Exception:
-            if len(chunk) == 1:
-                raise
+        except Exception:  # each chunk of one raises it again where a one-at-a-time run would
             for i in range(len(chunk)):
                 rows += _chunk_rows(stage, chart, probe, chunk[i : i + 1], first + i)
     return rows

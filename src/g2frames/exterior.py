@@ -242,7 +242,7 @@ def compounds(p, k: int) -> list:
     stack of matrices ``p`` gives stacks of compounds."""
     p = np.asarray(p, dtype=float)
     m, n = p.shape[-2:]
-    out = [np.ones((1, 1))]
+    out = [np.ones(p.shape[:-2] + (1, 1))]
     for j in range(k):
         _, lab, _, dst = _interior_table(m, j + 1)
         last = slice(j, None, j + 1)
@@ -596,8 +596,8 @@ class MatrixForm:
     __rmul__ = __mul__
 
     def value(self) -> "MatrixForm":
-        """The matrix of a jet-form matrix's values at the point."""
-        return MatrixForm._of(self.proto.value(), self.coef[..., 0])
+        """The matrix of a jet-form matrix's values at the point, copied off the jets."""
+        return MatrixForm._of(self.proto.value(), self.coef[..., 0].copy())
 
     def truncate(self, order: int) -> "MatrixForm":
         """A jet-form matrix with its coefficient jets cut to a lower order."""
