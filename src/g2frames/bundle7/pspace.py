@@ -106,17 +106,17 @@ class PSpaceChart(Chart):
 
     def _chunk(self, points, p):
         """All chart quantities on a chunk of points, as 7-variable jet forms."""
-        for u in points[:, :3]:
+        for u in np.reshape(points, (-1, N))[:, :3]:
             unorm = float(np.linalg.norm(u))
             if unorm >= CHART_BOUND:
                 raise ChartBoundError(unorm)
-        base = self.frame.load(points[:, 3:], p + 1)
+        base = self.frame.load(points[..., 3:], p + 1)
         eta4, conn4, rho4 = base.duality(self.branch)
         J = SimpleNamespace(base=base)
         J.theta = tuple(promote(t) for t in base.theta_low)
         eta_p = tuple(promote(e) for e in eta4)
 
-        u_hi = tuple(Jet.variable(points[:, i], i, N, p + 1) for i in range(3))
+        u_hi = tuple(Jet.variable(points[..., i], i, N, p + 1) for i in range(3))
         g_hi = rotation_jets(u_hi)
         gm = zero_forms(N, u_hi[0].table, [[e.coef for e in row] for row in g_hi]).truncate(p)
         J.g_val = np.moveaxis(gm.coef[..., 0, 0], (0, 1), (-2, -1))
@@ -232,10 +232,6 @@ class PSpaceChart(Chart):
     @per_probe
     def torsion_numeric(self, J, tol: float = 1e-9) -> TorsionForms:
         return torsion_decompose(self._structure, *J.adapted, tol)
-
-    def _star_horizontal(self, forms, point) -> list:
-        """Base Hodge star on purely horizontal 2-forms, lifted to the chart."""
-        return _lift_star(forms, _base_star(self.frame.base(tuple(point[3:]), 2)))
 
     def sample_points(self, count: int, rng, u_max: float = 2.2) -> np.ndarray:
         """Seeded probes: u in the exponential chart, base in the safe box."""

@@ -57,13 +57,13 @@ class XSpaceChart(Chart):
 
     def _chunk(self, points, p):
         """All chart quantities on a chunk of points, as 7-variable jet forms."""
-        base = self.frame.load(points[:, 3:], p + 1)
+        base = self.frame.load(points[..., 3:], p + 1)
         eta4, conn4, rho4 = base.duality(self.branch)
         J = SimpleNamespace(base=base)
         J.theta = tuple(promote(t) for t in base.theta_low)
         J.eta = tuple(promote(e) for e in eta4)
         J.rho3 = tuple(promote(r) for r in rho4)
-        J.a = tuple(Jet.variable(points[:, i], i, N, p) for i in range(3))
+        J.a = tuple(Jet.variable(points[..., i], i, N, p) for i in range(3))
         om = check([promote(w) for w in conn4])
         da = [fiber_form([Jet.constant(float(i == v), N, p) for v in range(3)]) for i in range(3)]
         f = J.f = tuple(da[i] - contract([om[j, i] for j in range(3)], J.a) for i in range(3))

@@ -310,16 +310,16 @@ def _frame_values(chart, x) -> dict:
     }
 
 
-# probes per batched pass.  Kernel time per X probe (2-core x86-64 host):
-# 1.8 ms one at a time, 0.89 ms in chunks of 8, 0.76 ms of 16, 0.67 ms of 32;
-# whole x-sweep rounds ran at 615 probes/s in chunks of 12 and 777 in chunks
-# of 16, and each probe of a chunk adds about 0.1 MB to peak RSS.
-PROBE_CHUNK = 16
+# probes per batched pass.  Kernel time per X probe (2-core x86-64 host): 1.8 ms
+# one at a time, 0.89 ms in chunks of 8, 0.76 ms of 16.  30 s perfbench runs,
+# probes/s and peak RSS (one at a time: x-sweep 313/s, p-sweep 235/s, 41.6 MB):
+# chunks of 8, 705/s, 43.2 MB and 430/s, 43.6 MB; of 10, p-sweep 498/s, 43.5 MB;
+# of 16, 932/s, 43.8 MB and 605/s, 44.1 MB.  10 keeps RSS within 5% at most of the speed.
+PROBE_CHUNK = 10
 
 
 def _chunk_rows(stage: str, chart, probe, points, first: int) -> list:
-    """The rows of one chunk of probes, numbered from ``first``: the frame
-    pass over their base points, then the chart pass."""
+    """The rows of a chunk of probes numbered from ``first``: frame pass, then chart pass."""
     with _stage(f"frame records, probe {first}"):
         chart.clear()  # so the last chunk's chart build is not held while this one builds
         chart.frame.load(points[:, 3:], 2)
@@ -340,7 +340,7 @@ def _probe_rows(stage: str, chart, probe, points) -> list:
         chunk = points[first : first + PROBE_CHUNK]
         try:
             rows += _chunk_rows(stage, chart, probe, chunk, first)
-        except Exception:  # each chunk of one raises it again where a one-at-a-time run would
+        except NumericalFailure:  # each chunk of one raises it again where a one-at-a-time run would
             for i in range(len(chunk)):
                 rows += _chunk_rows(stage, chart, probe, chunk[i : i + 1], first + i)
     return rows

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -37,8 +37,8 @@ from .jets import Jet, JetOrderError, _out, _scalar, stacked_bincount, variables
 from .jets import table as jet_table
 
 MAX_DIM = 8
-# terms per block of a stacked wedge, so that a wedge over a chunk keeps its
-# gathers small (a 16-probe X chunk peaked at 2.6 MB of allocations unblocked)
+# terms per block of a stacked wedge: peak RSS after one x-sweep round of
+# 16-probe chunks, 41.0 MB blocked, 42.5 MB unblocked, 39.4 MB probe by probe
 MAX_TERMS = 8192
 
 
@@ -191,10 +191,11 @@ def _jet_d_index(n: int, k: int, nvars: int, order: int):
 def _wedge_stack(a, b, ca, cb):
     """Wedges of stacked forms of the kinds of ``a`` and ``b``: ``ca`` and
     ``cb`` hold flattened coefficient rows on leading axes (stacks, probes)
-    that broadcast against each other.  One gather over ``_jet_wedge_index``
-    and one ``stacked_bincount``, so each bin gets the terms of one unstacked
-    wedge in the same order.  Returns the coefficients, of shape ``lead +
-    (C(n, j + k),) + jet tail``."""
+    that broadcast against each other.  The stacks run in blocks of at most
+    ``MAX_TERMS`` terms (one block for a small stack), each one gather over
+    ``_jet_wedge_index`` and one ``stacked_bincount``, so each bin gets the
+    terms of one unstacked wedge in the same order.  Returns the
+    coefficients, of shape ``lead + (C(n, j + k),) + jet tail``."""
     if a.n != b.n:
         raise DimensionMismatch("different ambient dimensions")
     if a.table is not b.table:
@@ -202,17 +203,13 @@ def _wedge_stack(a, b, ca, cb):
     src_a, src_b, sign, dst, size = _jet_wedge_index(a.n, a.k, b.k, a.table.nvars, a.table.order)
     lead = ca.shape[:-1] if ca.shape[:-1] == cb.shape[:-1] else np.broadcast_shapes(ca.shape[:-1], cb.shape[:-1])
     count = math.prod(lead)
-    if count * len(src_a) <= MAX_TERMS:
-        out = stacked_bincount(dst, ca.take(src_a, axis=-1) * cb.take(src_b, axis=-1) * sign, size)
-    else:
-        ca, cb = (np.broadcast_to(c, lead + c.shape[-1:]).reshape(count, -1) for c in (ca, cb))
-        step = MAX_TERMS // len(src_a) or 1
-        out = np.empty((count, size))
-        for s in range(0, count, step):
-            prod = ca[s : s + step].take(src_a, axis=-1)
-            prod *= cb[s : s + step].take(src_b, axis=-1)
-            prod *= sign
-            out[s : s + step] = stacked_bincount(dst, prod, size)
+    ca, cb = (c if c.shape[:-1] == lead else np.broadcast_to(c, lead + c.shape[-1:]) for c in (ca, cb))
+    ca, cb = ca.reshape(count, ca.shape[-1]), cb.reshape(count, cb.shape[-1])
+    step = MAX_TERMS // max(len(src_a), 1) or 1
+    out = np.empty((count, size))
+    for s in range(0, count, step):
+        prod = ca[s : s + step].take(src_a, axis=-1) * cb[s : s + step].take(src_b, axis=-1) * sign
+        out[s : s + step] = stacked_bincount(dst, prod, size)
     # C(n, j + k) spelled out, since an empty stack cannot infer it
     return out.reshape(lead + (size // a.table.size,) + a.coef.shape[a.coef.ndim - a._form_ndim + 1 :])
 
@@ -682,7 +679,10 @@ def max_sup(forms):
 
 def take(x, i: int):
     """Probe ``i`` of a quantity built on a chunk: arrays, jets and forms lose
-    their probe axis, containers and objects are taken field by field."""
+    their probe axis, containers and objects are taken field by field.  A
+    build without a probe axis (``i`` None) is its own row."""
+    if i is None:
+        return x
     if isinstance(x, np.ndarray):
         return _out(x[i])
     if isinstance(x, Jet):
@@ -703,10 +703,10 @@ def take(x, i: int):
 
 
 class ProbeRow:
-    """Probe ``index`` of a chunk build ``data``: each attribute (or method
-    result) is the build's, taken to this probe."""
+    """Probe ``index`` of a chunk build ``data``, read at ``point``: each
+    attribute (or method result) is the build's, taken to this probe."""
 
-    def __init__(self, data, index: int, point: tuple):
+    def __init__(self, data, index, point: tuple):
         self.data, self.index, self.point = data, index, point
 
     def __getattr__(self, name):
@@ -725,9 +725,9 @@ def readout(data, key, fn):
 
 class ChunkCache:
     """The latest build over a chunk of points (``load``: one batched pass of
-    ``_build``) and its rows (``_row``); a point outside it is built as a
-    chunk of one, so every probe takes the same path.  No row refers back to
-    the cache, so a dropped chunk is freed at once."""
+    ``_build``) and its rows (``_row``); a point outside it is built alone,
+    without a probe axis, through the same code.  No row refers back to the
+    cache, so a dropped chunk is freed at once."""
 
     _last = None  # (points, order, build, first row of each point, rows made)
 
@@ -735,22 +735,22 @@ class ChunkCache:
         self._last = None
 
     def load(self, points, order: int):
+        """Build ``points`` (a chunk, or one point without a probe axis)."""
         points = np.asarray(points, dtype=float)
         last = self._last
         if last is None or last[1] != order or not np.array_equal(last[0], points):
             self.clear()  # a build that raises leaves no chunk loaded
-            first = {tuple(p): i for i, p in reversed(list(enumerate(points.tolist())))}
+            rows = [tuple(p) for p in points.reshape(-1, points.shape[-1]).tolist()]
+            first = {p: i for i, p in reversed(list(enumerate(rows)))} if points.ndim > 1 else {rows[0]: None}
             last = self._last = (points, order, self._build(points, order), first, {})
         return last[2]
 
     def _row(self, point, order: int) -> ProbeRow:
         key = tuple(float(v) for v in point)
-        last = self._last
-        i = None if last is None or last[1] != order else last[3].get(key)
-        if i is None:
-            self.load([key], order)
-            last, i = self._last, 0
-        return last[4].setdefault(i, ProbeRow(last[2], i, key))
+        if self._last is None or self._last[1] != order or key not in self._last[3]:
+            self.load(key, order)
+        *_, data, first, rows = self._last
+        return rows.setdefault(first[key], ProbeRow(data, first[key], key))
 
 
 def per_probe(fn):
@@ -762,5 +762,4 @@ def per_probe(fn):
         row = self._at(point)
         return take(readout(row.data, (fn.__name__,) + args, lambda data: fn(self, data, *args)), row.index)
 
-    at_point.__name__, at_point.__qualname__, at_point.__doc__ = fn.__name__, fn.__qualname__, fn.__doc__
-    return at_point
+    return wraps(fn)(at_point)

@@ -67,9 +67,8 @@ def _jet_cholesky(g, point):
             for k in range(j):
                 acc = acc - c[i][k] * c[j][k]
             if i == j:
-                bad = np.asarray(acc.value <= 0.0)
-                if bad.any():
-                    raise NonSPDMetricError(np.reshape(point, (-1, n))[bad.argmax()].tolist(), f"(pivot {i})")
+                if np.any(acc.value <= 0.0):
+                    raise NonSPDMetricError(np.reshape(point, (-1, n))[np.argmax(acc.value <= 0.0)].tolist(), f"(pivot {i})")
                 c[i][i] = acc.sqrt()
             else:
                 c[i][j] = acc / c[j][j]
@@ -265,9 +264,6 @@ class FrameBundle(ChunkCache):
         """Curvature blocks at a point, assembled once per chunk build."""
         return chunk_blocks(bd)
 
-    def _blocks_raw(self, point):
-        return _blocks_raw(self.base(point, 2))
-
 
 def chunk_blocks(bd) -> "SingerThorpe":
     """The curvature blocks of a chunk build, assembled once per build."""
@@ -338,7 +334,7 @@ def pairing_sign() -> int:
     # models imports this module, so importing models at load time would be a cycle
     from .models import get_model
 
-    raw = get_model("sphere4").bundle()._blocks_raw((0.12, -0.07, 0.23, 0.18))
+    raw = _blocks_raw(get_model("sphere4").bundle().base((0.12, -0.07, 0.23, 0.18), 2))
     trace = -float(np.trace(raw[0]))  # tr(A) for sign +1
     if abs(abs(trace) - 3.0) > 1e-8:
         raise AssertionError(f"sphere anchor failed: tr A = {trace}")

@@ -151,15 +151,12 @@ class G2Structure:
         w = np.sqrt(np.prod(self.g_diag[..., _label_array(7, k)], axis=-1))
         return (w[..., :, None] * _unit_structure_split(self.branch)[which]) / w[..., None, :]
 
-    def _project(self, which: int, a: Multivector) -> Multivector:
-        # one matrix-vector product per probe, as at a single point
-        return Multivector(7, a.k, (self._scaled_proj(which, a.k) @ a.coef[..., None])[..., 0])
-
+    # one matrix-vector product per probe, as at a single point
     def project_w14(self, a: Multivector) -> Multivector:
-        return self._project(1, a)
+        return Multivector(7, 2, (self._scaled_proj(1, 2) @ a.coef[..., None])[..., 0])
 
     def project_w27(self, a: Multivector) -> Multivector:
-        return self._project(2, a)
+        return Multivector(7, 3, (self._scaled_proj(2, 3) @ a.coef[..., None])[..., 0])
 
 
 def standard_phi(lam: float, mu: float, branch: int) -> G2Structure:

@@ -3,7 +3,8 @@
 A jet carries the value of a scalar quantity together with all of its
 partial derivatives up to a fixed order (at most 3) at one point, or at each
 point of a chunk.  All differentiation in this package runs through jet
-arithmetic; central finite differences survive only as a test oracle.
+arithmetic; central finite differences survive only as a test oracle (see
+``fd_partial``).
 
 Coefficients are stored in Taylor normalization, i.e. ``coef[alpha]`` is
 ``d^alpha f / alpha!``, so products are plain truncated polynomial products.
@@ -114,13 +115,9 @@ def _embed_index(src_nvars, order, dst_nvars, positions):
 
 class Jet:
     """Truncated Taylor expansion of a scalar quantity at a point; on a chunk
-    of points ``coef`` has a leading probe axis.
-
-    Every operation acts on each probe as on one jet, bit for bit: sums and
-    scalings are elementwise, products add each coefficient's terms in the
-    same order (``stacked_bincount``), and the analytic functions call libm
-    per value (``libm``).  Constants without a probe axis broadcast.
-    """
+    of points ``coef`` has a leading probe axis, and every operation acts on
+    each probe as on one jet, bit for bit: products through ``stacked_bincount``,
+    powers and analytic functions through libm per value."""
 
     __slots__ = ("table", "coef")
     # an array of per-probe scalars times a jet defers to Jet.__rmul__
@@ -324,28 +321,22 @@ def libm(fn, v, *args):
 
 
 def _derivs(fn, v, *args) -> list:
-    """``fn(v, *args)``, a list of derivatives at a float or at an array of
-    values.  An ArithmeticError at an array is raised again as ``fn`` raises
-    it at the first failing value alone, so its message names that value."""
+    """``fn(v, *args)``, a list of derivatives, at a float or at each value of
+    an array: one call per value, so an error names the first failing one."""
     if getattr(v, "ndim", 0) == 0:
         return fn(float(v), *args)
-    try:
-        return fn(v, *args)
-    except ArithmeticError:
-        for x in v.ravel().tolist():
-            fn(x, *args)
-        raise
+    return [np.array(d).reshape(v.shape) for d in zip(*(fn(x, *args) for x in v.ravel().tolist()))]
 
 
-def _power_derivs(v, p: float, order: int) -> list:
+def _power_derivs(v: float, p: float, order: int) -> list:
     """v**p and its first ``order`` derivatives in v; a power that overflows
     raises an OverflowError naming it."""
     k = 0
     try:
-        ders = [libm(pow, v, p)]
+        ders = [v**p]
         c = p
         for k in range(1, order + 1):
-            ders.append(c * libm(pow, v, p - k))
+            ders.append(c * v ** (p - k))
             c *= p - k
     except OverflowError:
         raise OverflowError(f"jet power {p:g} at v = {v!r}: v**{p - k:g} overflows") from None
@@ -365,17 +356,17 @@ def stacked_bincount(dst, terms, size: int) -> np.ndarray:
     return np.bincount(dst, terms.ravel(), count * size).reshape(lead + (size,))
 
 
-def _inverse_powers(v, name: str, count: int) -> list:
+def _inverse_powers(v: float, name: str, count: int) -> list:
     """The first ``count`` of 1/v, -1/v**2, 2/v**3, -6/v**4; a power of v that
     is 0 raises a ZeroDivisionError, one that overflows an OverflowError,
     naming v and the power."""
     out = []
     for c, p in ((1.0, 1), (-1.0, 2), (2.0, 3), (-6.0, 4))[:count]:
         try:
-            vp = libm(pow, v, p)
+            vp = v**p
         except OverflowError:
             raise OverflowError(f"jet {name} at v = {v!r}: v**{p} overflows") from None
-        if np.any(vp == 0.0):
+        if vp == 0.0:
             raise ZeroDivisionError(f"jet {name} at v = {v!r}: v**{p} is 0 in the term {c:g}/v**{p}")
         out.append(c / vp)
     return out
@@ -387,3 +378,27 @@ def variables(point, order: int):
     pts = np.asarray(point, dtype=float)
     n = pts.shape[-1]
     return tuple(Jet.variable(pts[..., i], i, n, order) for i in range(n))
+
+
+def fd_partial(f, point, v: int, h: float = 1e-5) -> float:
+    """Central-difference first partial; cross-check oracle for jets."""
+    p = np.asarray(point, dtype=float)
+    up, dn = p.copy(), p.copy()
+    up[v] += h
+    dn[v] -= h
+    return (f(up) - f(dn)) / (2 * h)
+
+
+def fd_second(f, point, v: int, w: int, h: float = 1e-4) -> float:
+    """Central-difference second partial d^2 f / dx_v dx_w."""
+    p = np.asarray(point, dtype=float)
+
+    def shift(dv, dw):
+        q = p.copy()
+        q[v] += dv
+        q[w] += dw
+        return f(q)
+
+    if v == w:
+        return (shift(h, 0) - 2 * f(p) + shift(-h, 0)) / h**2
+    return (shift(h, h) - shift(h, -h) - shift(-h, h) + shift(-h, -h)) / (4 * h**2)

@@ -122,7 +122,9 @@ def test_criterion_04_x_torsion_theorem():
             prof = random_smooth_profile(np.random.default_rng(1000 + 17 * trial))
             chart = XSpaceChart(spec, branch, prof)
             rng = np.random.default_rng(104 + trial)
-            for pt in chart.sample_points(20, rng):
+            points = chart.sample_points(20, rng)
+            chart.load(points, 1)  # one batched build; each point reads its row
+            for pt in points:
                 pt = tuple(pt)
                 tc = chart.torsion_closed(pt)
                 tn = chart.torsion_numeric(pt)

@@ -1,5 +1,6 @@
 """Runner configuration, reports, exit codes, and determinism."""
 
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -606,6 +607,44 @@ def test_reports_do_not_depend_on_the_chunk(monkeypatch, config):
         monkeypatch.setattr(cli, "PROBE_CHUNK", 1)
         assert chunked == run(cfg).to_json(), probes
         monkeypatch.setattr(cli, "PROBE_CHUNK", chunk)
+
+
+def _bits(x) -> bytes:
+    """Every float of a readout, as bytes."""
+    if isinstance(x, dict):
+        return b"".join(_bits(v) for _, v in sorted(x.items()))
+    if dataclasses.is_dataclass(x):
+        return b"".join(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    return np.asarray(x.coef if isinstance(x, Multivector) else x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("config", [BS_SPHERE, P_HYPER], ids=["X", "P"])
+def test_a_lone_point_reads_as_its_row_of_a_chunk(config):
+    """A point outside the loaded chunk is built alone, without a probe axis;
+    each readout the runner takes equals its row of a loaded chunk, bit for bit."""
+    cfg = RunConfig.from_dict(dict(config, probes=cli.PROBE_CHUNK + 3))
+    spec, prof = get_model(cfg.model), cfg.to_dict()["profile"]
+    if cfg.space == "X":
+        chart = XSpaceChart(spec, cfg.branch, cfg.make_profile())
+        names = ("structure_residuals", "torsion_numeric", "torsion_closed")
+    else:
+        chart = PSpaceChart(spec, cfg.branch, prof["lam"], prof["mu"])
+        names = ("identity_residuals", "torsion_numeric", "torsion_closed")
+    points = chart.sample_points(cfg.probes, np.random.default_rng(cfg.seed))
+
+    def readouts(pt):
+        x, fb = tuple(pt[3:]), chart.frame
+        got = [fb.cartan_residual(x), fb.singer_thorpe(x), *(fb.duality_residuals(x, b) for b in (1, -1))]
+        return b"".join(map(_bits, got + [getattr(chart, name)(tuple(pt)) for name in names]))
+
+    chart.frame.load(points[:, 3:], 2)
+    chart.load(points, 1)
+    rows = [readouts(pt) for pt in points]
+    chart.clear()
+    chart.frame.clear()
+    assert [readouts(pt) for pt in points] == rows
+    # and the lone builds carry no probe axis
+    assert chart.jets(tuple(points[0]), 1).data.phi.coef.ndim == 2
 
 
 def _fail_at(monkeypatch, owner, name, target):

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2frames.jets import Jet, JetOrderError, table, variables
-from oracles import fd_partial, fd_second
+from g2frames.jets import Jet, JetOrderError, fd_partial, fd_second, table, variables
 
 FD_STEP = 1e-5
 FD_TOL = 1e-5

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from g2frames.bundle7.pspace import ChartBoundError, PSpaceChart, rotation_jets
+from g2frames.bundle7.pspace import ChartBoundError, PSpaceChart, _base_star, _lift_star, rotation_jets
 from g2frames.exterior import Multivector
 from g2frames.g2point import classify
-from g2frames.jets import variables
-from oracles import fd_partial
+from g2frames.jets import fd_partial, variables
 from g2frames.models import MODEL_NAMES, get_model
 
 SEED = 99
@@ -186,8 +185,9 @@ def test_canonical_forms_exposed():
 def test_star_horizontal_rejects_vertical_component():
     chart = make_chart("sphere4", 1)
     pt = tuple(chart.sample_points(1, np.random.default_rng(SEED))[0])
+    star = _base_star(chart.frame.base(pt[3:], 2))
     horizontal = Multivector.basis(7, (4, 5))
-    assert chart._star_horizontal([horizontal], pt)[0].sup() > 0.0
+    assert _lift_star([horizontal], star)[0].sup() > 0.0
     for idx in ((1, 4), (2, 3)):
         with pytest.raises(ValueError, match="not horizontal"):
-            chart._star_horizontal([horizontal + Multivector.basis(7, idx)], pt)
+            _lift_star([horizontal + Multivector.basis(7, idx)], star)
