@@ -104,9 +104,7 @@ class Chart(ChunkCache):
         J.compounds = comp[:4]  # the closed torsion adapts forms of degree <= 3
         return J
 
-    def jets(self, point, order: int = 1):
-        """The build at one point: its row of the loaded chunk."""
-        return self._row(point, order)
+    jets = ChunkCache._row  # the build at one point: its row of the loaded chunk
 
     def _at(self, point):
         return self.jets(point, 1)

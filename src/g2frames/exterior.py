@@ -745,7 +745,7 @@ class ChunkCache:
             last = self._last = (points, order, self._build(points, order), first, {})
         return last[2]
 
-    def _row(self, point, order: int) -> ProbeRow:
+    def _row(self, point, order: int = 1) -> ProbeRow:
         key = tuple(float(v) for v in point)
         if self._last is None or self._last[1] != order or key not in self._last[3]:
             self.load(key, order)

@@ -196,9 +196,7 @@ class FrameBundle(ChunkCache):
     def __init__(self, metric):
         self.metric = metric
 
-    def base(self, point, order: int):
-        """The frame data at one point: its row of the loaded chunk."""
-        return self._row(point, order)
+    base = ChunkCache._row
 
     def _build(self, point, order):
         # a metric entry constant in the point gets the chunk's probe axis too

@@ -304,8 +304,6 @@ def _out(x):
 
 def _scalar(c, tail: int = 0):
     """A float, or per-probe factors with ``tail`` trailing axes added."""
-    if type(c) is float:
-        return c
     if isinstance(c, np.ndarray):
         return np.asarray(c, dtype=float).reshape(c.shape + (1,) * tail)
     return float(c)
@@ -321,22 +319,28 @@ def libm(fn, v, *args):
 
 
 def _derivs(fn, v, *args) -> list:
-    """``fn(v, *args)``, a list of derivatives, at a float or at each value of
-    an array: one call per value, so an error names the first failing one."""
+    """``fn(v, *args)``, a list of derivatives at a float or at an array of
+    values.  An ArithmeticError at an array is raised again as ``fn`` raises
+    it at the first failing value alone, so its message names that value."""
     if getattr(v, "ndim", 0) == 0:
         return fn(float(v), *args)
-    return [np.array(d).reshape(v.shape) for d in zip(*(fn(x, *args) for x in v.ravel().tolist()))]
+    try:
+        return fn(v, *args)
+    except ArithmeticError:
+        for x in v.ravel().tolist():
+            fn(x, *args)
+        raise
 
 
-def _power_derivs(v: float, p: float, order: int) -> list:
+def _power_derivs(v, p: float, order: int) -> list:
     """v**p and its first ``order`` derivatives in v; a power that overflows
     raises an OverflowError naming it."""
     k = 0
     try:
-        ders = [v**p]
+        ders = [libm(pow, v, p)]
         c = p
         for k in range(1, order + 1):
-            ders.append(c * v ** (p - k))
+            ders.append(c * libm(pow, v, p - k))
             c *= p - k
     except OverflowError:
         raise OverflowError(f"jet power {p:g} at v = {v!r}: v**{p - k:g} overflows") from None
@@ -356,17 +360,17 @@ def stacked_bincount(dst, terms, size: int) -> np.ndarray:
     return np.bincount(dst, terms.ravel(), count * size).reshape(lead + (size,))
 
 
-def _inverse_powers(v: float, name: str, count: int) -> list:
+def _inverse_powers(v, name: str, count: int) -> list:
     """The first ``count`` of 1/v, -1/v**2, 2/v**3, -6/v**4; a power of v that
     is 0 raises a ZeroDivisionError, one that overflows an OverflowError,
     naming v and the power."""
     out = []
     for c, p in ((1.0, 1), (-1.0, 2), (2.0, 3), (-6.0, 4))[:count]:
         try:
-            vp = v**p
+            vp = libm(pow, v, p)
         except OverflowError:
             raise OverflowError(f"jet {name} at v = {v!r}: v**{p} overflows") from None
-        if vp == 0.0:
+        if np.any(vp == 0.0):
             raise ZeroDivisionError(f"jet {name} at v = {v!r}: v**{p} is 0 in the term {c:g}/v**{p}")
         out.append(c / vp)
     return out
