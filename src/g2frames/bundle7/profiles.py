@@ -52,17 +52,14 @@ class Profile:
         self._check(r)
         return self.mu_fn(Jet.variable(r, 0, 1, order))
 
-    def lam(self, r: float) -> float:
+    def lam(self, r):
+        """lam at a radius, or at an array of radii: ``lam_fn`` once on
+        order-0 jets with a probe axis, equal to lam at each radius bit for
+        bit.  The first radius outside the domain raises."""
         return self.lam_jet(r, 0).value
 
     def mu(self, r: float) -> float:
         return self.mu_jet(r, 0).value
-
-    def lam_values(self, r: np.ndarray) -> np.ndarray:
-        """lam at an array of radii: ``lam_fn`` once on order-0 jets with a
-        probe axis, equal to ``lam`` at each radius bit for bit.  The first
-        radius outside the domain raises as ``lam`` would."""
-        return self.lam_jet(r, 0).value
 
     def condition_residuals(self, s: float, r) -> dict:
         """Residuals of the three coupled conditions at a radius (or an array)."""

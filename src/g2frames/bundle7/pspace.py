@@ -230,8 +230,8 @@ class PSpaceChart(Chart):
         return self._closed_torsion(J, self._structure, tau0, tau3)
 
     @per_probe
-    def torsion_numeric(self, J, tol: float = 1e-9) -> TorsionForms:
-        return torsion_decompose(self._structure, *J.adapted, tol)
+    def torsion_numeric(self, J) -> TorsionForms:
+        return torsion_decompose(self._structure, *J.adapted)
 
     def sample_points(self, count: int, rng, u_max: float = 2.2) -> np.ndarray:
         """Seeded probes: u in the exponential chart, base in the safe box."""

@@ -67,7 +67,7 @@ def _radius_integrand(profile: Profile, r0: float):
             return profile.lam(r) * tmax * np.cos(theta) if r < profile.r_max else 0.0
         out = np.zeros(r.shape)
         inside = r < profile.r_max
-        out[inside] = profile.lam_values(r[inside]) * tmax * np.cos(theta[inside])
+        out[inside] = profile.lam(r[inside]) * tmax * np.cos(theta[inside])
         return out
 
     return f

@@ -178,9 +178,9 @@ class XSpaceChart(Chart):
         return self._closed_torsion(J, J.s7, 0.0, tau3, (tau1, tau2))
 
     @per_probe
-    def torsion_numeric(self, J, tol: float = 1e-9) -> TorsionForms:
+    def torsion_numeric(self, J) -> TorsionForms:
         """Torsion via jet differentiation and the pointwise decomposition."""
-        return torsion_decompose(J.s7, *J.adapted, tol)
+        return torsion_decompose(J.s7, *J.adapted)
 
     def sample_points(self, count: int, rng, a_max: float = 1.2) -> np.ndarray:
         """Seeded probes: base in the model safe box, fiber within |a| <= a_max

@@ -371,7 +371,7 @@ class Multivector(_Form):
         v = np.asarray(vectors, dtype=float).reshape(self.k, self.n)
         return float(self.coef @ compounds(v, self.k)[self.k][0])
 
-    def hodge(self, metric_diag, orientation: int = 1) -> "Multivector":
+    def hodge(self, metric_diag) -> "Multivector":
         """Hodge star for a diagonal metric: a ^ *b = <a, b> vol."""
         g = np.asarray(metric_diag, dtype=float)
         if g.shape[-1:] != (self.n,):
@@ -381,7 +381,7 @@ class Multivector(_Form):
         sign, comp = _hodge_table(self.n, self.k)
         root_det = np.sqrt(np.prod(g, axis=-1))[..., None]
         out = np.zeros(np.broadcast_shapes(g.shape[:-1], self.probes) + (len(comp),))
-        out[..., comp] = orientation * sign * root_det * _inverse_weights(g, self.k) * self.coef
+        out[..., comp] = sign * root_det * _inverse_weights(g, self.k) * self.coef
         return Multivector(self.n, self.n - self.k, out)
 
     def inner(self, other: "Multivector", metric_diag):
@@ -583,9 +583,6 @@ class MatrixForm:
     def __sub__(self, other):
         self._check(other)
         return MatrixForm._of(self.proto, self.coef - other.coef)
-
-    def __neg__(self):
-        return MatrixForm._of(self.proto, -self.coef)
 
     def __mul__(self, s):
         return MatrixForm._of(self.proto, self.coef * _scalar(s, self.proto._form_ndim))

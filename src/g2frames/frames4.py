@@ -91,31 +91,6 @@ def _upper_inverse(a):
     return inv
 
 
-def _jet_matrix_inverse(m):
-    """Gauss-Jordan inverse of a jet matrix (pivots by value)."""
-    n = len(m)
-    work = [row[:] for row in m]
-    nv, order = m[0][0].nvars, m[0][0].order
-    inv = [
-        [Jet.constant(1.0 if i == j else 0.0, nv, order) for j in range(n)] for i in range(n)
-    ]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(work[r][col].value))
-        if abs(work[piv][col].value) < 1e-14:
-            raise ZeroDivisionError("singular jet matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = work[col][col].reciprocal()
-        work[col] = [e * scale for e in work[col]]
-        inv[col] = [e * scale for e in inv[col]]
-        for r in range(n):
-            if r != col:
-                f = work[r][col]
-                work[r] = [e - f * w for e, w in zip(work[r], work[col])]
-                inv[r] = [e - f * w for e, w in zip(inv[r], inv[col])]
-    return inv
-
-
 def _truncate_matrix(m, order):
     return [[e.truncate(order) for e in row] for row in m]
 
@@ -367,57 +342,46 @@ def predicates(st: SingerThorpe, tol: float = 1e-7) -> Predicates:
 
 
 def curvature_oracle(metric, point) -> dict:
-    """Riemann/Ricci/scalar curvature straight from the coordinate metric.
+    """Riemann/Ricci/scalar curvature straight from the coordinate metric, in
+    any dimension n.
 
-    Independent of the frame calculus above; used to cross-check signs and
-    values.  Returns the fully lowered Riemann tensor R[i,j,k,l] with
+    Independent of the frame calculus above: it reads the metric's order-2
+    jet once and takes g, its first and its second derivatives from the
+    Taylor coefficients (a diagonal second derivative is twice its
+    coefficient).  Returns the fully lowered Riemann tensor R[i,j,k,l] with
     R(d_k, d_l)d_j = R^m_{jkl} d_m.
     """
-    g = metric.jet(point, 2)
-    g_low = _truncate_matrix(g, 1)
-    ginv = _jet_matrix_inverse(g_low)
-    gamma = [[[None] * DIM for _ in range(DIM)] for _ in range(DIM)]
-    dg = [[[g[i][j].derivative(k) for k in range(DIM)] for j in range(DIM)] for i in range(DIM)]
-    for i in range(DIM):
-        for j in range(DIM):
-            for k in range(j, DIM):
-                acc = None
-                for l in range(DIM):
-                    term = ginv[i][l] * (dg[l][k][j] + dg[j][l][k] - dg[j][k][l])
-                    acc = term if acc is None else acc + term
-                gamma[i][j][k] = gamma[i][k][j] = acc * 0.5
-    riem_up = np.zeros((DIM,) * 4)
-    for i in range(DIM):
-        for j in range(DIM):
-            for k in range(DIM):
-                for l in range(DIM):
-                    val = gamma[i][l][j].partial(k) - gamma[i][k][j].partial(l)
-                    for m in range(DIM):
-                        val += (
-                            gamma[i][k][m].value * gamma[m][l][j].value
-                            - gamma[i][l][m].value * gamma[m][k][j].value
-                        )
-                    riem_up[i, j, k, l] = val
-    gval = np.array([[g[i][j].value for j in range(DIM)] for i in range(DIM)])
-    ginv_val = np.linalg.inv(gval)
-    riem = np.einsum("im,mjkl->ijkl", gval, riem_up)
-    ric = np.einsum("ijil->jl", riem_up)
-    scal = float(np.einsum("jl,jl->", ginv_val, ric))
-    einstein_residual = float(np.max(np.abs(ric - (scal / 4.0) * gval)))
+    m = metric.jet(point, 2)
+    tab, c = m[0][0].table, _jet_array(m)
+    n = len(c)
+    # prod[a, b]: the position of the product of monomials a and b
+    prod = np.zeros((tab.size, tab.size), dtype=np.intp)
+    prod[tab.mul_i, tab.mul_j] = tab.mul_k
+    g, dg = c[..., 0], c[..., tab.unit_pos]  # dg[i, j, k] = d_k g_ij
+    ddg = c[..., prod[np.ix_(tab.unit_pos, tab.unit_pos)]] * (1.0 + np.eye(n))
+    ginv = np.linalg.inv(g)
+    # Christoffel symbols of the first kind Gamma_{m,ij} and second kind Gamma^m_ij
+    first = 0.5 * (np.einsum("mji->mij", dg) + dg - np.einsum("ijm->mij", dg))
+    gamma = np.einsum("am,mij->aij", ginv, first)
+    # R_ijkl = 1/2 (g_il,jk + g_kj,il) + Gamma_{m,li} Gamma^m_kj - (k <-> l)
+    half = 0.5 * (np.einsum("iljk->ijkl", ddg) + np.einsum("kjil->ijkl", ddg))
+    half = half + np.einsum("mli,mkj->ijkl", first, gamma)
+    riem = half - half.swapaxes(2, 3)
+    ric = np.einsum("im,mjil->jl", ginv, riem)
+    scal = float(np.einsum("jl,jl->", ginv, ric))
     return {
         "riemann": riem,
         "ricci": ric,
         "scal": scal,
-        "einstein_residual": einstein_residual,
-        "metric": gval,
+        "einstein_residual": float(np.max(np.abs(ric - (scal / n) * g))),
+        "metric": g,
     }
 
 
 def sectional(oracle: dict, u, v) -> float:
-    """Sectional curvature of the plane spanned by vectors u, v."""
+    """Sectional curvature of the plane spanned by vectors u, v:
+    R(u, v, u, v) / (|u|^2 |v|^2 - <u, v>^2)."""
     g, r = oracle["metric"], oracle["riemann"]
-    uu = float(u @ g @ u)
-    vv = float(v @ g @ v)
-    uv = float(u @ g @ v)
-    num = float(np.einsum("ijkl,i,j,k,l->", r, u, v, u, v))
-    return num / (uu * vv - uv * uv)
+    area = np.einsum("ik,jl->ijkl", g, g) - np.einsum("il,jk->ijkl", g, g)
+    num, den = np.einsum("xijkl,i,j,k,l->x", np.stack([r, area]), u, v, u, v)
+    return float(num / den)

@@ -134,8 +134,12 @@ def test_hodge_defining_identity_and_isometry():
 
 
 def test_hodge_orientation_flip():
-    a = Multivector.basis(4, (1, 2))
-    assert (a.hodge(np.ones(4), -1) + a.hodge(np.ones(4), 1)).sup() == 0.0
+    # a reflection reverses the orientation, so the star changes sign across it
+    a = Multivector.basis(4, (1, 2)) + Multivector.basis(4, (2, 3)) * 0.5
+    flip = np.diag([-1.0, 1.0, 1.0, 1.0])
+    g = np.ones(4)
+    assert (a.transform(flip).hodge(g) + a.hodge(g).transform(flip)).sup() == 0.0
+    assert a.hodge(g).sup() > 0.0
 
 
 def test_hodge_rejects_bad_metric():

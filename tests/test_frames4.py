@@ -130,6 +130,46 @@ def test_oracle_vs_frame_on_generic_model():
         assert einstein_frame == (orc["einstein_residual"] < 1e-9)
 
 
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name,sign", [("sphere4", 1.0), ("hyperbolic4", -1.0)])
+def test_oracle_riemann_in_closed_form_on_space_forms(name, sign, kappa):
+    # every entry of R_ijkl = K (g_ik g_jl - g_il g_jk), with K = +-1/kappa^2
+    spec = get_model(name, kappa)
+    for pt in _probe(spec):
+        g = np.array([[e.value for e in row] for row in spec.metric.jet(pt, 0)])
+        expect = sign / kappa**2 * (np.einsum("ik,jl->ijkl", g, g) - np.einsum("il,jk->ijkl", g, g))
+        riem = curvature_oracle(spec.metric, pt)["riemann"]
+        assert np.max(np.abs(riem - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+def _round_sphere(n):
+    """The unit round n-sphere in stereographic coordinates: (2 / (1 + |x|^2))^2 delta."""
+
+    def metric(*x):
+        acc = x[0] * 0.0 + 1.0
+        for xi in x:
+            acc = acc + xi * xi
+        w = acc.reciprocal() * 2.0
+        f, z = w * w, Jet.constant(0.0, n, x[0].order)
+        return [[f if i == j else z for j in range(n)] for i in range(n)]
+
+    return ScalarField(metric)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_oracle_in_any_dimension_on_the_round_sphere(n):
+    rng = np.random.default_rng(n)
+    metric = _round_sphere(n)
+    for pt in rng.uniform(-0.8, 0.8, size=(5, n)):
+        orc = curvature_oracle(metric, tuple(pt))
+        assert orc["riemann"].shape == (n,) * 4
+        assert orc["scal"] == pytest.approx(n * (n - 1), rel=1e-12)
+        assert orc["einstein_residual"] <= 1e-12
+        for _ in range(3):
+            u, v = rng.normal(size=(2, n))
+            assert sectional(orc, u, v) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_duality_basis_norm_and_star():
     spec = get_model("fubiniStudy")
     fb = spec.bundle()

@@ -122,12 +122,12 @@ def test_lam_values_match_lam_bitwise(profile):
     top = profile.r0 if profile.r0 is not None else 10.0
     r = np.linspace(0.0, top, 1001)[:-1]
     expect = np.array([profile.lam(v) for v in r.tolist()])
-    assert profile.lam_values(r).tobytes() == expect.tobytes()
+    assert profile.lam(r).tobytes() == expect.tobytes()
 
 
 def test_lam_values_name_the_first_radius_outside_the_domain():
     p = bs_profile(1.0, 1.0, -0.5)  # r_min = 0.25
     with pytest.raises(ProfileDomainError, match="r = 0.1 outside"):
-        p.lam_values(np.array([0.5, 0.1, 0.2]))
+        p.lam(np.array([0.5, 0.1, 0.2]))
     with pytest.raises(ProfileDomainError, match="r = nan outside"):
-        bs_profile(-1.0, 1.0, 1.0).lam_values(np.array([0.1, np.nan]))
+        bs_profile(-1.0, 1.0, 1.0).lam(np.array([0.1, np.nan]))
