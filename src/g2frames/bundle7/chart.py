@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..exterior import ChunkCache, JetForm, Multivector, combo_pos, combos, compounds
-from ..g2point import TorsionForms, larger
+from ..g2point import TorsionForms
 from ..jets import _embed_index
 from ..jets import table as jet_table
 from ..models import ModelSpec
@@ -62,7 +62,7 @@ def components(forms) -> np.ndarray:
 
 def _adapt(comp, mv: Multivector) -> Multivector:
     """``mv.transform`` by the inverse adapted coframe, from its compounds."""
-    return Multivector(N, mv.k, (comp[mv.k].swapaxes(-1, -2) @ mv.coef[..., None])[..., 0])
+    return mv._new(mv.k, comp[mv.k].swapaxes(-1, -2) @ mv.coef)
 
 
 def torsion_gap(closed: TorsionForms, numeric: TorsionForms) -> float:
@@ -109,22 +109,6 @@ class Chart(ChunkCache):
     def _at(self, point):
         return self.jets(point, 1)
 
-    def phi_at(self, point):
-        return self.jets(point, 1).phi.value()
-
-    def psi_at(self, point):
-        return self.jets(point, 1).psi.value()
-
-    def dphi_at(self, point):
-        return self.jets(point, 1).dphi
-
-    def dpsi_at(self, point):
-        return self.jets(point, 1).dpsi
-
-    def adapted_coframe(self, point) -> np.ndarray:
-        """Rows: the coframe in which phi is standard, over (du, dx)."""
-        return self.jets(point, 1).coframe
-
     def adapted_derivatives(self, point):
         """(d phi, d psi) in the adapted coframe, where phi is standard."""
         return self.jets(point, 1).adapted
@@ -138,12 +122,12 @@ class Chart(ChunkCache):
         """Closed torsion forms moved to the adapted coframe, with their W2
         and W3 membership; ``tau12 = None`` stands for tau1 = tau2 = 0."""
         t3a = _adapt(J.compounds, tau3)
-        mem3 = larger(s7.gnorm(t3a.wedge(s7.phi)), s7.gnorm(t3a.wedge(s7.psi)))
+        mem3 = s7.membership_w3(t3a)
         if tau12 is None:
             t1a, t2a, mem2 = Multivector(N, 1), Multivector(N, 2), 0.0
         else:
             t1a, t2a = (_adapt(J.compounds, t) for t in tau12)
-            mem2 = s7.gnorm(t2a.wedge(s7.phi) - s7.w14_eigenvalue * s7.hodge(t2a))
+            mem2 = s7.membership_w2(t2a)
         return TorsionForms(
             tau0, t1a, t2a, t3a, residual_phi=0.0, residual_psi=0.0, membership_w2=mem2, membership_w3=mem3
         )

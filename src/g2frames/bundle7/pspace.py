@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..exterior import MatrixForm, Multivector, _hodge_table, check, compounds, hat, max_sup, per_probe, zero_forms
+from ..exterior import MatrixForm, _hodge_table, check, compounds, hat, max_sup, per_probe, zero_forms
 from ..frames4 import chunk_blocks
 from ..g2point import G2Structure, TorsionForms, standard_phi, torsion_decompose
 from ..jets import Jet, libm
@@ -233,10 +233,10 @@ class PSpaceChart(Chart):
     def torsion_numeric(self, J) -> TorsionForms:
         return torsion_decompose(self._structure, *J.adapted)
 
-    def sample_points(self, count: int, rng, u_max: float = 2.2) -> np.ndarray:
-        """Seeded probes: u in the exponential chart, base in the safe box."""
-        bound = min(u_max, CHART_BOUND)
-        return self._sample(count, rng, u_max, lambda u: np.linalg.norm(u) < bound)
+    def sample_points(self, count: int, rng) -> np.ndarray:
+        """Seeded probes: u in the ball |u| < 2.2, well inside the exponential
+        chart (|u| < ``CHART_BOUND``), base in the safe box."""
+        return self._sample(count, rng, 2.2, lambda u: np.linalg.norm(u) < 2.2)
 
 
 def _lift_star(forms, star) -> list:
@@ -244,9 +244,9 @@ def _lift_star(forms, star) -> list:
     rows = _promoted_rows(2)
     out = []
     for mv in forms:
-        if np.delete(mv.coef, rows, axis=-1).any():
+        if np.delete(mv.coef, rows, axis=-2).any():
             raise ValueError("form is not horizontal")
         lifted = np.zeros(mv.coef.shape)
-        lifted[..., rows] = (star @ mv.coef[..., rows, None])[..., 0]
-        out.append(Multivector(N, 2, lifted))
+        lifted[..., rows, :] = star @ mv.coef[..., rows, :]
+        out.append(mv._new(2, lifted))
     return out

@@ -73,12 +73,12 @@ def _radius_integrand(profile: Profile, r0: float):
     return f
 
 
-def radius_length(profile: Profile, r0: float, tol: float = 1e-8) -> float:
+def radius_length(profile: Profile, r0: float) -> float:
     """Length of a fiber radius, int_0^sqrt(2 r0) lam(t^2/2) dt."""
-    return adaptive_simpson(_radius_integrand(profile, r0), 0.0, np.pi / 2.0, tol)
+    return adaptive_simpson(_radius_integrand(profile, r0), 0.0, np.pi / 2.0)
 
 
-def radius_length_riemann(profile: Profile, r0: float, n: int = 200_000) -> float:
+def radius_length_riemann(profile: Profile, r0: float, n: int = 60_000) -> float:
     """Midpoint Riemann sum oracle for the same integral.  The nodes run in
     chunks of ``RIEMANN_CHUNK``, one batch each, and are added strictly left
     to right, so the sum equals a one-node-at-a-time loop bit for bit."""
@@ -143,18 +143,12 @@ class RadialGeometry:
     trace: "GeodesicTrace"
 
 
-def radial_geometry(
-    profile: Profile,
-    r0: float,
-    tol: float = 1e-8,
-    g0: float = 0.3,
-    v0: float = 0.1,
-) -> RadialGeometry:
-    """Radius length (with Riemann oracle gap) and a geodesic trace."""
+def radial_geometry(profile: Profile, r0: float) -> RadialGeometry:
+    """Radius length (with Riemann oracle gap) and a geodesic trace from
+    g = 0.3 sqrt(2 r0), g' = 0.1."""
     if profile.r0 is None:
         raise ValueError("radial geometry needs a disk profile (s < 0)")
-    length = radius_length(profile, r0, tol)
-    oracle = radius_length_riemann(profile, r0, n=60_000)
-    scaled_g0 = g0 * np.sqrt(2.0 * r0)
-    trace = geodesic_trace(r0, scaled_g0, v0)
+    length = radius_length(profile, r0)
+    oracle = radius_length_riemann(profile, r0)
+    trace = geodesic_trace(r0, 0.3 * np.sqrt(2.0 * r0), 0.1)
     return RadialGeometry(length_of_radius=length, oracle_gap=abs(length - oracle), trace=trace)

@@ -389,7 +389,7 @@ def _x_records(cfg: RunConfig, spec, chart: XSpaceChart, rng):
         _record("x/torsion-closed-vs-numeric", worst["gap"], 1e-6),
         _record("x/tau0-vanishes", norms["tau0"], 1e-6),
     ]
-    label = classify_norms(norms, tol=1e-6).label
+    label = classify_norms(norms).label
 
     prof = chart.profile
     if prof.kind == "bs":
@@ -403,7 +403,7 @@ def _x_records(cfg: RunConfig, spec, chart: XSpaceChart, rng):
             records.append(_record("x/parallel", np.max(list(norms.values())), 1e-6))
         if prof.r0 is not None:
             length = radius_length(prof, prof.r0)
-            oracle = radius_length_riemann(prof, prof.r0, n=60_000)
+            oracle = radius_length_riemann(prof, prof.r0)
             records.append(_record("x/radial-incompleteness", abs(length - oracle), 1e-6))
     return records, label
 
@@ -446,7 +446,7 @@ def _p_records(cfg: RunConfig, spec, chart: PSpaceChart, rng):
     if abs(mu**2 - 5.0 * s_model * lam**2) < 1e-9 and spec.expected.einstein and duality_ok:
         records.append(_record("p/nearly-parallel", worst["nearly"], 1e-8))
     norms = {k: worst[k] for k in _NORM_KEYS}
-    cls = classify_norms(norms, tol=1e-6)
+    cls = classify_norms(norms)
     if abs(mu**2 + 2.0 * s_model * lam**2) < 1e-9:
         w3_err = 0.0 if (cls.pure == "W3" and cls.cocalibrated) else 1.0
         records.append(_record("p/pure-w3", np.max([norms["tau0"], w3_err]), 1e-8))

@@ -1,17 +1,15 @@
 """Dense exterior algebra on small oriented inner-product spaces (n <= 8).
 
-One algebra in two representations, over one set of combinatorial tables:
+One form class over one set of combinatorial tables:
 
-* ``JetForm``     -- a form whose coefficients are jets at one point, the
-  working currency of the chart pipelines: a dense ``(C(n, k), jet size)``
-  array whose wedge and exterior derivative are one gather over the tables
-  below and one ``np.bincount`` (its ``d_value`` is the exterior derivative
-  at the point);
-* ``Multivector`` -- a form with float coefficients at one point, one flat
-  vector over ``combos(n, k)``: the order-0 case of ``JetForm``.  Both run
-  one wedge kernel, one linear structure and one term scatter; the float
-  form adds the metric operations (Hodge star, inner and interior product,
-  change of basis by the minors of ``compounds``, from the wedge kernel).
+* ``JetForm`` -- a form whose coefficients are jets at one point: a dense
+  ``(C(n, k), jet size)`` array whose wedge and exterior derivative are one
+  gather over the tables below and one ``np.bincount`` (its ``d_value`` is
+  the exterior derivative at the point).  A form with float coefficients is
+  the order-0 case, on the one-column jet table ``VALUE``; ``Multivector``
+  is its name for them.  The linear structure and the metric operations
+  (Hodge star, inner and interior product, change of basis by the minors of
+  ``compounds``, from the wedge kernel) live once, on ``JetForm``.
 
 ``MatrixForm`` is a matrix of forms of one kind held as one array; its
 product ``@`` runs one stacked wedge kernel call per inner index over all
@@ -40,6 +38,8 @@ MAX_DIM = 8
 # terms per block of a stacked wedge: peak RSS after one x-sweep round of
 # 16-probe chunks, 41.0 MB blocked, 42.5 MB unblocked, 39.4 MB probe by probe
 MAX_TERMS = 8192
+# the jet table of float forms: one column, the value
+VALUE = jet_table(1, 0)
 
 
 class DimensionMismatch(ValueError):
@@ -195,7 +195,7 @@ def _wedge_stack(a, b, ca, cb):
     ``MAX_TERMS`` terms (one block for a small stack), each one gather over
     ``_jet_wedge_index`` and one ``stacked_bincount``, so each bin gets the
     terms of one unstacked wedge in the same order.  Returns the
-    coefficients, of shape ``lead + (C(n, j + k),) + jet tail``."""
+    coefficients, of shape ``lead + (C(n, j + k), table.size)``."""
     if a.n != b.n:
         raise DimensionMismatch("different ambient dimensions")
     if a.table is not b.table:
@@ -211,7 +211,7 @@ def _wedge_stack(a, b, ca, cb):
         prod = ca[s : s + step].take(src_a, axis=-1) * cb[s : s + step].take(src_b, axis=-1) * sign
         out[s : s + step] = stacked_bincount(dst, prod, size)
     # C(n, j + k) spelled out, since an empty stack cannot infer it
-    return out.reshape(lead + (size // a.table.size,) + a.coef.shape[a.coef.ndim - a._form_ndim + 1 :])
+    return out.reshape(lead + (size // a.table.size, a.table.size))
 
 
 def _d_stack(a, ca):
@@ -226,17 +226,12 @@ def _d_stack(a, ca):
     return stacked_bincount(dst, terms, size).reshape(terms.shape[:-1] + (-1, low.size)), low
 
 
-def _wedge(a, b):
-    """Wedge of two forms of one kind; a float form is the order-0 case."""
-    return a._new(a.k + b.k, _wedge_stack(a, b, a._rows(a.coef), b._rows(b.coef)))
-
-
 def compounds(p, k: int) -> list:
     """Compound matrices of the rows of ``p`` (m x n) in degrees 0..k:
     entry (I, J) of degree j is the minor det p[I, J].  Row I of degree j + 1
     is row I[:-1] of degree j wedged with row I[-1] of ``p`` (the last-slot
-    entries of ``_interior_table``): one wedge kernel call per degree.  A
-    stack of matrices ``p`` gives stacks of compounds."""
+    entries of ``_interior_table``): one wedge kernel call per degree, on
+    value forms.  A stack of matrices ``p`` gives stacks of compounds."""
     p = np.asarray(p, dtype=float)
     m, n = p.shape[-2:]
     out = [np.ones(p.shape[:-2] + (1, 1))]
@@ -244,29 +239,88 @@ def compounds(p, k: int) -> list:
         _, lab, _, dst = _interior_table(m, j + 1)
         last = slice(j, None, j + 1)
         rows = (out[j][..., dst[last], :], p[..., lab[last], :])
-        out.append(_wedge_stack(Multivector(n, j), Multivector(n, 1), *rows))
+        out.append(_wedge_stack(JetForm._of(n, j, VALUE, None), JetForm._of(n, 1, VALUE, None), *rows)[..., 0])
     return out
 
 
-class _Form:
-    """Linear structure of ``Multivector`` and ``JetForm``: both carry ``n``,
-    ``k``, a jet ``table`` and ``coef`` (an optional leading probe axis, then
-    an axis over ``combos(n, k)``), and ``_new(k, coef)`` builds a form of the
-    same kind, dimension and table.  ``_form_ndim`` counts the axes of one
-    form at one probe."""
+def _inverse_weights(g, k: int):
+    """prod 1/g[i] over the labels of each k-index, for a diagonal metric ``g``
+    (or one per probe)."""
+    return np.prod(1.0 / g[..., _label_array(g.shape[-1], k)], axis=-1) if k else np.ones(1)
 
-    __slots__ = ()
-    # an array of per-probe scalars times a form defers to _Form.__rmul__
+
+# ----------------------------------------------------------------------
+# forms
+
+
+class JetForm:
+    """Degree-k form over basis labels 1..n whose coefficients are jets at one
+    point, in the jet table ``table``.
+
+    ``coef`` has shape ``(C(n, k), table.size)``, with a leading probe axis
+    on a chunk: row ``I`` holds the jet of the ``e^I`` coefficient.  A float
+    form is the order-0 case, on the one-column table ``VALUE``.
+    ``JetForm(n, k, values)`` builds a float form from its coefficients over
+    ``combos(n, k)``, ``JetForm(n, k, {idx: jet})`` a jet form from its
+    components, and ``JetForm(n, k, table=table)`` a zero form on ``table``.
+
+    The linear maps (``+``, ``-``, scaling, ``hodge``, ``interior``,
+    ``transform``) act on every jet column; ``coeff``, ``terms``,
+    ``evaluate``, ``inner`` and ``gnorm`` read the values at the point.
+    """
+
+    __slots__ = ("n", "k", "table", "coef")
+    # an array of per-probe scalars times a form defers to JetForm.__rmul__
     __array_ufunc__ = None
+
+    def __init__(self, n: int, k: int, coef=None, table=None):
+        if n > MAX_DIM:
+            raise DimensionMismatch(f"dimension {n} exceeds {MAX_DIM}")
+        size = len(combos(n, k)) if 0 <= k <= n else 0
+        if isinstance(coef, dict):
+            table = next(iter(coef.values())).table if coef else table
+            coef = _scatter(n, k, ((idx, jet.coef) for idx, jet in coef.items()), (table.size,))
+        elif coef is None:
+            table = VALUE if table is None else table
+            coef = np.zeros((size, table.size))
+        else:
+            coef = np.asarray(coef, dtype=float)
+            if coef.shape[-1:] != (size,):
+                raise DimensionMismatch("coefficient vector of wrong size")
+            coef, table = coef[..., None], VALUE
+        self.n, self.k, self.table, self.coef = n, k, table, coef
+
+    @staticmethod
+    def _of(n: int, k: int, table, coef: np.ndarray) -> "JetForm":
+        out = JetForm.__new__(JetForm)
+        out.n, out.k, out.table, out.coef = n, k, table, coef
+        return out
+
+    def _new(self, k, coef):
+        return JetForm._of(self.n, k, self.table, coef)
+
+    @staticmethod
+    def scalar(n: int, value: float) -> "JetForm":
+        return JetForm(n, 0, [float(value)])
+
+    @staticmethod
+    def basis(n: int, idx) -> "JetForm":
+        return JetForm.from_terms(n, len(tuple(idx)), {tuple(idx): 1.0})
+
+    @staticmethod
+    def from_terms(n: int, k: int, terms: dict) -> "JetForm":
+        return JetForm(n, k, _scatter(n, k, terms.items()))
 
     @property
     def probes(self) -> tuple:  # () or (count,)
-        return self.coef.shape[: self.coef.ndim - self._form_ndim]
+        return self.coef.shape[:-2]
 
-    def _rows(self, coef):
-        """Forms of this kind on any leading axes, each flattened to one row."""
-        return coef.reshape(coef.shape[: coef.ndim - self._form_ndim] + (-1,))
+    @staticmethod
+    def _rows(coef):
+        """Forms on any leading axes, each flattened to one row."""
+        return coef.reshape(coef.shape[:-2] + (-1,))
 
+    # -- linear structure ---------------------------------------------------
     def _check(self, other):
         if self.n != other.n:
             raise DimensionMismatch("different ambient dimensions")
@@ -286,92 +340,61 @@ class _Form:
     def __neg__(self):
         return self._new(self.k, -self.coef)
 
-    def __mul__(self, c):
-        return self._new(self.k, self.coef * _scalar(c, self._form_ndim))
+    def __mul__(self, s):
+        """Scale by a float, per-probe floats or a jet (the wedge with a 0-form)."""
+        if isinstance(s, Jet):
+            other = JetForm._of(self.n, 0, s.table, s.coef[..., None, :])
+            return self._new(self.k, _wedge_stack(self, other, self._rows(self.coef), s.coef))
+        return self._new(self.k, self.coef * _scalar(s, 2))
 
     __rmul__ = __mul__
 
-
-# ----------------------------------------------------------------------
-# pointwise forms
-
-
-class Multivector(_Form):
-    """Degree-k form with float coefficients over basis labels 1..n.
-
-    ``coef`` is one flat vector over ``combos(n, k)``: the one-column case
-    of a ``JetForm``, whose wedge kernel it runs at the order-0 jet table.
-    """
-
-    __slots__ = ("n", "k", "coef")
-    table = jet_table(1, 0)
-    _form_ndim = 1
-
-    def __init__(self, n: int, k: int, coef=None):
-        if n > MAX_DIM:
-            raise DimensionMismatch(f"dimension {n} exceeds {MAX_DIM}")
-        self.n = n
-        self.k = k
-        size = len(combos(n, k)) if 0 <= k <= n else 0
-        if coef is None:
-            self.coef = np.zeros(size)
-        else:
-            self.coef = np.asarray(coef, dtype=float)
-            if self.coef.shape[-1:] != (size,):
-                raise DimensionMismatch("coefficient vector of wrong size")
-
-    def _new(self, k, coef):
-        return Multivector(self.n, k, coef)
-
-    # -- constructors ---------------------------------------------------
-    @staticmethod
-    def scalar(n: int, value: float) -> "Multivector":
-        return Multivector(n, 0, np.array([float(value)]))
-
-    @staticmethod
-    def basis(n: int, idx) -> "Multivector":
-        return Multivector.from_terms(n, len(tuple(idx)), {tuple(idx): 1.0})
-
-    @staticmethod
-    def from_terms(n: int, k: int, terms: dict) -> "Multivector":
-        return Multivector(n, k, _scatter(n, k, terms.items()))
-
     # -- queries ----------------------------------------------------------
+    def jet(self, idx) -> Jet:
+        """The jet of the ``e^idx`` coefficient."""
+        s, key = _canonical(idx)
+        if not s:
+            return Jet(self.table, np.zeros(self.probes + (self.table.size,)))
+        return Jet(self.table, s * self.coef[..., combo_pos(self.n, self.k)[key], :])
+
     def coeff(self, idx) -> float:
+        """The value of the ``e^idx`` coefficient."""
         s, key = _canonical(idx)
         if not s:
             return 0.0
-        return s * float(self.coef[combo_pos(self.n, self.k)[key]])
+        return _out(s * self.coef[..., combo_pos(self.n, self.k)[key], 0])
 
     def terms(self):
-        return {c: float(v) for c, v in zip(combos(self.n, self.k), self.coef) if v != 0.0}
+        return {c: float(v) for c, v in zip(combos(self.n, self.k), self.coef[:, 0]) if v != 0.0}
 
     def sup(self):
-        return _out(np.max(np.abs(self.coef), axis=-1, initial=0.0))
+        """Largest absolute jet coefficient, per probe."""
+        return _out(np.max(np.abs(self.coef), axis=(-2, -1), initial=0.0))
 
     # -- algebra ---------------------------------------------------------
-    def wedge(self, other: "Multivector") -> "Multivector":
-        return _wedge(self, other)
+    def wedge(self, other: "JetForm") -> "JetForm":
+        return self._new(self.k + other.k, _wedge_stack(self, other, self._rows(self.coef), self._rows(other.coef)))
 
-    def interior(self, vector) -> "Multivector":
+    def interior(self, vector) -> "JetForm":
         """Contraction with a vector given by frame components."""
         v = np.asarray(vector, dtype=float)
         if v.shape != (self.n,):
             raise DimensionMismatch("vector of wrong dimension")
         if self.k == 0:
-            return Multivector(self.n, 0)
+            return self._new(0, np.zeros_like(self.coef))
         src, lab, sgn, dst = _interior_table(self.n, self.k)
-        out = np.bincount(dst, sgn * v[lab] * self.coef[src], len(combos(self.n, self.k - 1)))
-        return Multivector(self.n, self.k - 1, out)
+        terms = sgn * v[lab] * np.moveaxis(self.coef[..., src, :], -1, -2)
+        out = stacked_bincount(dst, terms, len(combos(self.n, self.k - 1)))
+        return self._new(self.k - 1, np.moveaxis(out, -1, -2))
 
     def evaluate(self, *vectors) -> float:
         """Value on k vectors (multilinear, alternating)."""
         if len(vectors) != self.k:
             raise DimensionMismatch(f"need {self.k} vectors")
         v = np.asarray(vectors, dtype=float).reshape(self.k, self.n)
-        return float(self.coef @ compounds(v, self.k)[self.k][0])
+        return _out(self.coef[..., 0] @ compounds(v, self.k)[self.k][0])
 
-    def hodge(self, metric_diag) -> "Multivector":
+    def hodge(self, metric_diag) -> "JetForm":
         """Hodge star for a diagonal metric: a ^ *b = <a, b> vol."""
         g = np.asarray(metric_diag, dtype=float)
         if g.shape[-1:] != (self.n,):
@@ -380,79 +403,28 @@ class Multivector(_Form):
             raise ValueError("non-positive metric entry")
         sign, comp = _hodge_table(self.n, self.k)
         root_det = np.sqrt(np.prod(g, axis=-1))[..., None]
-        out = np.zeros(np.broadcast_shapes(g.shape[:-1], self.probes) + (len(comp),))
-        out[..., comp] = sign * root_det * _inverse_weights(g, self.k) * self.coef
-        return Multivector(self.n, self.n - self.k, out)
+        out = np.zeros(np.broadcast_shapes(g.shape[:-1], self.probes) + (len(comp), self.table.size))
+        out[..., comp, :] = (sign * root_det * _inverse_weights(g, self.k))[..., None] * self.coef
+        return self._new(self.n - self.k, out)
 
-    def inner(self, other: "Multivector", metric_diag):
+    def inner(self, other: "JetForm", metric_diag):
         self._check(other)
         g = np.asarray(metric_diag, dtype=float)
         # each probe's row is contiguous, so np.sum adds it as it adds one vector
-        return _out(np.sum(self.coef * other.coef * _inverse_weights(g, self.k), axis=-1))
+        return _out(np.sum(self.coef[..., 0] * other.coef[..., 0] * _inverse_weights(g, self.k), axis=-1))
 
     def gnorm(self, metric_diag):
         return _out(np.sqrt(np.maximum(self.inner(self, metric_diag), 0.0)))
 
-    def transform(self, p: np.ndarray) -> "Multivector":
+    def transform(self, p: np.ndarray) -> "JetForm":
         """Coefficients in a new basis; ``p[j, i]`` expresses old covector
         ``j+1`` as a combination of new covectors ``i+1``."""
         p = np.asarray(p, dtype=float)
         if p.shape != (self.n, self.n):
             raise DimensionMismatch("transform matrix of wrong shape")
-        return Multivector(self.n, self.k, compounds(p, self.k)[self.k].T @ self.coef)
+        return self._new(self.k, compounds(p, self.k)[self.k].T @ self.coef)
 
-    def __repr__(self):
-        terms = self.terms()
-        if not terms:
-            return f"Multivector(n={self.n}, k={self.k}, 0)"
-        body = " + ".join(f"{v:.6g}*e{''.join(map(str, c))}" for c, v in terms.items())
-        return f"Multivector({body})"
-
-
-def _inverse_weights(g, k: int):
-    """prod 1/g[i] over the labels of each k-index, for a diagonal metric ``g``
-    (or one per probe)."""
-    return np.prod(1.0 / g[..., _label_array(g.shape[-1], k)], axis=-1) if k else np.ones(1)
-
-
-# ----------------------------------------------------------------------
-# jet-coefficient forms
-
-
-class JetForm(_Form):
-    """Degree-k form whose coefficients are jets at a single chart point.
-
-    ``coef`` has shape ``(C(n, k), table.size)``, with a leading probe axis
-    on a chunk: row ``I`` holds the jet of the ``e^I`` coefficient.
-    ``JetForm(n, k, {idx: jet})`` builds one from components; ``table`` gives
-    the jet table of an empty one.
-    """
-
-    __slots__ = ("n", "k", "table", "coef")
-    _form_ndim = 2
-
-    def __init__(self, n: int, k: int, c: dict | None = None, table=None):
-        c = c or {}
-        self.n, self.k = n, k
-        self.table = next(iter(c.values())).table if c else table
-        self.coef = _scatter(n, k, ((idx, jet.coef) for idx, jet in c.items()), (self.table.size,))
-
-    @staticmethod
-    def _of(n: int, k: int, table, coef: np.ndarray) -> "JetForm":
-        out = JetForm.__new__(JetForm)
-        out.n, out.k, out.table, out.coef = n, k, table, coef
-        return out
-
-    def _new(self, k, coef):
-        return JetForm._of(self.n, k, self.table, coef)
-
-    def jet(self, idx) -> Jet:
-        """The jet of the ``e^idx`` coefficient."""
-        s, key = _canonical(idx)
-        if not s:
-            return Jet(self.table, np.zeros(self.probes + (self.table.size,)))
-        return Jet(self.table, s * self.coef[..., combo_pos(self.n, self.k)[key], :])
-
+    # -- jets -------------------------------------------------------------
     def truncate(self, order: int) -> "JetForm":
         """The same form with its coefficient jets cut to a lower order."""
         if order == self.table.order:
@@ -462,21 +434,11 @@ class JetForm(_Form):
         low = jet_table(self.table.nvars, order)
         return JetForm._of(self.n, self.k, low, self.coef[..., : low.size].copy())
 
-    def __mul__(self, s):
-        """Scale by a float or a jet (the wedge with a 0-form)."""
-        if isinstance(s, Jet):
-            return _wedge(self, JetForm._of(self.n, 0, s.table, s.coef[..., None, :]))
-        return _Form.__mul__(self, s)
+    def value(self) -> "JetForm":
+        """The float form of the values at the point."""
+        return JetForm._of(self.n, self.k, VALUE, self.coef[..., :1].copy())
 
-    __rmul__ = __mul__
-
-    def wedge(self, other: "JetForm") -> "JetForm":
-        return _wedge(self, other)
-
-    def value(self) -> Multivector:
-        return Multivector(self.n, self.k, self.coef[..., 0].copy())
-
-    def d_value(self) -> Multivector:
+    def d_value(self) -> "JetForm":
         """Exterior derivative at the point (coefficients need order >= 1)."""
         return self.d_jets().value()
 
@@ -484,6 +446,13 @@ class JetForm(_Form):
         """Exterior derivative with jet coefficients (one order lower)."""
         coef, low = _d_stack(self, self._rows(self.coef))
         return JetForm._of(self.n, self.k + 1, low, coef)
+
+    def __repr__(self):
+        return f"JetForm(n={self.n}, k={self.k}, order={self.table.order}, probes={self.probes})"
+
+
+# the float forms' name
+Multivector = JetForm
 
 
 # ----------------------------------------------------------------------
@@ -516,8 +485,8 @@ class MatrixForm:
     """Rectangular matrix of forms of one kind and degree, held as one array.
 
     ``coef`` has shape ``(r, c) + proto.coef.shape``; the prototype entry
-    ``proto`` gives ``n``, ``k``, the jet table, the form class and the probe
-    axis every entry shares.  The product ``@`` wedges entries, ``(A @ B)[i,
+    ``proto`` gives ``n``, ``k``, the jet table and the probe axis every
+    entry shares.  The product ``@`` wedges entries, ``(A @ B)[i,
     j] = sum_q A[i, q] ^ B[q, j]``.
     """
 
@@ -585,13 +554,13 @@ class MatrixForm:
         return MatrixForm._of(self.proto, self.coef - other.coef)
 
     def __mul__(self, s):
-        return MatrixForm._of(self.proto, self.coef * _scalar(s, self.proto._form_ndim))
+        return MatrixForm._of(self.proto, self.coef * _scalar(s, 2))
 
     __rmul__ = __mul__
 
     def value(self) -> "MatrixForm":
-        """The matrix of a jet-form matrix's values at the point, copied off the jets."""
-        return MatrixForm._of(self.proto.value(), self.coef[..., 0].copy())
+        """The matrix of the entries' float forms at the point, copied off the jets."""
+        return MatrixForm._of(self.proto.value(), self.coef[..., :1].copy())
 
     def truncate(self, order: int) -> "MatrixForm":
         """A jet-form matrix with its coefficient jets cut to a lower order."""
@@ -606,8 +575,7 @@ class MatrixForm:
 
     def sup(self):
         """Largest absolute coefficient over every entry, per probe."""
-        form = range(self.coef.ndim - self.proto._form_ndim, self.coef.ndim)
-        return _out(np.max(np.abs(self.coef), axis=(0, 1, *form), initial=0.0))
+        return _out(np.max(np.abs(self.coef), axis=(0, 1, -2, -1), initial=0.0))
 
 
 def _stack(forms):
@@ -684,7 +652,7 @@ def take(x, i: int):
         return _out(x[i])
     if isinstance(x, Jet):
         return Jet(x.table, x.coef[i]) if x.coef.ndim > 1 else x
-    if isinstance(x, _Form):
+    if isinstance(x, JetForm):
         return x._new(x.k, x.coef[i]) if x.probes else x
     if isinstance(x, MatrixForm):
         return MatrixForm._of(take(x.proto, i), x.coef[:, :, i]) if x.proto.probes else x

@@ -327,12 +327,13 @@ class Predicates:
     s: float
 
 
-def predicates(st: SingerThorpe, tol: float = 1e-7) -> Predicates:
+def predicates(st: SingerThorpe) -> Predicates:
+    """The curvature flags; a block counts as zero below 1e-7."""
     return Predicates(
-        einstein=float(np.max(np.abs(st.b))) < tol,
-        sd=float(np.max(np.abs(st.wminus))) < tol,
-        asd=float(np.max(np.abs(st.wplus))) < tol,
-        scalar_flat=abs(st.scal) < tol,
+        einstein=float(np.max(np.abs(st.b))) < 1e-7,
+        sd=float(np.max(np.abs(st.wminus))) < 1e-7,
+        asd=float(np.max(np.abs(st.wplus))) < 1e-7,
+        scalar_flat=abs(st.scal) < 1e-7,
         s=st.s,
     )
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import MatrixForm, Multivector, _label_array, combos
+from .exterior import VALUE, JetForm, MatrixForm, Multivector, _label_array, combos
 from .jets import _out
 
 VERT = (1, 2, 3)
@@ -52,15 +52,15 @@ def duality_pairing(branch: int):
 
 @lru_cache(maxsize=None)
 def _unit_forms(branch: int):
-    """(degree, coefficients, vertical label count of each row) of phi and psi
-    at lam = mu = 1; a row with v vertical and h horizontal labels scales by
-    lam**v * mu**h."""
+    """(degree, coefficients, vertical label count of each row, as a column)
+    of phi and psi at lam = mu = 1; a row with v vertical and h horizontal
+    labels scales by lam**v * mu**h."""
     f = [Multivector.basis(7, (i,)) for i in VERT]
     h = [f[1].wedge(f[2]), f[2].wedge(f[0]), f[0].wedge(f[1])]
     eta = MatrixForm([duality_pairing(branch)])
     phi = f[0].wedge(h[0]) - branch * (eta @ MatrixForm([f]).T)[0, 0]
     psi = Multivector.basis(7, HORIZ) - (eta @ MatrixForm([h]).T)[0, 0]
-    return tuple((m.k, m.coef, np.sum(_label_array(7, m.k) < 3, axis=1)) for m in (phi, psi))
+    return tuple((m.k, m.coef, np.sum(_label_array(7, m.k) < 3, axis=1)[:, None]) for m in (phi, psi))
 
 
 @lru_cache(maxsize=None)
@@ -74,7 +74,7 @@ def _unit_structure_split(branch: int):
     """
     s = standard_phi(1.0, 1.0, branch)
     ones = np.ones(7)
-    lmat = np.array([Multivector.basis(7, idx).wedge(s.phi).hodge(ones).coef for idx in combos(7, 2)]).T
+    lmat = np.array([Multivector.basis(7, idx).wedge(s.phi).hodge(ones).coef[:, 0] for idx in combos(7, 2)]).T
     asym = np.max(np.abs(lmat - lmat.T))
     if asym > 1e-12:
         raise AssertionError(f"wedge-star operator not symmetric ({asym:.2e})")
@@ -88,7 +88,7 @@ def _unit_structure_split(branch: int):
     proj14 = v14 @ v14.T
 
     basis3 = [Multivector.basis(7, idx) for idx in combos(7, 3)]
-    constraints = np.array([np.concatenate([b.wedge(s.phi).coef, b.wedge(s.psi).coef]) for b in basis3]).T
+    constraints = np.array([np.concatenate([b.wedge(s.phi).coef, b.wedge(s.psi).coef], axis=None) for b in basis3]).T
     _, sv, vt = np.linalg.svd(constraints)
     null = vt[int(np.sum(sv > 1e-10)) :]
     proj27 = null.T @ null
@@ -132,7 +132,7 @@ class G2Structure:
         self.g_diag = np.stack([_scale(lam, mu, 2, 0)] * 3 + [_scale(lam, mu, 0, 2)] * 4, axis=-1)
         self.m = _scale(lam, mu, 3, 4)
         self.phi, self.psi = (
-            Multivector(7, k, coef * np.stack([_scale(lam, mu, v, k - v) for v in range(k + 1)], axis=-1)[..., vert])
+            JetForm._of(7, k, VALUE, coef * np.stack([_scale(lam, mu, v, k - v) for v in range(k + 1)], -1)[..., vert])
             for k, coef, vert in _unit_forms(branch)
         )
 
@@ -153,10 +153,18 @@ class G2Structure:
 
     # one matrix-vector product per probe, as at a single point
     def project_w14(self, a: Multivector) -> Multivector:
-        return Multivector(7, 2, (self._scaled_proj(1, 2) @ a.coef[..., None])[..., 0])
+        return a._new(2, self._scaled_proj(1, 2) @ a.coef)
 
     def project_w27(self, a: Multivector) -> Multivector:
-        return Multivector(7, 3, (self._scaled_proj(2, 3) @ a.coef[..., None])[..., 0])
+        return a._new(3, self._scaled_proj(2, 3) @ a.coef)
+
+    def membership_w2(self, tau2: Multivector):
+        """|tau2 ^ phi - e14 *tau2|: zero when tau2 lies in the W2 summand."""
+        return self.gnorm(tau2.wedge(self.phi) - self.w14_eigenvalue * self.hodge(tau2))
+
+    def membership_w3(self, tau3: Multivector):
+        """The larger of |tau3 ^ phi| and |tau3 ^ psi|: zero when tau3 lies in W3."""
+        return larger(self.gnorm(tau3.wedge(self.phi)), self.gnorm(tau3.wedge(self.psi)))
 
 
 def standard_phi(lam: float, mu: float, branch: int) -> G2Structure:
@@ -172,29 +180,26 @@ class MetricFromPhi:
     definite: bool
 
 
-def metric_from_phi(phi: Multivector, tol: float = 1e-10) -> MetricFromPhi:
+def metric_from_phi(phi: Multivector) -> MetricFromPhi:
     """Recover the induced metric, normalizer m, and signature from a 3-form.
 
     The bilinear form b(u, v) = coefficient of (u . phi)^(v . phi)^phi against
     the fixed orientation satisfies b = sign * 6 m G with m^2 = 1/|o|_G^2;
-    the unique normalization with det G > 0 is returned.
+    the unique normalization with det G > 0 is returned.  b counts as
+    degenerate below a relative size of 1e-10.
     """
     if phi.n != 7 or phi.k != 3:
         raise ValueError("expected a 3-form in dimension 7")
     b = np.zeros((7, 7))
-    contractions = []
-    for u in range(7):
-        vec = np.zeros(7)
-        vec[u] = 1.0
-        contractions.append(phi.interior(vec))
+    contractions = [phi.interior(vec) for vec in np.eye(7)]
     for u in range(7):
         for v in range(u, 7):
             top = contractions[u].wedge(contractions[v]).wedge(phi)
-            b[u, v] = b[v, u] = top.coef[0]
+            b[u, v] = b[v, u] = top.coef[0, 0]
     det_b = float(np.linalg.det(b))
-    scale = float(np.max(np.abs(b))) or 1.0
-    if abs(det_b) < (tol * scale) ** 7:
-        raise DegeneratePhiError(int(np.linalg.matrix_rank(b, tol=tol * scale)))
+    floor = 1e-10 * (float(np.max(np.abs(b))) or 1.0)
+    if abs(det_b) < floor**7:
+        raise DegeneratePhiError(int(np.linalg.matrix_rank(b, tol=floor)))
     eps = 1.0 if det_b > 0 else -1.0
     m = (eps * det_b / 6.0**7) ** (1.0 / 9.0)
     gram = eps * b / (6.0 * m)
@@ -225,23 +230,19 @@ class TorsionForms:
         }
 
 
-def torsion_decompose(
-    s: G2Structure,
-    dphi: Multivector,
-    dpsi: Multivector,
-    tol: float = 1e-9,
-) -> TorsionForms:
+def torsion_decompose(s: G2Structure, dphi: Multivector, dpsi: Multivector) -> TorsionForms:
     """Split (dphi, dpsi) into the four torsion components.
 
     tau0 from the degree-7 pairing (dphi)^phi = 7 tau0 Vol; tau1 from the
     coclosure side; tau2 as the 14-dimensional eigenspace component of the
-    dpsi remainder; tau3 as the Hodge dual of the dphi remainder.  On a
-    chunk, a failed reconstruction names the first failing probe's residuals.
+    dpsi remainder; tau3 as the Hodge dual of the dphi remainder.  The
+    reconstruction fails when a residual exceeds 1e-9 of the input's size; on
+    a chunk, the failure names the first failing probe's residuals.
     """
     if dphi.n != 7 or dphi.k != 4 or dpsi.k != 5:
         raise ValueError("expected a 4-form and a 5-form in dimension 7")
     vol_coef = s.m
-    tau0 = dphi.wedge(s.phi).coef[..., 0] / (7.0 * vol_coef)
+    tau0 = dphi.wedge(s.phi).coef[..., 0, 0] / (7.0 * vol_coef)
     star_dpsi = s.hodge(dpsi)
     tau1 = s.hodge(star_dpsi.wedge(s.psi)) * (1.0 / 3.0)
     remainder_psi = dpsi - tau1.wedge(s.psi)
@@ -253,12 +254,11 @@ def torsion_decompose(
     rebuilt_psi = tau1.wedge(s.psi) + tau2.wedge(s.phi)
     res_phi = s.gnorm(dphi - rebuilt_phi)
     res_psi = s.gnorm(dpsi - rebuilt_psi)
-    mem2 = s.gnorm(tau2.wedge(s.phi) - e14 * s.hodge(tau2))
-    mem3 = larger(s.gnorm(tau3.wedge(s.phi)), s.gnorm(tau3.wedge(s.psi)))
+    mem2, mem3 = s.membership_w2(tau2), s.membership_w3(tau3)
     # the two equations are always solvable, so genuineness of the input
     # shows up in the membership residuals, not only in reconstruction
     scale = larger(larger(1.0, s.gnorm(dphi)), s.gnorm(dpsi))
-    bad = np.ravel(larger(larger(larger(res_phi, res_psi), mem2), mem3) > tol * scale)
+    bad = np.ravel(larger(larger(larger(res_phi, res_psi), mem2), mem3) > 1e-9 * scale)
     if bad.any():
         raise DecompositionError(*(np.ravel(r)[bad.argmax()] for r in (res_phi, res_psi, mem2, mem3)))
     return TorsionForms(
@@ -284,21 +284,21 @@ class TorsionClass:
     label: str
 
 
-def classify(t: TorsionForms, g_diag, tol: float = 1e-6) -> TorsionClass:
+def classify(t: TorsionForms, g_diag) -> TorsionClass:
     """Name the torsion type by which components exceed the tolerance."""
-    return classify_norms(t.norms(g_diag), tol)
+    return classify_norms(t.norms(g_diag))
 
 
-def classify_norms(norms: dict, tol: float = 1e-6) -> TorsionClass:
+def classify_norms(norms: dict) -> TorsionClass:
     """Classification from (possibly aggregated) torsion component norms.
 
-    A component is inactive only when its norm is at most ``tol``, so a NaN
+    A component is inactive only when its norm is at most 1e-6, so a NaN
     norm counts as active.
     """
     active = tuple(
         name
         for name, key in (("W0", "tau0"), ("W1", "tau1"), ("W2", "tau2"), ("W3", "tau3"))
-        if not norms[key] <= tol
+        if not norms[key] <= 1e-6
     )
     calibrated = all(n not in active for n in ("W0", "W1", "W3"))
     cocalibrated = all(n not in active for n in ("W1", "W2"))

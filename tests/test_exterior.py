@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2frames.exterior import (
+    VALUE,
     DimensionMismatch,
     JetForm,
     MatrixForm,
@@ -97,7 +98,7 @@ def test_wedge_above_top_degree_is_zero():
     b = Multivector.basis(4, (2, 3))
     top = a.wedge(b)
     assert top.k == 5 and top.sup() == 0.0
-    assert top.transform(np.eye(4)).coef.shape == (0,)
+    assert top.transform(np.eye(4)).coef.shape == (0, 1)
 
 
 # ----------------------------------------------------------------------
@@ -588,7 +589,7 @@ def test_form_field_degree_overflow_is_zero_form():
     for form, k in cases:
         assert form.k == k
         value = form.value()
-        assert value.k == form.k and value.coef.shape == (0,)
+        assert value.k == form.k and value.coef.shape == (0, 1)
         assert form.coef.shape == (0, jet_table(n, 1).size)
 
 
@@ -637,6 +638,42 @@ def test_basis_canonicalization():
     assert (Multivector.basis(4, (2, 1)) + Multivector.basis(4, (1, 2))).sup() == 0.0
     assert Multivector.from_terms(4, 2, {(3, 3): 5.0}).sup() == 0.0
     assert Multivector.basis(4, (3, 1, 2)).coeff((1, 2, 3)) == 1.0
+
+
+def test_one_form_class_shapes_and_mismatches():
+    """Every form's coef ends in (C(n, k), table.size), float forms (on the
+    one-column table VALUE) included; a coefficient vector of the wrong size
+    and a sum of forms on different jet tables raise DimensionMismatch."""
+    rng = np.random.default_rng(5)
+    a = rand_jetform(rng, 2, order=1)
+    v = rand_mv(rng, 4, 2)
+    chunk = Multivector(4, 1, rng.normal(size=(3, 4)))
+    forms = [a, a.d_jets(), a * a.jet((1, 2)), v, a.value(), a.d_value(), v.hodge(np.ones(4)), v.wedge(v)]
+    forms += [v.interior(np.ones(4)), Multivector(4, 3), Multivector.scalar(4, 2.0), chunk, chunk.wedge(chunk)]
+    for form in forms:
+        assert form.coef.shape[-2:] == (len(combos(form.n, form.k)), form.table.size)
+    assert Multivector is JetForm and v.table is VALUE and a.value().table is VALUE
+    assert chunk.probes == (3,) and chunk.coef.shape == (3, 4, 1)
+    with pytest.raises(DimensionMismatch):
+        Multivector(4, 2, np.ones(5))
+    with pytest.raises(DimensionMismatch):
+        a + v
+    with pytest.raises(DimensionMismatch):
+        v - a
+
+
+def test_linear_maps_act_on_every_jet_column():
+    """hodge, interior and transform of a jet form are those of the float
+    form of each jet column; coeff reads the value column."""
+    rng = np.random.default_rng(6)
+    a = rand_jetform(rng, 2, order=1)
+    g, v, p = rng.uniform(0.5, 2.0, 4), rng.normal(size=4), rng.normal(size=(4, 4))
+    for c in range(a.table.size):
+        col = Multivector(4, 2, a.coef[:, c])
+        assert np.array_equal(a.hodge(g).coef[:, c], col.hodge(g).coef[:, 0])
+        assert np.array_equal(a.interior(v).coef[:, c], col.interior(v).coef[:, 0])
+        assert np.allclose(a.transform(p).coef[:, c], col.transform(p).coef[:, 0], rtol=0.0, atol=1e-12)
+    assert a.coeff((2, 1)) == -a.coef[0, 0] == a.value().coeff((2, 1))
 
 
 # ----------------------------------------------------------------------

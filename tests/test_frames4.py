@@ -443,7 +443,7 @@ def test_base_star_matrix_matches_the_frame_route(name):
         for i in range(6):
             dx = Multivector(4, 2, np.eye(6)[i])
             ref = dx.transform(bd.frame_val).hodge(np.ones(4)).transform(bd.coeff_val)
-            assert np.max(np.abs(star[:, i] - ref.coef)) <= 1e-12, (name, i)
+            assert np.max(np.abs(star[:, i] - ref.coef[:, 0])) <= 1e-12, (name, i)
         # ** = 1 on 2-forms of an oriented Riemannian 4-manifold
         assert np.max(np.abs(star @ star - np.eye(6))) <= 1e-12, name
 

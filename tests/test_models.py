@@ -29,7 +29,7 @@ def test_expected_flags_reproduced(name):
     exp = spec.expected
     for pt in spec.sample_points(50, rng):
         st = fb.singer_thorpe(tuple(pt))
-        flags = predicates(st, tol=1e-7)
+        flags = predicates(st)
         assert flags.einstein == exp.einstein
         assert flags.sd == exp.sd
         assert flags.asd == exp.asd

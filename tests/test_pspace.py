@@ -40,7 +40,7 @@ def test_rotation_jets_against_series_and_fd():
 def test_chart_bound_enforced():
     chart = make_chart("flat", 1)
     with pytest.raises(ChartBoundError):
-        chart.phi_at((2.5, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0))
+        chart.jets((2.5, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0), 1).phi.value()
     with pytest.raises(ValueError):
         PSpaceChart(get_model("flat"), 1, -1.0, 1.0)
 
@@ -62,13 +62,14 @@ def test_adapted_basis_standardizes_phi_psi():
     s7 = chart.structure()
     for pt in chart.sample_points(4, rng):
         pt = tuple(pt)
-        p = np.linalg.inv(chart.adapted_coframe(pt))
-        assert (chart.phi_at(pt).transform(p) - s7.phi).sup() < 1e-10
-        assert (chart.psi_at(pt).transform(p) - s7.psi).sup() < 1e-10
+        row = chart.jets(pt, 1)
+        p = np.linalg.inv(row.coframe)
+        assert (row.phi.value().transform(p) - s7.phi).sup() < 1e-10
+        assert (row.psi.value().transform(p) - s7.psi).sup() < 1e-10
         # the build holds (d phi, d psi) in the adapted coframe
         dphi_a, dpsi_a = chart.adapted_derivatives(pt)
-        assert np.array_equal(dphi_a.coef, chart.dphi_at(pt).transform(p).coef)
-        assert np.array_equal(dpsi_a.coef, chart.dpsi_at(pt).transform(p).coef)
+        assert np.array_equal(dphi_a.coef, row.dphi.transform(p).coef)
+        assert np.array_equal(dpsi_a.coef, row.dpsi.transform(p).coef)
 
 
 def test_always_cocalibrated_never_calibrated():
@@ -78,8 +79,8 @@ def test_always_cocalibrated_never_calibrated():
             chart = make_chart(name, branch, 1.0, 1.2)
             for pt in chart.sample_points(3, rng):
                 pt = tuple(pt)
-                assert chart.dpsi_at(pt).sup() < 1e-9, (name, branch)
-                assert chart.dphi_at(pt).sup() > 1e-3, (name, branch)
+                assert chart.jets(pt, 1).dpsi.sup() < 1e-9, (name, branch)
+                assert chart.jets(pt, 1).dphi.sup() > 1e-3, (name, branch)
 
 
 def test_tau0_closed_form_all_models():
@@ -127,8 +128,8 @@ def test_nearly_parallel_tuning():
         pt = tuple(pt)
         tn = chart.torsion_numeric(pt)
         assert tn.tau0 == pytest.approx(-6.0 / (5.0 * lam), abs=1e-10)
-        p = np.linalg.inv(chart.adapted_coframe(pt))
-        dphi = chart.dphi_at(pt).transform(p)
+        p = np.linalg.inv(chart.jets(pt, 1).coframe)
+        dphi = chart.jets(pt, 1).dphi.transform(p)
         assert (dphi - (-6.0 / (5.0 * lam)) * s7.psi).sup() < 1e-8
         cls = classify(tn, s7.g_diag)
         assert cls.nearly_parallel_candidate
@@ -142,8 +143,8 @@ def test_nearly_parallel_norm_scales_with_lam():
         chart = make_chart("sphere4", -1, lam, np.sqrt(5.0) * lam)
         pt = tuple(chart.sample_points(1, rng)[0])
         s7 = chart.structure()
-        p = np.linalg.inv(chart.adapted_coframe(pt))
-        norms.append(s7.gnorm(chart.dphi_at(pt).transform(p)))
+        p = np.linalg.inv(chart.jets(pt, 1).coframe)
+        norms.append(s7.gnorm(chart.jets(pt, 1).dphi.transform(p)))
     assert norms[0] > norms[1]
 
 

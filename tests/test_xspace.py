@@ -33,8 +33,8 @@ def test_flat_constant_profile_is_parallel():
     chart = make_chart("flat", 1)
     rng = np.random.default_rng(RNG_SEED)
     for pt in chart.sample_points(20, rng):
-        assert chart.dphi_at(tuple(pt)).sup() < 1e-13
-        assert chart.dpsi_at(tuple(pt)).sup() < 1e-13
+        assert chart.jets(tuple(pt), 1).dphi.sup() < 1e-13
+        assert chart.jets(tuple(pt), 1).dpsi.sup() < 1e-13
     t = chart.torsion_numeric(tuple(chart.sample_points(1, rng)[0]))
     s7 = chart.structure(tuple(chart.sample_points(1, rng)[0]))
     assert classify(t, s7.g_diag).parallel
@@ -75,13 +75,14 @@ def test_adapted_basis_standardizes_phi_psi():
     for pt in chart.sample_points(4, rng):
         pt = tuple(pt)
         s7 = chart.structure(pt)
-        p = np.linalg.inv(chart.adapted_coframe(pt))
-        assert (chart.phi_at(pt).transform(p) - s7.phi).sup() < 1e-10
-        assert (chart.psi_at(pt).transform(p) - s7.psi).sup() < 1e-10
+        row = chart.jets(pt, 1)
+        p = np.linalg.inv(row.coframe)
+        assert (row.phi.value().transform(p) - s7.phi).sup() < 1e-10
+        assert (row.psi.value().transform(p) - s7.psi).sup() < 1e-10
         # the build holds (d phi, d psi) in the adapted coframe
         dphi_a, dpsi_a = chart.adapted_derivatives(pt)
-        assert np.array_equal(dphi_a.coef, chart.dphi_at(pt).transform(p).coef)
-        assert np.array_equal(dpsi_a.coef, chart.dpsi_at(pt).transform(p).coef)
+        assert np.array_equal(dphi_a.coef, row.dphi.transform(p).coef)
+        assert np.array_equal(dpsi_a.coef, row.dpsi.transform(p).coef)
 
 
 def test_metric_recovery_from_chart_phi():
@@ -89,8 +90,8 @@ def test_metric_recovery_from_chart_phi():
     chart = make_chart("sphere4", -1, bs_profile(1.0, 1.2, 0.8))
     for pt in chart.sample_points(3, rng):
         pt = tuple(pt)
-        p = np.linalg.inv(chart.adapted_coframe(pt))
-        rec = metric_from_phi(chart.phi_at(pt).transform(p))
+        p = np.linalg.inv(chart.jets(pt, 1).coframe)
+        rec = metric_from_phi(chart.jets(pt, 1).phi.value().transform(p))
         s7 = chart.structure(pt)
         assert np.max(np.abs(rec.gram - np.diag(s7.g_diag))) < 1e-10
         assert rec.m == pytest.approx(s7.m, abs=1e-10)
@@ -130,7 +131,7 @@ def test_profile_domain_violation_reported():
     chart = make_chart("hyperbolic4", -1, bs_profile(-1.0, 1.0, 1.0))  # r0 = 0.5
     bad = (0.6, 0.5, 0.2, 0.0, 0.1, 0.0, 0.0)  # r = 0.65 > r0
     with pytest.raises(ProfileDomainError):
-        chart.phi_at(bad)
+        chart.jets(bad, 1).phi.value()
 
 
 @pytest.mark.parametrize(
