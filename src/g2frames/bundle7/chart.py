@@ -1,12 +1,12 @@
 """What the 2-form bundle and coframe bundle charts share.
 
 Both are 7-dimensional charts with fiber coordinates first (labels 1..3) and
-base coordinates last (labels 4..7).  A subclass builds every chart quantity
-at each point of a chunk as 7-variable jet forms with a leading probe axis
-(``_chunk``) and names its adapted coframe (``_coframe``); this base keeps
-only the latest chunk build, adds to it d phi, d psi, the adapted coframe,
-its inverse's compounds and (d phi, d psi) in that coframe, and ends the
-closed torsion of both charts.
+base coordinates last (labels 4..7).  A subclass builds what its readouts
+and callers read at each point of a chunk, as 7-variable jet forms with a
+leading probe axis (``_chunk``), and names its adapted coframe
+(``_coframe``); this base keeps only the latest chunk build, adds to it d phi,
+d psi, the adapted coframe, its inverse's compounds and (d phi, d psi) in that
+coframe, and ends the closed torsion of both charts.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from ..exterior import ChunkCache, JetForm, Multivector, combo_pos, combos, compounds
 from ..g2point import TorsionForms
-from ..jets import _embed_index
+from ..jets import _embed_index, _out
 from ..jets import table as jet_table
 from ..models import ModelSpec
 
@@ -65,15 +65,15 @@ def _adapt(comp, mv: Multivector) -> Multivector:
     return mv._new(mv.k, comp[mv.k].swapaxes(-1, -2) @ mv.coef)
 
 
-def torsion_gap(closed: TorsionForms, numeric: TorsionForms) -> float:
-    """Componentwise gap between closed and numeric torsion forms."""
+def torsion_gap(closed: TorsionForms, numeric: TorsionForms):
+    """Componentwise gap between closed and numeric torsion forms, per probe."""
     gaps = [
         abs(closed.tau0 - numeric.tau0),
         (closed.tau1 - numeric.tau1).sup(),
         (closed.tau2 - numeric.tau2).sup(),
         (closed.tau3 - numeric.tau3).sup(),
     ]
-    return float(np.max(gaps))  # a NaN gap propagates
+    return _out(np.max(np.broadcast_arrays(*gaps), axis=0))  # a NaN gap propagates
 
 
 class Chart(ChunkCache):
@@ -81,8 +81,8 @@ class Chart(ChunkCache):
 
     Subclasses provide ``_chunk(points, order)``, returning a namespace with
     at least ``phi`` and ``psi`` jet forms over a chunk of points;
-    ``_coframe(J)``, the adapted coframe of a build; and ``torsion_closed``
-    and ``torsion_numeric``, read at a point from the loaded chunk.
+    ``_coframe(J)``, the adapted coframe of a build; and the readouts of a
+    build ``chunk_torsion_closed`` and ``chunk_torsion_numeric``.
     """
 
     def __init__(self, model: ModelSpec, branch: int):

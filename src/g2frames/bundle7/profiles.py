@@ -165,9 +165,9 @@ def profile_from_tau1_and_tau2(s: float, c: float, k: float) -> Profile:
     )
 
 
-def random_smooth_profile(rng, r_max: float = 20.0) -> Profile:
-    """A generic admissible profile: exp of a small affine-plus-sine term,
-    so both scales stay within a couple of orders of magnitude."""
+def random_smooth_profile(rng) -> Profile:
+    """A generic admissible profile on [0, 20): exp of a small affine-plus-sine
+    term, so both scales stay within a couple of orders of magnitude."""
     pc = rng.uniform(-1.0, 1.0, size=3) * (0.3, 0.12, 0.3)
     qc = rng.uniform(-1.0, 1.0, size=3) * (0.3, 0.12, 0.3)
 
@@ -181,7 +181,7 @@ def random_smooth_profile(rng, r_max: float = 20.0) -> Profile:
         lam_fn=make(*pc),
         mu_fn=make(*qc),
         r_min=0.0,
-        r_max=r_max,
+        r_max=20.0,
         kind="random",
         params={"p": list(pc), "q": list(qc)},
     )

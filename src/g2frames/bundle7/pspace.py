@@ -114,32 +114,28 @@ class PSpaceChart(Chart):
         eta4, conn4, rho4 = base.duality(self.branch)
         J = SimpleNamespace(base=base)
         J.theta = tuple(promote(t) for t in base.theta_low)
-        eta_p = tuple(promote(e) for e in eta4)
-
         u_hi = tuple(Jet.variable(points[..., i], i, N, p + 1) for i in range(3))
         g_hi = rotation_jets(u_hi)
         gm = zero_forms(N, u_hi[0].table, [[e.coef for e in row] for row in g_hi]).truncate(p)
-        J.g_val = np.moveaxis(gm.coef[..., 0, 0], (0, 1), (-2, -1))
-        dg = MatrixForm(
-            [[fiber_form([g_hi[k][j].derivative(v) for v in range(3)]) for j in range(3)] for k in range(3)]
-        )
+        J.g_val = np.moveaxis(gm.coef[..., 0, 0], (0, 1), (-2, -1)).copy()
+        dg = MatrixForm([[fiber_form([g_hi[k][j].derivative(v) for v in range(3)]) for j in range(3)] for k in range(3)])
         J.omega = _conjugate(check([promote(w) for w in conn4]), gm, dg)
         J.f = hat(J.omega)
-        J.eta = MatrixForm([eta_p]) @ gm
-        J.rho = _conjugate(check([promote(r) for r in rho4]), gm.truncate(p - 1))
-        J.rho_hat = hat(J.rho)
+        eta = MatrixForm([[promote(e) for e in eta4]]) @ gm
+        rho = _conjugate(check([promote(r) for r in rho4]), gm.truncate(p - 1))
         J.beta = J.f[0].wedge(J.f[1]).wedge(J.f[2])
-        J.vol = J.theta[0].wedge(J.theta[1]).wedge(J.theta[2]).wedge(J.theta[3])
+        vol = J.theta[0].wedge(J.theta[1]).wedge(J.theta[2]).wedge(J.theta[3])
         f_col = MatrixForm([J.f]).T
-        J.eta_f = (J.eta @ f_col)[0, 0]
-        J.eta_om_f = (J.eta @ J.omega @ f_col)[0, 0]
+        eta_f = (eta @ f_col)[0, 0]
+        eta_om_f = (eta @ J.omega @ f_col)[0, 0]
         lam, mu, b = self.lam, self.mu, float(self.branch)
-        J.phi = J.beta * lam**3 - J.eta_f * (b * lam * mu**2)
-        J.psi = J.vol * mu**4 - J.eta_om_f * (lam**2 * mu**2 / 2.0)
+        J.phi = J.beta * lam**3 - eta_f * (b * lam * mu**2)
+        J.psi = vol * mu**4 - eta_om_f * (lam**2 * mu**2 / 2.0)
         # point values that the identity block and the closed torsion share
-        J.f_val, J.rho_hat_val = (MatrixForm([row]).value() for row in (J.f, J.rho_hat))
-        J.eta_val, J.omega_val, J.rho_val = J.eta.value(), J.omega.value(), J.rho.value()
-        J.beta_val, J.vol_val = J.beta.value(), J.vol.value()
+        J.f_val, J.rho_hat_val = (MatrixForm([row]).value() for row in (J.f, hat(rho)))
+        J.eta_val, J.omega_val, J.rho_val = eta.value(), J.omega.value(), rho.value()
+        J.beta_val, J.vol_val = J.beta.value(), vol.value()
+        J.d_eta, J.d_eta_f, J.d_eta_om_f = eta.d_jets().value(), eta_f.d_value(), eta_om_f.d_value()
         return J
 
     @staticmethod
@@ -154,8 +150,7 @@ class PSpaceChart(Chart):
         return self._structure
 
     # -- identity block -------------------------------------------------------
-    @per_probe
-    def identity_residuals(self, J) -> dict:
+    def chunk_identities(self, J) -> dict:
         """Pointwise residuals of the structural and algebraic identities."""
         b = float(self.branch)
         f, rho_hat, eta, om, rho = J.f_val, J.rho_hat_val, J.eta_val, J.omega_val, J.rho_val
@@ -167,7 +162,7 @@ class PSpaceChart(Chart):
         res["omega_skew"] = (om + om.T).sup()
         # d eta = eta ^ omega
         eta_om = eta @ om
-        res["structure_eta"] = (J.eta.d_jets().value() - eta_om).sup()
+        res["structure_eta"] = (J.d_eta - eta_om).sup()
         # rho = d omega + omega ^ omega
         omom = om @ om
         res["curvature_def"] = (J.omega.d_jets().value() + omom - rho).sup()
@@ -207,16 +202,15 @@ class PSpaceChart(Chart):
         res["alg_etarh_etaf"] = (eta_rh.wedge(eta_ft) - b * 2.0 * vol.wedge(f_rh)).sup()
         # derivative block
         d_eta_ft_expect = (eta @ (omft * 0.5 + rho_hat.T))[0, 0]
-        res["d_eta_ft"] = (J.eta_f.d_value() - d_eta_ft_expect).sup()
+        res["d_eta_ft"] = (J.d_eta_f - d_eta_ft_expect).sup()
         res["dbeta"] = (J.beta.d_value() + f_rho_ft * 0.5).sup()
-        res["d_eta_omega_ft"] = J.eta_om_f.d_value().sup()
+        res["d_eta_omega_ft"] = J.d_eta_om_f.sup()
         # the trace identity eta rho_hat^t = -6 s vol
         res["remarkable_trace"] = (eta_rh + 6.0 * st.s * vol).sup()
         return res
 
     # -- torsion ---------------------------------------------------------------
-    @per_probe
-    def torsion_closed(self, J) -> TorsionForms:
+    def chunk_torsion_closed(self, J) -> TorsionForms:
         """Closed-form torsion (tau1 = tau2 = 0 for constant scales)."""
         s = chunk_blocks(J.base).s
         lam, mu, b = self.lam, self.mu, float(self.branch)
@@ -229,9 +223,13 @@ class PSpaceChart(Chart):
         )
         return self._closed_torsion(J, self._structure, tau0, tau3)
 
-    @per_probe
-    def torsion_numeric(self, J) -> TorsionForms:
+    def chunk_torsion_numeric(self, J) -> TorsionForms:
         return torsion_decompose(self._structure, *J.adapted)
+
+    # the same at one point, from its row of the loaded chunk
+    identity_residuals = per_probe(chunk_identities)
+    torsion_closed = per_probe(chunk_torsion_closed)
+    torsion_numeric = per_probe(chunk_torsion_numeric)
 
     def sample_points(self, count: int, rng) -> np.ndarray:
         """Seeded probes: u in the ball |u| < 2.2, well inside the exponential

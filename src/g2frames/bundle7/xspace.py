@@ -61,32 +61,32 @@ class XSpaceChart(Chart):
         eta4, conn4, rho4 = base.duality(self.branch)
         J = SimpleNamespace(base=base)
         J.theta = tuple(promote(t) for t in base.theta_low)
-        J.eta = tuple(promote(e) for e in eta4)
-        J.rho3 = tuple(promote(r) for r in rho4)
+        eta_row = tuple(promote(e) for e in eta4)
         J.a = tuple(Jet.variable(points[..., i], i, N, p) for i in range(3))
         om = check([promote(w) for w in conn4])
         da = [fiber_form([Jet.constant(float(i == v), N, p) for v in range(3)]) for i in range(3)]
         f = J.f = tuple(da[i] - contract([om[j, i] for j in range(3)], J.a) for i in range(3))
         J.h = (f[1].wedge(f[2]), f[2].wedge(f[0]), f[0].wedge(f[1]))
         J.beta = f[0].wedge(f[1]).wedge(f[2])
-        J.vol = J.theta[0].wedge(J.theta[1]).wedge(J.theta[2]).wedge(J.theta[3])
+        vol = J.theta[0].wedge(J.theta[1]).wedge(J.theta[2]).wedge(J.theta[3])
         J.r = J.a[0] * J.a[0] + J.a[1] * J.a[1] + J.a[2] * J.a[2]
         lam_p = self.profile.lam_jet(J.r.value, p)
         mu_p = self.profile.mu_jet(J.r.value, p)
         J.lam = J.r.compose([lam_p.coef[..., k] * _FACT[k] for k in range(p + 1)])
         J.mu = J.r.compose([mu_p.coef[..., k] * _FACT[k] for k in range(p + 1)])
-        eta = MatrixForm([J.eta])
+        eta = MatrixForm([eta_row])
         mixed = (eta @ MatrixForm([J.f]).T)[0, 0]
-        J.eta_h = (eta @ MatrixForm([J.h]).T)[0, 0]
+        eta_h = (eta @ MatrixForm([J.h]).T)[0, 0]
         J.phi = J.beta * (J.lam**3) - mixed * (J.lam * J.mu**2 * float(self.branch))
-        J.psi = J.vol * (J.mu**4) - J.eta_h * (J.lam**2 * J.mu**2)
+        J.psi = vol * (J.mu**4) - eta_h * (J.lam**2 * J.mu**2)
         # point values that the closed system and the closed torsion share
         J.lam1, J.mu1 = lam_p.truncate(1), mu_p.truncate(1)
         J.a_val = np.stack([a.value for a in J.a], axis=-1)
-        J.f_val, J.h_val, J.eta_val = (MatrixForm([row]).value() for row in (J.f, J.h, J.eta))
-        J.rho_val = check([r.value() for r in J.rho3])
-        J.beta_val, J.vol_val = J.beta.value(), J.vol.value()
+        J.f_val, J.h_val, J.eta_val = (MatrixForm([row]).value() for row in (J.f, J.h, eta_row))
+        J.rho_val = check([promote(r).value() for r in rho4])
+        J.beta_val, J.vol_val = J.beta.value(), vol.value()
         J.dr = contract(J.f_val, J.a_val.T) * 2.0
+        J.d_eta_at, J.d_eta_h = contract(eta_row, J.a).d_value(), eta_h.d_value()
         J.s7 = standard_phi(J.lam.value, J.mu.value, self.branch)
         return J
 
@@ -99,8 +99,7 @@ class XSpaceChart(Chart):
         return self.jets(point, 1).s7
 
     # -- two evaluation paths for d(phi), d(psi) ----------------------------
-    @per_probe
-    def structure_residuals(self, J) -> dict:
+    def chunk_residuals(self, J) -> dict:
         """Residuals of the closed differential system against jet evaluation."""
         a_val, f_val, h_val, eta_val, dr, rho_m = J.a_val, J.f_val, J.h_val, J.eta_val, J.dr, J.rho_val
         b = float(self.branch)
@@ -112,7 +111,7 @@ class XSpaceChart(Chart):
 
         # d(eta a^t) = eta ^ f^t
         eta_f = (eta_val @ f_val.T)[0, 0]
-        res["d_eta_at"] = (contract(J.eta, J.a).d_value() - eta_f).sup()
+        res["d_eta_at"] = (J.d_eta_at - eta_f).sup()
 
         # d beta = h rho a^t
         h_rho_a = contract(h_val @ rho_m, a_val)
@@ -120,7 +119,7 @@ class XSpaceChart(Chart):
 
         # d(eta h^t) = -eta fcheck rho a^t
         eta_fc_rho_a = contract(eta_val @ check(f_val) @ rho_m, a_val)
-        res["d_eta_ht"] = (J.eta_h.d_value() + eta_fc_rho_a).sup()
+        res["d_eta_ht"] = (J.d_eta_h + eta_fc_rho_a).sup()
 
         # closed structure system for d phi and d psi
         lam1, mu1 = J.lam1, J.mu1
@@ -153,8 +152,7 @@ class XSpaceChart(Chart):
             raise DualityHypothesisError(self.branch, norm[np.argmax(norm > HYP_TOL)])
         return st
 
-    @per_probe
-    def torsion_closed(self, J) -> TorsionForms:
+    def chunk_torsion_closed(self, J) -> TorsionForms:
         """Closed-form torsion components in the adapted basis."""
         s = self._singer_thorpe(J).s
         b = float(self.branch)
@@ -177,10 +175,14 @@ class XSpaceChart(Chart):
         tau3 = contract(f_val @ rho_b, a_val) * (-b * lam2)
         return self._closed_torsion(J, J.s7, 0.0, tau3, (tau1, tau2))
 
-    @per_probe
-    def torsion_numeric(self, J) -> TorsionForms:
+    def chunk_torsion_numeric(self, J) -> TorsionForms:
         """Torsion via jet differentiation and the pointwise decomposition."""
         return torsion_decompose(J.s7, *J.adapted)
+
+    # the same at one point, from its row of the loaded chunk
+    structure_residuals = per_probe(chunk_residuals)
+    torsion_closed = per_probe(chunk_torsion_closed)
+    torsion_numeric = per_probe(chunk_torsion_numeric)
 
     def sample_points(self, count: int, rng, a_max: float = 1.2) -> np.ndarray:
         """Seeded probes: base in the model safe box, fiber within |a| <= a_max

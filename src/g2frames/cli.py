@@ -6,11 +6,11 @@ scenario over the chart's seeded probe points.  Each record names the
 identity it verifies via a stable anchor string, so independent
 implementations can be compared field by field.  Probes run in chunks: the
 chart's own frame bundle builds a chunk's base points in one batched pass,
-the chart the chunk in another, and each probe reads its rows, so each probe
-builds its base frame once.  Each named per-probe value is reduced over all
-probes with NaN-propagating maxima (``np.max``; the never-calibrated bound
-takes ``np.min``): a report is deterministic for a fixed seed and a NaN on
-any probe fails its record.
+the chart the chunk in another, and each pass returns its readouts as
+``(probes,)`` arrays, so each probe builds its base frame once.  Each named
+array, joined over the chunks, is reduced with one NaN-propagating ``np.max``
+(the never-calibrated bound takes ``np.min``): a report is deterministic for
+a fixed seed and a NaN on any probe fails its record.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .bundle7.pspace import ChartBoundError, PSpaceChart
 from .bundle7.radial import QuadratureError, radius_length, radius_length_riemann
 from .bundle7.xspace import EDGE_MARGIN, XSpaceChart
 from .exterior import Multivector
-from .frames4 import NonSPDMetricError, ResidualError, pairing_sign, predicates
+from .frames4 import NonSPDMetricError, ResidualError, pairing_sign
 from .g2point import DecompositionError, DegeneratePhiError, classify_norms, standard_phi
 from .models import MODEL_NAMES, get_model
 
@@ -293,63 +293,41 @@ def _record(check: str, value: float, tol: float, comparison: str = "<=") -> Rec
 _NORM_KEYS = ("tau0", "tau1", "tau2", "tau3")
 
 
-def _frame_values(chart, x) -> dict:
-    """The frame values at the base point ``x``, on the chart's frame bundle."""
-    bundle, exp = chart.frame, chart.model.expected
-    st = bundle.singer_thorpe(x)
-    res = [bundle.duality_residuals(x, b) for b in (1, -1)]
-    got = predicates(st)
-    flags_ok = all(getattr(got, k) == getattr(exp, k) for k in ("einstein", "sd", "asd", "scalar_flat"))
-    return {
-        "frames/cartan": bundle.cartan_residual(x),
-        "frames/duality-structure": np.max([r["structure"] for r in res]),
-        "frames/bianchi": np.max([r["bianchi"] for r in res]),
-        "frames/block-symmetry": st.sym_residual,
-        "frames/trace-identity": st.trace_residual,
-        "frames/flag-table": np.max([0.0 if flags_ok else 1.0, abs(st.s - exp.s_value)]),
-    }
+# probes per batched pass: the largest chunk whose x-sweep peak RSS stays within 2% of the runner that read
+# rows (chunks of 10) at every seed tried; 30 read +1.4-1.8% at seeds 5-13 but +2.0-2.1% at seed 47.  10 s
+# perfbench runs, seed 5, 2-core x86-64, mean of two (x-sweep probes/s and peak RSS, p-sweep probes/s, memory
+# test ratio on P): row runner 713, 42.7 MB, 451; chunks of 10: 839, 42.4, 422, 1.08; 20: 1193, 42.9, 638, 1.74;
+# 25: 1327, 43.1, 866, 2.08; 30: 1364, 43.5, 789, 2.41; 35: 1497, 43.7, 834, 2.75; 40: 1392, 43.9, 824, 3.10
+# (over the test's 3x); 50: 1479, 44.6, 883, 3.79.
+PROBE_CHUNK = 25
 
 
-# probes per batched pass.  Kernel time per X probe (2-core x86-64 host): 1.8 ms
-# one at a time, 0.89 ms in chunks of 8, 0.76 ms of 16.  30 s perfbench runs,
-# probes/s and peak RSS (one at a time: x-sweep 313/s, p-sweep 235/s, 41.6 MB):
-# chunks of 8, 705/s, 43.2 MB and 430/s, 43.6 MB; of 10, p-sweep 498/s, 43.5 MB;
-# of 16, 932/s, 43.8 MB and 605/s, 44.1 MB.  10 keeps RSS within 5% at most of the speed.
-PROBE_CHUNK = 10
+def _chunk_values(stage: str, chart, values, points, first: int) -> dict:
+    """The named values at each probe of a chunk numbered from ``first``: the
+    frame pass, then the chart pass (``values`` of the chart build).  Both
+    builds are dropped when the pass ends."""
+    frame = chart.frame
+    try:
+        with _stage(f"frame records, probe {first}"):
+            out = {f"frames/{k}": v for k, v in frame.chunk_values(frame.load(points[:, 3:], 2), chart.model.expected).items()}
+        with _stage(f"{stage}, probe {first}"):
+            return out | values(chart.load(points, 1))
+    finally:
+        chart.clear()
+        frame.clear()
 
 
-def _chunk_rows(stage: str, chart, probe, points, first: int) -> list:
-    """The rows of a chunk of probes numbered from ``first``: frame pass, then chart pass."""
-    with _stage(f"frame records, probe {first}"):
-        chart.clear()  # so the last chunk's chart build is not held while this one builds
-        chart.frame.load(points[:, 3:], 2)
-        rows = [_frame_values(chart, tuple(pt[3:])) for pt in points]
-    with _stage(f"{stage}, probe {first}"):
-        chart.load(points, 1)
-        for row, pt in zip(rows, points):
-            row.update(probe(tuple(pt)))
-    return rows
-
-
-def _probe_rows(stage: str, chart, probe, points) -> list:
-    """Each probe's named values, in probe order: its frame values at pt[3:],
-    then its chart values.  A chunk whose pass raises runs again as chunks
-    of one, so an error names the stage and probe (from 0) of the first."""
-    rows = []
+def _probe_values(stage: str, chart, values, points) -> dict:
+    """Each named value at every probe, in probe order.  A chunk whose pass raises
+    runs again as chunks of one, so an error names the stage and probe (from 0)."""
+    chunks = []
     for first in range(0, len(points), PROBE_CHUNK):
         chunk = points[first : first + PROBE_CHUNK]
         try:
-            rows += _chunk_rows(stage, chart, probe, chunk, first)
+            chunks.append(_chunk_values(stage, chart, values, chunk, first))
         except NumericalFailure:  # each chunk of one raises it again where a one-at-a-time run would
-            for i in range(len(chunk)):
-                rows += _chunk_rows(stage, chart, probe, chunk[i : i + 1], first + i)
-    return rows
-
-
-def _worst(rows) -> dict:
-    """Each named per-probe value reduced to its maximum over the probes;
-    ``np.max`` propagates a NaN from any probe, whatever the probe order."""
-    return {name: float(np.max([row[name] for row in rows])) for name in rows[0]}
+            chunks += [_chunk_values(stage, chart, values, chunk[i : i + 1], first + i) for i in range(len(chunk))]
+    return {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
 
 
 def _frame_records(worst, tol) -> list:
@@ -366,20 +344,18 @@ def _x_records(cfg: RunConfig, spec, chart: XSpaceChart, rng):
     except SamplingError as exc:
         raise ConfigError(f"invalid value for key 'profile': no probe in its domain ({exc})") from None
 
-    def probe(pt):
-        res = chart.structure_residuals(pt)
-        tn = chart.torsion_numeric(pt)
-        tc = chart.torsion_closed(pt)
+    def values(J):
+        res, tn, tc = chart.chunk_residuals(J), chart.chunk_torsion_numeric(J), chart.chunk_torsion_closed(J)
         return {
             "dr": res["dr"],
             "d_eta_at": res["d_eta_at"],
-            "dbeta": np.max([res["dbeta"], res["d_eta_ht"]]),
-            "system": np.max([res["dphi_system"], res["dpsi_system"]]),
+            "dbeta": np.maximum(res["dbeta"], res["d_eta_ht"]),
+            "system": np.maximum(res["dphi_system"], res["dpsi_system"]),
             "gap": torsion_gap(tc, tn),
-            **tn.norms(chart.structure(pt).g_diag),
+            **tn.norms(J.s7.g_diag),
         }
 
-    worst = _worst(_probe_rows("X records", chart, probe, points))
+    worst = {name: float(np.max(v)) for name, v in _probe_values("X records", chart, values, points).items()}
     norms = {k: worst[k] for k in _NORM_KEYS}
     records = _frame_records(worst, cfg.tol) + [
         _record("x/radius-differential", worst["dr"], 1e-9),
@@ -416,28 +392,27 @@ def _p_records(cfg: RunConfig, spec, chart: PSpaceChart, rng):
     if spec.expected.einstein:
         w3_pred = (b / (2.0 * lam)) * (s7.phi - 7.0 * lam**3 * Multivector.basis(7, (1, 2, 3)))
 
-    def probe(pt):
-        ids = chart.identity_residuals(pt)
-        dphi, dpsi = chart.adapted_derivatives(pt)
-        tn = chart.torsion_numeric(pt)
-        tc = chart.torsion_closed(pt)
+    def values(J):
+        ids = chart.chunk_identities(J)
+        (dphi, dpsi), tn, tc = J.adapted, chart.chunk_torsion_numeric(J), chart.chunk_torsion_closed(J)
+        nearly = (dphi - b * (6.0 / (5.0 * lam)) * s7.psi).sup()
         return {
-            "identities": np.max(list(ids.values())),
+            "identities": np.max(list(ids.values()), axis=0),
             "dpsi": s7.gnorm(dpsi),
             "dphi": s7.gnorm(dphi),
             "tau0_gap": abs(tc.tau0 - tn.tau0),
             "gap": torsion_gap(tc, tn),
-            "nearly": (dphi - b * (6.0 / (5.0 * lam)) * s7.psi).sup(),
-            "tau3_w3": 0.0 if w3_pred is None else (tn.tau3 - w3_pred).sup(),
+            "nearly": nearly,
+            "tau3_w3": np.zeros_like(nearly) if w3_pred is None else (tn.tau3 - w3_pred).sup(),
             **tn.norms(s7.g_diag),
         }
 
-    rows = _probe_rows("P records", chart, probe, points)
-    worst = _worst(rows)
+    by_probe = _probe_values("P records", chart, values, points)
+    worst = {name: float(np.max(v)) for name, v in by_probe.items()}
     records = _frame_records(worst, cfg.tol) + [
         _record("p/identities", worst["identities"], cfg.tol),
         _record("p/cocalibrated", worst["dpsi"], 1e-9),
-        _record("p/never-calibrated", np.min([r["dphi"] for r in rows]), 1e-3, comparison=">"),
+        _record("p/never-calibrated", np.min(by_probe["dphi"]), 1e-3, comparison=">"),
         _record("p/tau0-closed", worst["tau0_gap"], 1e-8),
         _record("p/torsion-closed-vs-numeric", worst["gap"], 1e-6),
     ]

@@ -231,16 +231,21 @@ def compounds(p, k: int) -> list:
     entry (I, J) of degree j is the minor det p[I, J].  Row I of degree j + 1
     is row I[:-1] of degree j wedged with row I[-1] of ``p`` (the last-slot
     entries of ``_interior_table``): one wedge kernel call per degree, on
-    value forms.  A stack of matrices ``p`` gives stacks of compounds."""
+    value forms.  A stack of matrices ``p`` gives stacks of compounds, run in
+    blocks of about ``MAX_TERMS`` gathered entries, so no gather grows with it."""
     p = np.asarray(p, dtype=float)
     m, n = p.shape[-2:]
-    out = [np.ones(p.shape[:-2] + (1, 1))]
+    flat = p.reshape((-1, m, n))
+    out = [np.ones((len(flat), 1, 1))]
     for j in range(k):
         _, lab, _, dst = _interior_table(m, j + 1)
-        last = slice(j, None, j + 1)
-        rows = (out[j][..., dst[last], :], p[..., lab[last], :])
-        out.append(_wedge_stack(JetForm._of(n, j, VALUE, None), JetForm._of(n, 1, VALUE, None), *rows)[..., 0])
-    return out
+        rows, labels = dst[j :: j + 1], lab[j :: j + 1]  # the last-slot entries
+        a, b = JetForm._of(n, j, VALUE, None), JetForm._of(n, 1, VALUE, None)
+        out.append(np.empty((len(flat), len(rows), math.comb(n, j + 1))))
+        step = MAX_TERMS // max(len(rows) * out[j].shape[-1], 1) or 1
+        for s in range(0, len(flat), step):
+            out[-1][s : s + step] = _wedge_stack(a, b, out[j][s : s + step, rows], flat[s : s + step, labels])[..., 0]
+    return [c.reshape(p.shape[:-2] + c.shape[1:]) for c in out]
 
 
 def _inverse_weights(g, k: int):
@@ -536,7 +541,7 @@ class MatrixForm:
             ca = self.proto._rows(self.coef[:, q]).reshape((r, 1) + (pa or (1,)) * probes + (-1,))
             cb = other.proto._rows(other.coef[q]).reshape((1, t) + (pb or (1,)) * probes + (-1,))
             term = _wedge_stack(self.proto, other.proto, ca, cb)
-            acc = term if acc is None else acc + term
+            acc = term if acc is None else np.add(acc, term, out=acc)
         proto = self.proto._new(self.proto.k + other.proto.k, acc[0, 0])
         return MatrixForm._of(proto, acc)
 
@@ -639,7 +644,7 @@ def max_sup(forms):
 
 
 # ----------------------------------------------------------------------
-# chunks of probes
+# chunks of probes: the rows of a chunk build, for callers at one point
 
 
 def take(x, i: int):
@@ -690,9 +695,9 @@ def readout(data, key, fn):
 
 class ChunkCache:
     """The latest build over a chunk of points (``load``: one batched pass of
-    ``_build``) and its rows (``_row``); a point outside it is built alone,
-    without a probe axis, through the same code.  No row refers back to the
-    cache, so a dropped chunk is freed at once."""
+    ``_build``) and, for callers at one point, its rows (``_row``); a point
+    outside it is built alone, without a probe axis, through the same code.
+    No row refers back to the cache, so a dropped chunk is freed at once."""
 
     _last = None  # (points, order, build, first row of each point, rows made)
 
@@ -719,9 +724,9 @@ class ChunkCache:
 
 
 def per_probe(fn):
-    """A method ``fn(self, build, *args)`` of a chunk build, turned into one
-    taking a point: ``fn`` runs once per chunk and the point reads its row
-    (of the build ``self._at(point)`` belongs to)."""
+    """A readout ``fn(self, build, *args)`` of a chunk build, turned into a
+    method taking a point: ``fn`` runs once per chunk build and the point
+    reads its row (of the build ``self._at(point)`` belongs to)."""
 
     def at_point(self, point, *args):
         row = self._at(point)

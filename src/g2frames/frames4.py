@@ -166,7 +166,7 @@ class BaseData:
 class FrameBundle(ChunkCache):
     """Frame calculus over one chart metric, a ``ScalarField`` whose jet is
     the 4x4 matrix of metric jets; ``load`` builds a chunk of base points,
-    ``base`` and the readouts give one point's row of it."""
+    the ``chunk_*`` readouts take it whole, ``base`` one point's row."""
 
     def __init__(self, metric):
         self.metric = metric
@@ -209,9 +209,8 @@ class FrameBundle(ChunkCache):
     def _at(self, point):
         return self.base(point, 2)
 
-    # -- residual diagnostics (at a point, computed per chunk) -------------
-    @per_probe
-    def cartan_residual(self, bd) -> float:
+    # -- residual diagnostics (at each probe of a chunk build) -------------
+    def chunk_cartan(self, bd):
         """max |d(theta) + theta ^ omega| over the four components."""
         residuals = []
         for a in range(DIM):
@@ -221,8 +220,7 @@ class FrameBundle(ChunkCache):
             residuals.append(acc)
         return max_sup(residuals)
 
-    @per_probe
-    def duality_residuals(self, bd, branch: int) -> dict:
+    def chunk_duality(self, bd, branch: int) -> dict:
         """Structure equation and algebraic Bianchi residuals on one branch."""
         eta, conn3, rho3 = bd.duality(branch)
         eta = MatrixForm([eta])
@@ -231,7 +229,26 @@ class FrameBundle(ChunkCache):
         bianchi = (eta_val @ check([r.value() for r in rho3])).sup()
         return {"structure": struct, "bianchi": bianchi}
 
-    # -- curvature blocks --------------------------------------------------
+    def chunk_values(self, bd, expected) -> dict:
+        """The frame records' values at each probe of an order-2 build: the
+        residuals, and the curvature flags and s against the catalog ``expected``."""
+        st = chunk_blocks(bd)
+        res = [self.chunk_duality(bd, b) for b in (1, -1)]
+        got = predicates(st)
+        flags_ok = np.all([getattr(got, k) == getattr(expected, k) for k in ("einstein", "sd", "asd", "scalar_flat")], axis=0)
+        return {
+            "cartan": self.chunk_cartan(bd),
+            "duality-structure": np.maximum(res[0]["structure"], res[1]["structure"]),
+            "bianchi": np.maximum(res[0]["bianchi"], res[1]["bianchi"]),
+            "block-symmetry": st.sym_residual,
+            "trace-identity": st.trace_residual,
+            "flag-table": np.maximum(np.where(flags_ok, 0.0, 1.0), abs(st.s - expected.s_value)),
+        }
+
+    # the same at one point, from its row of the loaded chunk
+    cartan_residual = per_probe(chunk_cartan)
+    duality_residuals = per_probe(chunk_duality)
+
     @per_probe
     def singer_thorpe(self, bd) -> "SingerThorpe":
         """Curvature blocks at a point, assembled once per chunk build."""
@@ -307,7 +324,7 @@ def pairing_sign() -> int:
     # models imports this module, so importing models at load time would be a cycle
     from .models import get_model
 
-    raw = _blocks_raw(get_model("sphere4").bundle().base((0.12, -0.07, 0.23, 0.18), 2))
+    raw = _blocks_raw(get_model("sphere4").bundle().load((0.12, -0.07, 0.23, 0.18), 2))
     trace = -float(np.trace(raw[0]))  # tr(A) for sign +1
     if abs(abs(trace) - 3.0) > 1e-8:
         raise AssertionError(f"sphere anchor failed: tr A = {trace}")
@@ -328,12 +345,12 @@ class Predicates:
 
 
 def predicates(st: SingerThorpe) -> Predicates:
-    """The curvature flags; a block counts as zero below 1e-7."""
+    """The curvature flags (per probe); a block counts as zero below 1e-7."""
     return Predicates(
-        einstein=float(np.max(np.abs(st.b))) < 1e-7,
-        sd=float(np.max(np.abs(st.wminus))) < 1e-7,
-        asd=float(np.max(np.abs(st.wplus))) < 1e-7,
-        scalar_flat=abs(st.scal) < 1e-7,
+        einstein=np.max(np.abs(st.b), axis=(-2, -1)) < 1e-7,
+        sd=np.max(np.abs(st.wminus), axis=(-2, -1)) < 1e-7,
+        asd=np.max(np.abs(st.wplus), axis=(-2, -1)) < 1e-7,
+        scalar_flat=np.abs(st.scal) < 1e-7,
         s=st.s,
     )
 

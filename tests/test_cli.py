@@ -207,31 +207,40 @@ def test_each_probe_builds_its_base_frame_once(monkeypatch, config):
     cfg = RunConfig.from_dict(dict(config, probes=probes))
     pairing_sign()  # the sign anchor builds its own sphere frame once per process
     calls, rows = Counter(), Counter()
-    seen = []
+    frame_builds, chart_bases = [], []
 
     def counted(name, fn):
         def wrapper(*args):
             out = fn(*args)
             calls[name] += 1
             rows[name] += _probe_rows(out.point if name == "build" else out)
+            if name == "coframe":
+                chart_bases.append(args[0].base)
             return out
 
         return wrapper
 
-    frame_values = cli._frame_values
+    chunk_values = FrameBundle.chunk_values
     monkeypatch.setattr(FrameBundle, "_build", counted("build", FrameBundle._build))
     monkeypatch.setattr(frames4, "_assemble_blocks", counted("blocks", frames4._assemble_blocks))
-    monkeypatch.setattr(cli, "_frame_values", lambda chart, x: seen.append((chart, x)) or frame_values(chart, x))
+    monkeypatch.setattr(
+        FrameBundle, "chunk_values", lambda self, bd, exp: frame_builds.append(bd) or chunk_values(self, bd, exp)
+    )
     cls = XSpaceChart if cfg.space == "X" else PSpaceChart
     monkeypatch.setattr(cls, "_coframe", staticmethod(counted("coframe", cls._coframe)))
     assert run(cfg).passed
     # every probe's base frame, blocks and coframe are formed once, in one pass per chunk
     assert rows == {"build": probes, "blocks": probes, "coframe": probes}
     assert calls == {"build": 2, "blocks": 2, "coframe": 2}
-    # the frame records read the base points of the chart's own probes
-    chart = seen[0][0]
+    # the frame records read the chart's own base builds, at the base points of its probes
+    assert len(frame_builds) == 2 and all(a is b for a, b in zip(frame_builds, chart_bases))
+    spec = get_model(cfg.model)
+    if cfg.space == "X":
+        chart = XSpaceChart(spec, cfg.branch, cfg.make_profile())
+    else:
+        chart = PSpaceChart(spec, cfg.branch, cfg.profile["lam"], cfg.profile["mu"])
     base = chart.sample_points(probes, np.random.default_rng(cfg.seed))[:, 3:]
-    assert all(c is chart for c, _ in seen) and np.array_equal([x for _, x in seen], base)
+    assert np.array_equal(np.concatenate([bd.point for bd in frame_builds]), base)
 
 
 # per probe: the adapted coframe and the base frame; a P probe also reads the
@@ -471,33 +480,77 @@ def test_non_finite_values_are_written_as_null(tmp_path, capsys):
     assert nulls and all(r["pass"] is False for r in nulls)
 
 
-def _nan_on_second_call(monkeypatch, cls, name):
-    """Make ``cls.name`` return all-NaN residuals on its second call only."""
+def _nan_in_second_chunk(monkeypatch, cls, name) -> list:
+    """Make the chunk readout ``cls.name`` return NaN residuals at the second
+    probe of its second chunk only; returns the chunk sizes it was called on."""
     original = getattr(cls, name)
-    calls = []
+    sizes = []
 
-    def patched(self, point):
-        calls.append(point)
-        res = original(self, point)
-        return {k: float("nan") for k in res} if len(calls) == 2 else res
+    def patched(self, J):
+        res = original(self, J)
+        sizes.append(len(J.coframe))
+        if len(sizes) == 2:
+            res = {k: np.where(np.arange(len(v)) == 1, np.nan, v) for k, v in res.items()}
+        return res
 
     monkeypatch.setattr(cls, name, patched)
+    return sizes
 
 
 @pytest.mark.parametrize(
     "config, cls, name, check",
     [
-        (BS_SPHERE, XSpaceChart, "structure_residuals", "x/radius-differential"),
-        (P_HYPER, PSpaceChart, "identity_residuals", "p/identities"),
+        (BS_SPHERE, XSpaceChart, "chunk_residuals", "x/radius-differential"),
+        (P_HYPER, PSpaceChart, "chunk_identities", "p/identities"),
     ],
     ids=["X", "P"],
 )
 def test_nan_on_a_later_probe_fails_its_record(monkeypatch, config, cls, name, check):
-    _nan_on_second_call(monkeypatch, cls, name)
-    report = run(RunConfig.from_dict(config))
+    sizes = _nan_in_second_chunk(monkeypatch, cls, name)
+    report = run(RunConfig.from_dict(dict(config, probes=cli.PROBE_CHUNK + 3)))
+    assert sizes == [cli.PROBE_CHUNK, 3]  # the NaN sits at probe PROBE_CHUNK + 1
     record = next(r for r in report.records if r.check == check)
     assert np.isnan(record.value) and not record.passed
     assert not report.passed
+
+
+def test_run_reads_no_probe_rows(monkeypatch):
+    """The run path reduces the chunk arrays; it reads no row of a chunk build."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a probe row was read")
+
+    monkeypatch.setattr(exterior.ProbeRow, "__init__", refuse)
+    monkeypatch.setattr(exterior.ProbeRow, "__getattr__", refuse)
+    monkeypatch.setattr(exterior, "take", refuse)
+    for config in (BS_SPHERE, P_HYPER):
+        assert run(RunConfig.from_dict(dict(config, probes=cli.PROBE_CHUNK + 3))).passed
+
+
+def test_flag_table_checks_the_catalog_scalar(monkeypatch):
+    """A catalog s that is off by 1e-3 fails frames/flag-table, though every
+    curvature flag still matches."""
+
+    def shifted(name, **params):
+        spec = get_model(name, **params)
+        return dataclasses.replace(spec, expected=dataclasses.replace(spec.expected, s_value=spec.expected.s_value + 1e-3))
+
+    monkeypatch.setattr(cli, "get_model", shifted)
+    report = run(RunConfig.from_dict(P_HYPER))
+    record = next(r for r in report.records if r.check == "frames/flag-table")
+    assert record.value == pytest.approx(1e-3, rel=1e-9) and not record.passed
+
+
+def test_never_calibrated_reads_the_smallest_probe():
+    """p/never-calibrated is a lower bound: its value is the smallest |d phi|
+    over the probes, each read at its point."""
+    cfg = RunConfig.from_dict(dict(P_HYPER, probes=cli.PROBE_CHUNK + 3))
+    record = next(r for r in run(cfg).records if r.check == "p/never-calibrated")
+    chart = PSpaceChart(get_model(cfg.model), cfg.branch, cfg.profile["lam"], cfg.profile["mu"])
+    points = chart.sample_points(cfg.probes, np.random.default_rng(cfg.seed))
+    norms = [chart.structure().gnorm(chart.adapted_derivatives(tuple(pt))[0]) for pt in points]
+    assert min(norms) < max(norms)  # the probes differ in the last bits, so max would not do
+    assert record.value == min(norms)
 
 
 @pytest.mark.parametrize(
@@ -600,13 +653,31 @@ CHUNK_CONFIGS = [
     "config", CHUNK_CONFIGS, ids=["X-sphere4", "X-disk", "P-hyp-", "P-hyp+", "P-fs-", "P-fs+"]
 )
 def test_reports_do_not_depend_on_the_chunk(monkeypatch, config):
-    chunk = cli.PROBE_CHUNK
-    for probes in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
-        cfg = RunConfig.from_dict(dict(config, probes=probes))
-        chunked = run(cfg).to_json()
-        monkeypatch.setattr(cli, "PROBE_CHUNK", 1)
-        assert chunked == run(cfg).to_json(), probes
-        monkeypatch.setattr(cli, "PROBE_CHUNK", chunk)
+    """A (2c + 3)-probe pass at chunk c gives every per-probe value of the
+    same pass at chunk 1, bit for bit; and the reports at the boundaries
+    1, c - 1, c, c + 1 and 2c + 3 are the ones the chunk-1 values give."""
+    c = cli.PROBE_CHUNK
+    probe_values, passes = cli._probe_values, []
+
+    def recorded(*args):
+        passes.append((args[3], probe_values(*args)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(cli, "_probe_values", recorded)
+    counts = (1, c - 1, c, c + 1, 2 * c + 3)
+    chunked = {k: run(RunConfig.from_dict(dict(config, probes=k))).to_json() for k in counts}
+    monkeypatch.setattr(cli, "PROBE_CHUNK", 1)
+    run(RunConfig.from_dict(dict(config, probes=2 * c + 3)))
+    (points, ones), (_, by_chunk) = passes[-1], passes[-2]
+    assert {n: v.tobytes() for n, v in by_chunk.items()} == {n: v.tobytes() for n, v in ones.items()}
+
+    def prefix(stage, chart, values, pts):
+        assert np.array_equal(pts, points[: len(pts)])  # a k-probe draw is the first k of the longest
+        return {n: v[: len(pts)] for n, v in ones.items()}
+
+    monkeypatch.setattr(cli, "_probe_values", prefix)
+    for k, text in chunked.items():
+        assert run(RunConfig.from_dict(dict(config, probes=k))).to_json() == text, k
 
 
 def _bits(x) -> bytes:
