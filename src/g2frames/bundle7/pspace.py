@@ -17,6 +17,7 @@ exposed as ``identity_residuals`` and checked pointwise in the tests.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from ..exterior import MatrixForm, _hodge_table, check, compounds, hat, max_sup, per_probe, zero_forms
 from ..frames4 import chunk_blocks
 from ..g2point import G2Structure, TorsionForms, standard_phi, torsion_decompose
-from ..jets import Jet, libm
+from ..jets import Jet, _out, libm
 from ..models import ModelSpec
 from .chart import N, Chart, _promoted_rows, components, fiber_form, promote
 
@@ -39,16 +40,28 @@ class ChartBoundError(ValueError):
         )
 
 
-def _series_derivs(t: float, order: int, shift: int) -> list:
-    """Derivatives of sum_j (-1)^j t^j / (2j + shift)! at t (shift 1 or 2)."""
-    out = []
-    for m in range(order + 1):
-        acc = 0.0
-        for j in range(m, m + 30):
-            term = (-1.0) ** j * math.perm(j, m) * libm(pow, t, j - m) / math.factorial(2 * j + shift)
-            acc += term
-        out.append(acc)
-    return out
+SERIES_TERMS = 30
+
+
+@lru_cache(maxsize=None)
+def _series_table(order: int, shift: int):
+    """Coefficients (-1)^j perm(j, m) and divisors (2j + shift)! of the terms
+    j = m .. m + SERIES_TERMS - 1 of derivative m, one row per m <= order."""
+    rows = [range(m, m + SERIES_TERMS) for m in range(order + 1)]
+    coef = np.array([[(-1.0) ** j * math.perm(j, m) for j in js] for m, js in enumerate(rows)])
+    div = np.array([[float(math.factorial(2 * j + shift)) for j in js] for js in rows])
+    return coef, div
+
+
+def _series_derivs(t, order: int, shift: int) -> list:
+    """Derivatives of sum_j (-1)^j t^j / (2j + shift)! at t (shift 1 or 2), a
+    float or an array: the powers t^0 .. t^29 in one libm call, then each
+    derivative summed term by term from its first, nonzero, term."""
+    coef, div = _series_table(order, shift)
+    t = np.asarray(t, dtype=float)
+    powers = libm(pow, t[..., None], np.arange(SERIES_TERMS))
+    sums = np.cumsum(coef * powers[..., None, :] / div, axis=-1)[..., -1]
+    return [_out(sums[..., m].reshape(t.shape)) for m in range(order + 1)]
 
 
 def _base_star(bd) -> np.ndarray:

@@ -149,25 +149,27 @@ def _scatter(n: int, k: int, terms, tail=()) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _jet_wedge_index(n: int, j: int, k: int, nvars: int, order: int):
-    """Flat (src_a, src_b, sign, dst) arrays of the wedge of a j-form and a
-    k-form, and the flattened output size: the disjoint pairs of multi-indices
-    crossed with the product terms of the jet table ``(nvars, order)``."""
+    """Flat (src_a, src_b, dst) arrays of the wedge of a j-form and a k-form,
+    and the flattened output size: the disjoint pairs of multi-indices crossed
+    with the product terms of the jet table ``(nvars, order)``.  The sign
+    rides b's gather: ``src_b`` points into b's flattened row followed by that
+    row negated, and a * (-b) is -(a * b) exactly."""
     tab = jet_table(nvars, order)
     pos = combo_pos(n, j + k)
-    ia, ib, sign, target = [], [], [], []
+    width = len(combos(n, k)) * tab.size  # where the negated row starts
+    ia, ib, target = [], [], []
     for x, a in enumerate(combos(n, j)):
         for y, b in enumerate(combos(n, k)):
             if set(a).isdisjoint(b):
                 s, merged = merge_sign(a, b)
                 ia.append(x)
-                ib.append(y)
-                sign.append(float(s))
+                ib.append(y * tab.size + (width if s < 0 else 0))
                 target.append(pos[merged])
     ia, ib, target = (np.array(v, dtype=np.intp)[:, None] for v in (ia, ib, target))
     src_a = (ia * tab.size + tab.mul_i).ravel()
-    src_b = (ib * tab.size + tab.mul_j).ravel()
+    src_b = (ib + tab.mul_j).ravel()
     dst = (target * tab.size + tab.mul_k).ravel()
-    return src_a, src_b, np.repeat(sign, len(tab.mul_i)), dst, len(pos) * tab.size
+    return src_a, src_b, dst, len(pos) * tab.size
 
 
 @lru_cache(maxsize=None)
@@ -192,24 +194,31 @@ def _wedge_stack(a, b, ca, cb):
     """Wedges of stacked forms of the kinds of ``a`` and ``b``: ``ca`` and
     ``cb`` hold flattened coefficient rows on leading axes (stacks, probes)
     that broadcast against each other.  The stacks run in blocks of at most
-    ``MAX_TERMS`` terms (one block for a small stack), each one gather over
-    ``_jet_wedge_index`` and one ``stacked_bincount``, so each bin gets the
-    terms of one unstacked wedge in the same order.  Returns the
-    coefficients, of shape ``lead + (C(n, j + k), table.size)``."""
+    ``MAX_TERMS`` terms (one block for a small stack).  Each term is two
+    gathers over ``_jet_wedge_index`` (b's row followed by its negation, so
+    the sign rides the gather), one multiply in place and one ``np.bincount``
+    whose bins are offset by the stack index; the offsets are formed once per
+    call and sliced for a short last block.  Each bin adds the terms of one
+    unstacked wedge in the same order, from 0.0.  Returns the coefficients,
+    of shape ``lead + (C(n, j + k), table.size)``."""
     if a.n != b.n:
         raise DimensionMismatch("different ambient dimensions")
     if a.table is not b.table:
         raise ValueError("jets from different tables")
-    src_a, src_b, sign, dst, size = _jet_wedge_index(a.n, a.k, b.k, a.table.nvars, a.table.order)
+    src_a, src_b, dst, size = _jet_wedge_index(a.n, a.k, b.k, a.table.nvars, a.table.order)
     lead = ca.shape[:-1] if ca.shape[:-1] == cb.shape[:-1] else np.broadcast_shapes(ca.shape[:-1], cb.shape[:-1])
     count = math.prod(lead)
+    cb = np.concatenate([cb, -cb], axis=-1)
     ca, cb = (c if c.shape[:-1] == lead else np.broadcast_to(c, lead + c.shape[-1:]) for c in (ca, cb))
     ca, cb = ca.reshape(count, ca.shape[-1]), cb.reshape(count, cb.shape[-1])
     step = MAX_TERMS // max(len(src_a), 1) or 1
+    bins = np.add.outer(np.arange(min(step, count)) * size, dst)
     out = np.empty((count, size))
     for s in range(0, count, step):
-        prod = ca[s : s + step].take(src_a, axis=-1) * cb[s : s + step].take(src_b, axis=-1) * sign
-        out[s : s + step] = stacked_bincount(dst, prod, size)
+        prod = ca[s : s + step].take(src_a, axis=-1)
+        np.multiply(prod, cb[s : s + step].take(src_b, axis=-1), out=prod)
+        rows = len(prod)
+        out[s : s + step] = np.bincount(bins[:rows].ravel(), prod.ravel(), rows * size).reshape(rows, size)
     # C(n, j + k) spelled out, since an empty stack cannot infer it
     return out.reshape(lead + (size // a.table.size, a.table.size))
 

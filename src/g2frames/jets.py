@@ -350,14 +350,15 @@ def _power_derivs(v, p: float, order: int) -> list:
 def stacked_bincount(dst, terms, size: int) -> np.ndarray:
     """``np.bincount(dst, terms, size)`` for every stack on the leading axes of
     ``terms`` in one call, its bins offset by the flat stack index (formed per
-    call): each bin adds its terms in the same order as an unstacked call."""
-    if terms.ndim == 1:
-        return np.bincount(dst, terms, size)
+    call): each bin adds its terms in the same order as an unstacked call.
+    Always float64: ``np.bincount`` with no terms returns integers, even with
+    weights.  (``exterior._wedge_stack`` runs the same bincount in blocks, its
+    offsets formed once per call.)"""
     lead = terms.shape[:-1]
     count = math.prod(lead)
     if count != 1:
         dst = np.add.outer(np.arange(count) * size, dst).ravel()
-    return np.bincount(dst, terms.ravel(), count * size).reshape(lead + (size,))
+    return np.bincount(dst, terms.ravel(), count * size).astype(float, copy=False).reshape(lead + (size,))
 
 
 def _inverse_powers(v, name: str, count: int) -> list:

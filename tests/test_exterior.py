@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2frames.exterior import (
+    MAX_TERMS,
     VALUE,
     DimensionMismatch,
     JetForm,
@@ -16,6 +17,7 @@ from g2frames.exterior import (
     ScalarField,
     ShapeMismatch,
     _d_stack,
+    _wedge_stack,
     check,
     combos,
     compounds,
@@ -99,6 +101,76 @@ def test_wedge_above_top_degree_is_zero():
     top = a.wedge(b)
     assert top.k == 5 and top.sup() == 0.0
     assert top.transform(np.eye(4)).coef.shape == (0, 1)
+
+
+def signed_wedge_index(n, j, k, tab):
+    """The wedge index with a sign per term, built pair by pair from
+    ``combos``, ``merge_sign`` and the jet table's product terms."""
+    pos = {c: i for i, c in enumerate(combos(n, j + k))}
+    src_a, src_b, sign, dst = [], [], [], []
+    for x, a in enumerate(combos(n, j)):
+        for y, b in enumerate(combos(n, k)):
+            if set(a).isdisjoint(b):
+                s, merged = merge_sign(a, b)
+                for ti, tj, tk in zip(tab.mul_i, tab.mul_j, tab.mul_k):
+                    src_a.append(x * tab.size + ti)
+                    src_b.append(y * tab.size + tj)
+                    sign.append(float(s))
+                    dst.append(pos[merged] * tab.size + tk)
+    ints = (np.array(v, dtype=np.intp) for v in (src_a, src_b, dst))
+    return *ints, np.array(sign), len(pos) * tab.size
+
+
+def special_rows(rng, shape):
+    """Normal entries, about a fifth replaced by NaN, +-inf, 0.0 or -0.0."""
+    x = rng.normal(size=shape)
+    pick = rng.random(shape) < 0.2
+    x[pick] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0], size=int(pick.sum()))
+    return x
+
+
+def assert_same_bits(x, y):
+    """Equal entries, NaN where the other is NaN, and equal signs off NaN."""
+    assert x.shape == y.shape and x.dtype == y.dtype == np.float64
+    assert np.array_equal(x, y, equal_nan=True)
+    assert np.array_equal(np.signbit(x) & ~np.isnan(x), np.signbit(y) & ~np.isnan(y))
+
+
+def wedge_reference(n, j, k, tab, ca, cb):
+    """One ``np.bincount`` of the signed terms per stack, after broadcasting."""
+    src_a, src_b, dst, sign, size = signed_wedge_index(n, j, k, tab)
+    lead = np.broadcast_shapes(ca.shape[:-1], cb.shape[:-1])
+    ca = np.broadcast_to(ca, lead + ca.shape[-1:]).reshape(-1, ca.shape[-1])
+    cb = np.broadcast_to(cb, lead + cb.shape[-1:]).reshape(-1, cb.shape[-1])
+    out = np.zeros((len(ca), size))
+    for i, (a, b) in enumerate(zip(ca, cb)):
+        out[i] = np.bincount(dst, a[src_a] * b[src_b] * sign, size)
+    return out.reshape(lead + (size // tab.size, tab.size))
+
+
+# (n, j, k, nvars, order): float forms, jet forms, a 0-form factor, and j + k > n
+WEDGE_KINDS = [(4, 1, 2, 1, 0), (4, 2, 2, 4, 2), (7, 3, 1, 7, 1), (4, 0, 2, 4, 1), (4, 3, 2, 4, 1)]
+
+
+@pytest.mark.parametrize("n, j, k, nvars, order", WEDGE_KINDS)
+def test_wedge_kernel_equals_the_signed_reference_bitwise(n, j, k, nvars, order):
+    rng = np.random.default_rng(61)
+    tab = jet_table(nvars, order)
+    a, b = JetForm._of(n, j, tab, None), JetForm._of(n, k, tab, None)
+    wa, wb = len(combos(n, j)) * tab.size, len(combos(n, k)) * tab.size
+    terms = len(signed_wedge_index(n, j, k, tab)[0])
+    step = MAX_TERMS // max(terms, 1)
+    leads = [
+        ((), ()),  # one unstacked wedge
+        ((0,), (0,)),  # an empty stack
+        ((3, 1, 5), (1, 2, 5)),  # broadcast leads (r, 1, P) x (1, t, P)
+        ((2 * step + step // 2,), ()),  # three blocks, the last one short
+    ]
+    for lead_a, lead_b in leads:
+        ca, cb = special_rows(rng, lead_a + (wa,)), special_rows(rng, lead_b + (wb,))
+        with np.errstate(invalid="ignore"):  # inf * 0
+            assert_same_bits(_wedge_stack(a, b, ca, cb), wedge_reference(n, j, k, tab, ca, cb))
+    assert step >= 2  # so the last of the three blocks is short
 
 
 # ----------------------------------------------------------------------
@@ -696,6 +768,16 @@ def test_jetform_leibniz_rule_on_jets():
         rhs = a.d_jets().wedge(b.truncate(1)) + a.truncate(1).wedge(b.d_jets()) * float((-1) ** j)
         assert lhs.k == j + k + 1 and lhs.table.order == 1
         assert np.allclose(lhs.coef, rhs.coef, rtol=0.0, atol=1e-12), (j, k)
+
+
+def test_d_of_a_top_degree_form_has_float_coefficients():
+    tab = jet_table(4, 2)
+    for lead in ((), (3,)):
+        top = JetForm._of(4, 4, tab, np.ones(lead + (1, tab.size)))
+        for d in (top.d_jets(), top.d_value()):
+            assert d.k == 5 and d.coef.shape == lead + (0, d.table.size)
+            assert d.coef.dtype == np.float64
+        assert top.d_jets().wedge(rand_jetform(np.random.default_rng(0), 0, order=1)).coef.dtype == np.float64
 
 
 def test_jetform_d_squared_vanishes_on_jets():

@@ -1,12 +1,22 @@
 """Coframe-bundle charts: the identity block, cocalibration, and torsion."""
 
+import math
+
 import numpy as np
 import pytest
 
-from g2frames.bundle7.pspace import ChartBoundError, PSpaceChart, _base_star, _lift_star, rotation_jets
+from g2frames.bundle7.pspace import (
+    CHART_BOUND,
+    ChartBoundError,
+    PSpaceChart,
+    _base_star,
+    _lift_star,
+    _series_derivs,
+    rotation_jets,
+)
 from g2frames.exterior import Multivector
 from g2frames.g2point import classify
-from g2frames.jets import fd_partial, variables
+from g2frames.jets import fd_partial, libm, variables
 from g2frames.models import MODEL_NAMES, get_model
 
 SEED = 99
@@ -35,6 +45,29 @@ def test_rotation_jets_against_series_and_fd():
         pt7 = list(u) + [0.0] * 4
         assert g[1][2].partial(0) == pytest.approx(fd_partial(entry, pt7, 0), abs=1e-6)
         assert g[1][2].partial(2) == pytest.approx(fd_partial(entry, pt7, 2), abs=1e-6)
+
+
+def series_derivs_termwise(t, order, shift):
+    """The Rodrigues series derivatives summed one libm power at a time."""
+    out = []
+    for m in range(order + 1):
+        acc = 0.0
+        for j in range(m, m + 30):
+            acc += (-1.0) ** j * math.perm(j, m) * libm(pow, t, j - m) / math.factorial(2 * j + shift)
+        out.append(acc)
+    return out
+
+
+def test_series_derivs_equal_the_termwise_sum_bitwise():
+    points = [0.0, 1e-3, 1.0, CHART_BOUND**2]
+    for t in points + [np.array(points), np.array([[0.5, 2.0], [1e-3, 9.0]])]:
+        for order in (0, 1, 2, 3):
+            for shift in (1, 2):
+                got, want = _series_derivs(t, order, shift), series_derivs_termwise(t, order, shift)
+                assert len(got) == len(want) == order + 1
+                for x, y in zip(got, want):
+                    assert type(x) is type(y)
+                    assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y)), (t, order, shift)
 
 
 def test_chart_bound_enforced():
