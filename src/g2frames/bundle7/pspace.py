@@ -71,29 +71,24 @@ def _base_star(bd) -> np.ndarray:
     return (compounds(bd.coeff_val, 2)[2].swapaxes(-1, -2)[..., comp] * sign) @ bd.frame_c2.swapaxes(-1, -2)
 
 
-def rotation_jets(u_jets):
-    """Rodrigues rotation exp(check(u)) with jet entries, analytic in |u|^2."""
-    t = u_jets[0] * u_jets[0] + u_jets[1] * u_jets[1] + u_jets[2] * u_jets[2]
-    order = t.order
-    s1 = t.compose(_series_derivs(t.value, order, 1))
-    s2 = t.compose(_series_derivs(t.value, order, 2))
-    u1, u2, u3 = u_jets
-    zero = t * 0.0
-    uc = [[zero, -u3, u2], [u3, zero, -u1], [-u2, u1, zero]]
-    uc2 = [
-        [sum((uc[i][k] * uc[k][j] for k in range(3)), zero) for j in range(3)]
-        for i in range(3)
-    ]
-    g = [
-        [
-            (Jet.constant(1.0, t.nvars, order) if i == j else zero)
-            + s1 * uc[i][j]
-            + s2 * uc2[i][j]
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-    return g
+def rotation_jets(u_jets) -> Jet:
+    """Rodrigues rotation exp(check(u)) = I + s1 check(u) + s2 check(u)^2, with
+    check(u)^2 = u u^t - |u|^2 I and s1, s2 analytic in |u|^2: one jet whose
+    coefficients carry the 3x3 matrix axes first (then the probe axis), from
+    three broadcast jet products, u u^t, s1 u and s2 check(u)^2."""
+    u = Jet(u_jets[0].table, np.stack([x.coef for x in u_jets]))
+    uut = Jet(u.table, u.coef[:, None]) * Jet(u.table, u.coef[None, :])
+    t = Jet(u.table, uut.coef[0, 0] + uut.coef[1, 1] + uut.coef[2, 2])
+    s1 = t.compose(_series_derivs(t.value, t.order, 1))
+    s2 = t.compose(_series_derivs(t.value, t.order, 2))
+    c2 = uut.coef.copy()
+    c2[[0, 1, 2], [0, 1, 2]] -= t.coef
+    s1u = (s1 * u).coef
+    g = np.zeros(c2.shape)  # I + s1 check(u), entered as in exterior.check
+    g[[1, 2, 0], [0, 1, 2]] = s1u[[2, 0, 1]]
+    g[[0, 1, 2], [1, 2, 0]] = -s1u[[2, 0, 1]]
+    g[[0, 1, 2], [0, 1, 2], ..., 0] = 1.0
+    return Jet(u.table, g + (s2 * Jet(u.table, c2)).coef)
 
 
 def _conjugate(m, g, dg=None):
@@ -129,9 +124,10 @@ class PSpaceChart(Chart):
         J.theta = tuple(promote(t) for t in base.theta_low)
         u_hi = tuple(Jet.variable(points[..., i], i, N, p + 1) for i in range(3))
         g_hi = rotation_jets(u_hi)
-        gm = zero_forms(N, u_hi[0].table, [[e.coef for e in row] for row in g_hi]).truncate(p)
+        gm = zero_forms(N, g_hi.table, g_hi.coef).truncate(p)
         J.g_val = np.moveaxis(gm.coef[..., 0, 0], (0, 1), (-2, -1)).copy()
-        dg = MatrixForm([[fiber_form([g_hi[k][j].derivative(v) for v in range(3)]) for j in range(3)] for k in range(3)])
+        dg = fiber_form([g_hi.derivative(v) for v in range(3)])
+        dg = MatrixForm._of(dg._new(1, dg.coef[0, 0]), dg.coef)
         J.omega = _conjugate(check([promote(w) for w in conn4]), gm, dg)
         J.f = hat(J.omega)
         eta = MatrixForm([[promote(e) for e in eta4]]) @ gm

@@ -293,13 +293,13 @@ def _record(check: str, value: float, tol: float, comparison: str = "<=") -> Rec
 _NORM_KEYS = ("tau0", "tau1", "tau2", "tau3")
 
 
-# probes per batched pass: the largest chunk whose x-sweep peak RSS stays within 2% of the runner that read
-# rows (chunks of 10) at every seed tried; 30 read +1.4-1.8% at seeds 5-13 but +2.0-2.1% at seed 47.  10 s
-# perfbench runs, seed 5, 2-core x86-64, mean of two (x-sweep probes/s and peak RSS, p-sweep probes/s, memory
-# test ratio on P): row runner 713, 42.7 MB, 451; chunks of 10: 839, 42.4, 422, 1.08; 20: 1193, 42.9, 638, 1.74;
-# 25: 1327, 43.1, 866, 2.08; 30: 1364, 43.5, 789, 2.41; 35: 1497, 43.7, 834, 2.75; 40: 1392, 43.9, 824, 3.10
-# (over the test's 3x); 50: 1479, 44.6, 883, 3.79.
-PROBE_CHUNK = 25
+# probes per batched pass: the largest chunk whose two memory-test ratios (traced peak at 100 probes over that
+# at 10, X and P) stay at least 7% under the test's 3x bound.  Chunk: X ratio, P ratio, x-sweep peak RSS (MB) and
+# probes/s (10 s perfbench runs, seed 5, 2-core x86-64, median of 5; probes/s spread by about 15%): 25: 1.99,
+# 2.14, 42.87, 1115; 30: 2.30, 2.50, 43.23, 1158; 34: 2.54, 2.78, 43.55, 1246; 35: 2.61, 2.86, 43.57, 1300;
+# 40: 2.92, 3.22 (over the bound), 43.93, 1244.  One x-sweep round in one process (best of 7): 25: 98-100 ms per
+# config, 34: 88 ms.  Peak RSS at 34 reads +1.6% over 25, within the benchmark's 10% bound.
+PROBE_CHUNK = 34
 
 
 def _chunk_values(stage: str, chart, values, points, first: int) -> dict:

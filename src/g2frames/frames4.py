@@ -32,12 +32,12 @@ from .exterior import (
     check,
     combos,
     compounds,
-    max_sup,
     per_probe,
     readout,
     zero_forms,
 )
-from .jets import Jet, _out
+from .jets import _out
+from .jets import table as jet_table
 
 DIM = 4
 
@@ -53,52 +53,56 @@ class ResidualError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# jet linear algebra helpers
+# matrix-jet linear algebra: a matrix of jets is one array, its matrix axes
+# first, then the probe axis (on a chunk), then the jet axis
 
 
-def _jet_cholesky(g, point):
-    """Upper-triangular coefficient matrix a with a^T a = g (rows = coframe);
-    a failing pivot names the point (the first failing row on a chunk)."""
-    n = len(g)
-    c = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            acc = g[i][j]
-            for k in range(j):
-                acc = acc - c[i][k] * c[j][k]
-            if i == j:
-                if np.any(acc.value <= 0.0):
-                    raise NonSPDMetricError(np.reshape(point, (-1, n))[np.argmax(acc.value <= 0.0)].tolist(), f"(pivot {i})")
-                c[i][i] = acc.sqrt()
-            else:
-                c[i][j] = acc / c[j][j]
-    # theta^a = sum_i a[a][i] dx^i with a[a][i] = c[i][a]
-    zero = Jet.constant(0.0, g[0][0].nvars, g[0][0].order)
-    return [[c[i][a] if i >= a else zero for i in range(n)] for a in range(n)]
+def _jet_array(m, probes=()) -> np.ndarray:
+    """A square matrix of jets as one array; an entry constant in the point
+    gets the probe axis too."""
+    size = m[0][0].table.size
+    return np.reshape([np.broadcast_to(e.coef, probes + (size,)) for row in m for e in row], (len(m), len(m)) + probes + (size,))
 
 
-def _upper_inverse(a):
-    """Inverse of an upper-triangular jet matrix."""
-    n = len(a)
-    zero = a[0][0] * 0.0
-    inv = [[zero] * n for _ in range(n)]
-    for b in range(n):
-        for i in range(n - 1, -1, -1):
-            acc = Jet.constant(1.0 if i == b else 0.0, a[0][0].nvars, a[0][0].order)
-            for j in range(i + 1, n):
-                acc = acc - a[i][j] * inv[j][b]
-            inv[i][b] = acc / a[i][i]
-    return inv
+def _times(m, v) -> np.ndarray:
+    """m . v for a matrix of jets m and a matrix of floats v, adding from k = 0."""
+    return sum((m[:, k, None] * v[None, k, ..., None] for k in range(1, len(v))), m[:, 0, None] * v[None, 0, ..., None])
 
 
-def _truncate_matrix(m, order):
-    return [[e.truncate(order) for e in row] for row in m]
-
-
-def _jet_array(m) -> np.ndarray:
-    """A square matrix of jets as one array ``probes + (n, n, size)``."""
-    coefs = np.broadcast_arrays(*(e.coef for row in m for e in row))
-    return np.stack(coefs, axis=-2).reshape(coefs[0].shape[:-1] + (len(m), len(m), -1))
+def _cholesky(g, point, table, low: int):
+    """(a, a^-1 cut to order ``low``): the upper-triangular jet factor of the
+    metric jets ``g`` (in ``table``) with a^T a = g, its rows the coframe.
+    With a0 the Cholesky factor of the value and E = a0^-T g a0^-1 - I,
+    a = (I + U) a0, where the upper-triangular U solves U + U^T + U^T U = E
+    (U <- Phi(E - U^T U), with Phi the upper triangle with its diagonal
+    halved, is exact to one more order per step), and
+    a^-1 = a0^-1 sum_j (-U)^j; each matrix-jet product is one of 0-forms."""
+    g0 = np.moveaxis(g[..., 0], (0, 1), (-2, -1))
+    try:
+        a0 = np.linalg.cholesky(g0).swapaxes(-1, -2)
+    except np.linalg.LinAlgError:  # it does not say which pivot failed: name the first pivot i whose
+        # leading minor (of order i + 1) is not positive, and its first probe
+        bad = ~(np.reshape([np.linalg.det(g0[..., :k, :k]) for k in range(1, DIM + 1)], (DIM, -1)) > 0.0)
+        i, probe = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NonSPDMetricError(np.reshape(point, (-1, DIM))[probe].tolist(), f"(pivot {i})") from None
+    inv0, a0 = (np.moveaxis(x, (-2, -1), (0, 1)) for x in (np.linalg.inv(a0), a0))
+    e = _times(_times(g, inv0).swapaxes(0, 1), inv0).swapaxes(0, 1)
+    e[..., 0] = 0.0  # a0 is the factor of the value, so U has none
+    phi = (np.triu(np.ones((DIM, DIM))) - 0.5 * np.eye(DIM)).reshape((DIM, DIM) + (1,) * (e.ndim - 2))
+    u = np.where(phi > 0.0, e * phi, 0.0)
+    for _ in range(table.order - 1):
+        uu = zero_forms(DIM, table, u.swapaxes(0, 1)) @ zero_forms(DIM, table, u)
+        u = np.where(phi > 0.0, (e - uu.coef[..., 0, :]) * phi, 0.0)
+    a = _times(u, a0)
+    a[..., 0] = a0
+    # s = sum_{0 < j <= low} (-U)^j by Horner, s <- -U (I + s)
+    low = jet_table(DIM, low)
+    s = v = -u[..., : low.size]
+    for _ in range(low.order - 1):
+        s = v + (zero_forms(DIM, low, v) @ zero_forms(DIM, low, s)).coef[..., 0, :]
+    inv = _times(s.swapaxes(0, 1), inv0.swapaxes(0, 1)).swapaxes(0, 1)
+    inv[..., 0] = inv0
+    return a, inv
 
 
 # ----------------------------------------------------------------------
@@ -174,16 +178,13 @@ class FrameBundle(ChunkCache):
     base = ChunkCache._row
 
     def _build(self, point, order):
-        # a metric entry constant in the point gets the chunk's probe axis too
-        probes = np.shape(point)[:-1]
-        g = [[Jet(e.table, np.broadcast_to(e.coef, probes + e.coef.shape[-1:])) for e in row] for row in self.metric.jet(point, order)]
-        coeff = _jet_cholesky(g, point)
+        m = self.metric.jet(point, order)
+        g = _jet_array(m, np.shape(point)[:-1])
         low = order - 1
-        inv_low = _jet_array(_upper_inverse(_truncate_matrix(coeff, low)))
-        coeff = _jet_array(coeff)
+        coeff, inv_low = (np.moveaxis(x, (0, 1), (-3, -2)) for x in _cholesky(g, point, m[0][0].table, low))
         frame_val = inv_low[..., 0]
         frame_c2 = compounds(frame_val, 2)[2]
-        theta = [JetForm._of(DIM, 1, g[0][0].table, coeff[..., a, :, :]) for a in range(DIM)]
+        theta = [JetForm._of(DIM, 1, m[0][0].table, coeff[..., a, :, :]) for a in range(DIM)]
         theta_low = [t.truncate(low) for t in theta]
         # d(theta)^a = 1/2 c[a][b][e] theta^b ^ theta^e: substitute
         # dx^i = sum_b inv_low[i][b] theta^b into d(theta)^a and read c off
@@ -212,13 +213,7 @@ class FrameBundle(ChunkCache):
     # -- residual diagnostics (at each probe of a chunk build) -------------
     def chunk_cartan(self, bd):
         """max |d(theta) + theta ^ omega| over the four components."""
-        residuals = []
-        for a in range(DIM):
-            acc = bd.theta[a].d_value()
-            for b in range(DIM):
-                acc = acc + bd.theta_low[b].value().wedge(bd.conn[b, a].value())
-            residuals.append(acc)
-        return max_sup(residuals)
+        return (MatrixForm([bd.theta]).d_jets().value() + MatrixForm([bd.theta_low]).value() @ bd.conn.value()).sup()
 
     def chunk_duality(self, bd, branch: int) -> dict:
         """Structure equation and algebraic Bianchi residuals on one branch."""

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exterior import VALUE, JetForm, MatrixForm, Multivector, _label_array, combos
-from .jets import _out
+from .jets import _out, libm
 
 VERT = (1, 2, 3)
 HORIZ = (4, 5, 6, 7)
@@ -98,11 +98,17 @@ def _unit_structure_split(branch: int):
 
 
 def _scale(lam, mu, v: int, h: int):
-    """lam**v * mu**h, at each probe for arrays of scales; a power that
-    overflows, or a scale that underflows to 0, raises an ArithmeticError
-    naming it (at the first such probe)."""
+    """lam**v * mu**h, at each probe for arrays of scales (libm's pow, as
+    ``float ** int``); a power that overflows, or a scale that underflows to
+    0, raises an ArithmeticError naming it, at the first such probe."""
     if np.ndim(lam):
-        return np.array([_scale(a, b, v, h) for a, b in zip(lam.tolist(), mu.tolist())])
+        try:
+            out = libm(pow, lam, v) * libm(pow, mu, h)
+            if out.all():
+                return out
+        except OverflowError:
+            pass
+        return np.array([_scale(a, b, v, h) for a, b in zip(lam.tolist(), mu.tolist())])  # raises at the first failure
     try:
         out = lam**v * mu**h
     except OverflowError:

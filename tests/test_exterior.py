@@ -26,6 +26,7 @@ from g2frames.exterior import (
     merge_sign,
     zero_forms,
 )
+from g2frames.cli import PROBE_CHUNK
 from g2frames.jets import Jet, JetOrderError
 from g2frames.jets import table as jet_table
 
@@ -150,9 +151,27 @@ def wedge_reference(n, j, k, tab, ca, cb):
 
 # (n, j, k, nvars, order): float forms, jet forms, a 0-form factor, and j + k > n
 WEDGE_KINDS = [(4, 1, 2, 1, 0), (4, 2, 2, 4, 2), (7, 3, 1, 7, 1), (4, 0, 2, 4, 1), (4, 3, 2, 4, 1)]
+# kinds and stack leads that a run reaches, with a chunk of c probes (found by
+# wrapping _wedge_stack over one round of each benchmark workload): the frame's
+# matrix-jet product U^T U and its connection theta @ A, the chart's jet-form
+# wedges, and the float wedges whose bins add 10 to 35 terms, one bin for the
+# 7-forms, where a sum other than left to right shows
+C = PROBE_CHUNK
+RUN_LEADS = {
+    (4, 0, 0, 4, 2): [((4, 1, C), (1, 4, C))],
+    (4, 1, 0, 4, 1): [((1, 1, C), (1, 16, C))],
+    (7, 2, 1, 7, 1): [((1, 1, C), (1, 3, C))],
+    (7, 2, 2, 7, 1): [((1, 1, C), (1, 1, C))],
+    (7, 3, 1, 7, 1): [((C,), (C,)), ((1, 1, C), (1, 1, C))],
+    (7, 2, 4, 1, 0): [((C,), ())],
+    (7, 3, 2, 1, 0): [((1, 1, C), (1, 3, C))],
+    (7, 3, 3, 1, 0): [((C,), (C,)), ((C,), ())],
+    (7, 3, 4, 1, 0): [((C,), (C,)), ((C,), ())],
+    (7, 4, 3, 1, 0): [((C,), ()), ((C,), (C,))],
+}
 
 
-@pytest.mark.parametrize("n, j, k, nvars, order", WEDGE_KINDS)
+@pytest.mark.parametrize("n, j, k, nvars, order", WEDGE_KINDS + [kind for kind in RUN_LEADS if kind not in WEDGE_KINDS])
 def test_wedge_kernel_equals_the_signed_reference_bitwise(n, j, k, nvars, order):
     rng = np.random.default_rng(61)
     tab = jet_table(nvars, order)
@@ -165,11 +184,13 @@ def test_wedge_kernel_equals_the_signed_reference_bitwise(n, j, k, nvars, order)
         ((0,), (0,)),  # an empty stack
         ((3, 1, 5), (1, 2, 5)),  # broadcast leads (r, 1, P) x (1, t, P)
         ((2 * step + step // 2,), ()),  # three blocks, the last one short
-    ]
-    for lead_a, lead_b in leads:
-        ca, cb = special_rows(rng, lead_a + (wa,)), special_rows(rng, lead_b + (wb,))
-        with np.errstate(invalid="ignore"):  # inf * 0
-            assert_same_bits(_wedge_stack(a, b, ca, cb), wedge_reference(n, j, k, tab, ca, cb))
+    ] + RUN_LEADS.get((n, j, k, nvars, order), [])
+    # special entries, and finite ones, since a bin of many terms almost always meets a NaN
+    for rows in (special_rows, lambda rng, shape: rng.normal(size=shape)):
+        for lead_a, lead_b in leads:
+            ca, cb = rows(rng, lead_a + (wa,)), rows(rng, lead_b + (wb,))
+            with np.errstate(invalid="ignore"):  # inf * 0
+                assert_same_bits(_wedge_stack(a, b, ca, cb), wedge_reference(n, j, k, tab, ca, cb))
     assert step >= 2  # so the last of the three blocks is short
 
 

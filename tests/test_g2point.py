@@ -9,6 +9,7 @@ from g2frames.exterior import Multivector, combos
 from g2frames.g2point import (
     DecompositionError,
     DegeneratePhiError,
+    _scale,
     classify,
     classify_norms,
     duality_pairing,
@@ -245,3 +246,26 @@ def test_nan_norm_is_not_torsion_free():
     assert cls.active == ("W2",)
     assert not cls.parallel and cls.label != "parallel"
     assert classify_norms(dict(norms, tau2=0.0)).label == "parallel"
+
+
+def test_scale_equals_the_per_probe_loop_bitwise():
+    rng = np.random.default_rng(8)
+    lam, mu = 10.0 ** rng.uniform(-30.0, 30.0, (2, 2000))
+    for v in range(5):
+        for h in range(5):
+            loop = np.array([a**v * b**h for a, b in zip(lam.tolist(), mu.tolist())])
+            assert _scale(lam, mu, v, h).tobytes() == loop.tobytes(), (v, h)
+
+
+@pytest.mark.parametrize(
+    "lam, v, h, message",
+    [
+        # probe 3 fails one way and probe 5 the other: the first failing probe is named
+        ([1.0, 2.0, 3.0, 1e100, 1.0, 1e-200], 4, 0, "lam**4 * mu**0 overflows at lam = 1e+100, mu = 1.5"),
+        ([1.0, 2.0, 3.0, 1e-200, 1.0, 1e100], 4, 0, "lam**4 * mu**0 underflows to 0 at lam = 1e-200, mu = 1.5"),
+    ],
+)
+def test_scale_names_the_first_failing_probe(lam, v, h, message):
+    with pytest.raises(ArithmeticError) as err:
+        _scale(np.array(lam), np.full(len(lam), 1.5), v, h)
+    assert str(err.value) == message

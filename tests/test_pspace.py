@@ -16,7 +16,7 @@ from g2frames.bundle7.pspace import (
 )
 from g2frames.exterior import Multivector
 from g2frames.g2point import classify
-from g2frames.jets import fd_partial, libm, variables
+from g2frames.jets import Jet, fd_partial, libm, variables
 from g2frames.models import MODEL_NAMES, get_model
 
 SEED = 99
@@ -33,7 +33,7 @@ def test_rotation_jets_against_series_and_fd():
         u *= norm / np.linalg.norm(u)
         jets = variables(tuple(u) + (0.0,) * 4, 2)[:3]
         g = rotation_jets(jets)
-        gval = np.array([[e.value for e in row] for row in g])
+        gval = g.value
         assert np.max(np.abs(gval @ gval.T - np.eye(3))) < 1e-12
         assert np.linalg.det(gval) == pytest.approx(1.0, abs=1e-12)
 
@@ -43,8 +43,30 @@ def test_rotation_jets_against_series_and_fd():
             return Rotation.from_rotvec(p[:3]).as_matrix()[i, j]
 
         pt7 = list(u) + [0.0] * 4
-        assert g[1][2].partial(0) == pytest.approx(fd_partial(entry, pt7, 0), abs=1e-6)
-        assert g[1][2].partial(2) == pytest.approx(fd_partial(entry, pt7, 2), abs=1e-6)
+        assert g.partial(0)[1, 2] == pytest.approx(fd_partial(entry, pt7, 0), abs=1e-6)
+        assert g.partial(2)[1, 2] == pytest.approx(fd_partial(entry, pt7, 2), abs=1e-6)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_rotation_jets_are_orthogonal_with_unit_determinant_as_jets(order):
+    # g^t g = I and det g = 1 for every Taylor coefficient, on a chunk of u
+    # up to the chart bound and at one point
+    rng = np.random.default_rng(3)
+    u = rng.normal(size=(6, 3))
+    u *= (np.array([1e-4, 0.3, 1.4, 2.2, 2.9, CHART_BOUND - 1e-3]) / np.linalg.norm(u, axis=1))[:, None]
+    for pts in (u, u[4]):
+        g = rotation_jets(variables(pts, order))
+        m = [[Jet(g.table, g.coef[i, j]) for j in range(3)] for i in range(3)]
+        for i in range(3):
+            for j in range(3):
+                gtg = m[0][i] * m[0][j] + m[1][i] * m[1][j] + m[2][i] * m[2][j] - float(i == j)
+                assert np.max(np.abs(gtg.coef)) <= 1e-14, (order, i, j)
+        det = (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        )
+        assert np.max(np.abs((det - 1.0).coef)) <= 1e-14, order
 
 
 def series_derivs_termwise(t, order, shift):
