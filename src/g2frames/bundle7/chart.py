@@ -82,7 +82,8 @@ class Chart(ChunkCache):
     Subclasses provide ``_chunk(points, order)``, returning a namespace with
     at least ``phi`` and ``psi`` jet forms over a chunk of points;
     ``_coframe(J)``, the adapted coframe of a build; and the readouts of a
-    build ``chunk_torsion_closed`` and ``chunk_torsion_numeric``.
+    build ``chunk_torsion_closed`` and ``chunk_torsion_numeric``.  A caller
+    at one point reads its lone build (``jets``) and the readouts of it.
     """
 
     def __init__(self, model: ModelSpec, branch: int):
@@ -96,7 +97,6 @@ class Chart(ChunkCache):
         """The chunk build, with d phi, d psi, the adapted coframe (rows over
         (du, dx)), (d phi, d psi) in it and its inverse's compounds."""
         J = self._chunk(points, order)
-        J.readouts = {}
         J.dphi, J.dpsi = J.phi.d_value(), J.psi.d_value()
         J.coframe = self._coframe(J)
         comp = compounds(np.linalg.inv(J.coframe), 5)
@@ -104,14 +104,18 @@ class Chart(ChunkCache):
         J.compounds = comp[:4]  # the closed torsion adapts forms of degree <= 3
         return J
 
-    jets = ChunkCache._row  # the build at one point: its row of the loaded chunk
-
-    def _at(self, point):
-        return self.jets(point, 1)
+    jets = ChunkCache._lone  # the build at one point, without a probe axis
 
     def adapted_derivatives(self, point):
         """(d phi, d psi) in the adapted coframe, where phi is standard."""
         return self.jets(point, 1).adapted
+
+    # the torsion readouts at one point, from its lone build
+    def torsion_closed(self, point) -> TorsionForms:
+        return self.chunk_torsion_closed(self.jets(point, 1))
+
+    def torsion_numeric(self, point) -> TorsionForms:
+        return self.chunk_torsion_numeric(self.jets(point, 1))
 
     def torsion_gap(self, point) -> float:
         """Componentwise gap between the closed and numeric torsion forms."""

@@ -88,29 +88,35 @@ def _power_family(s, scale_lam, scale_mu, rate, offset, kind, params):
     """lam^2 = scale_lam * v^(-1/2), mu^2 = scale_mu * v^(1/2), v = rate*s*r + offset."""
     if s <= 0 and offset <= 0:
         raise ProfileDomainError("empty domain: the linear radial factor is never positive")
-    if s > 0:
-        r_min = max(0.0, -offset / (rate * s)) if offset <= 0 else 0.0
-        r_max, r0 = np.inf, None
-    elif s == 0:
-        r_min, r_max, r0 = 0.0, np.inf, None
-    else:
-        r_min = 0.0
-        r0 = offset / (rate * (-s))
-        r_max = r0
+    slope = rate * s
+    r_min = -offset / slope if offset < 0 else 0.0  # offset < 0 only when s > 0
+    r0 = offset / -slope if s < 0 else None
+    # derived constants that must be positive: one that overflows to inf or
+    # underflows to 0 leaves the scales or the domain wrong
+    for name, value, used in (
+        ("lam^2 scale", scale_lam, True),
+        ("mu^2 scale", scale_mu, True),
+        ("radial rate", abs(slope), s != 0),
+        ("r_min", r_min, offset < 0),
+        ("disk radius r0", r0, s < 0),
+    ):
+        if used and not 0.0 < value < np.inf:
+            flow = "overflows to inf" if value else "underflows to 0"
+            raise ProfileDomainError(f"the {kind} profile's {name} {flow}")
 
     def lam_fn(r):
-        v = rate * s * r + offset
+        v = slope * r + offset
         return (scale_lam * v.power(-0.5)).sqrt()
 
     def mu_fn(r):
-        v = rate * s * r + offset
+        v = slope * r + offset
         return (scale_mu * v.power(0.5)).sqrt()
 
     return Profile(
         lam_fn=lam_fn,
         mu_fn=mu_fn,
         r_min=r_min,
-        r_max=r_max,
+        r_max=np.inf if r0 is None else r0,
         kind=kind,
         params=params,
         r0=r0,

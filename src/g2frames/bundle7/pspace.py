@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..exterior import MatrixForm, _hodge_table, check, compounds, hat, max_sup, per_probe, zero_forms
+from ..exterior import MatrixForm, _hodge_table, check, compounds, hat, max_sup, zero_forms
 from ..frames4 import chunk_blocks
 from ..g2point import G2Structure, TorsionForms, standard_phi, torsion_decompose
 from ..jets import Jet, _out, libm
@@ -235,10 +235,9 @@ class PSpaceChart(Chart):
     def chunk_torsion_numeric(self, J) -> TorsionForms:
         return torsion_decompose(self._structure, *J.adapted)
 
-    # the same at one point, from its row of the loaded chunk
-    identity_residuals = per_probe(chunk_identities)
-    torsion_closed = per_probe(chunk_torsion_closed)
-    torsion_numeric = per_probe(chunk_torsion_numeric)
+    # the same at one point, from its lone build
+    def identity_residuals(self, point) -> dict:
+        return self.chunk_identities(self.jets(point, 1))
 
     def sample_points(self, count: int, rng) -> np.ndarray:
         """Seeded probes: u in the ball |u| < 2.2, well inside the exponential

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..exterior import MatrixForm, Multivector, check, contract, per_probe
+from ..exterior import MatrixForm, Multivector, check, contract
 from ..frames4 import chunk_blocks
 from ..g2point import G2Structure, TorsionForms, standard_phi, torsion_decompose
 from ..jets import Jet, libm
@@ -179,10 +179,9 @@ class XSpaceChart(Chart):
         """Torsion via jet differentiation and the pointwise decomposition."""
         return torsion_decompose(J.s7, *J.adapted)
 
-    # the same at one point, from its row of the loaded chunk
-    structure_residuals = per_probe(chunk_residuals)
-    torsion_closed = per_probe(chunk_torsion_closed)
-    torsion_numeric = per_probe(chunk_torsion_numeric)
+    # the same at one point, from its lone build
+    def structure_residuals(self, point) -> dict:
+        return self.chunk_residuals(self.jets(point, 1))
 
     def sample_points(self, count: int, rng, a_max: float = 1.2) -> np.ndarray:
         """Seeded probes: base in the model safe box, fiber within |a| <= a_max

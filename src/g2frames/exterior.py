@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
@@ -653,62 +653,16 @@ def max_sup(forms):
 
 
 # ----------------------------------------------------------------------
-# chunks of probes: the rows of a chunk build, for callers at one point
-
-
-def take(x, i: int):
-    """Probe ``i`` of a quantity built on a chunk: arrays, jets and forms lose
-    their probe axis, containers and objects are taken field by field.  A
-    build without a probe axis (``i`` None) is its own row."""
-    if i is None:
-        return x
-    if isinstance(x, np.ndarray):
-        return _out(x[i])
-    if isinstance(x, Jet):
-        return Jet(x.table, x.coef[i]) if x.coef.ndim > 1 else x
-    if isinstance(x, JetForm):
-        return x._new(x.k, x.coef[i]) if x.probes else x
-    if isinstance(x, MatrixForm):
-        return MatrixForm._of(take(x.proto, i), x.coef[:, :, i]) if x.proto.probes else x
-    if isinstance(x, (tuple, list)):
-        return type(x)(take(e, i) for e in x)
-    if isinstance(x, dict):
-        return {k: take(v, i) for k, v in x.items()}
-    if hasattr(x, "__dict__"):
-        out = object.__new__(type(x))
-        out.__dict__.update(take(vars(x), i))
-        return out
-    return x
-
-
-class ProbeRow:
-    """Probe ``index`` of a chunk build ``data``, read at ``point``: each
-    attribute (or method result) is the build's, taken to this probe."""
-
-    def __init__(self, data, index, point: tuple):
-        self.data, self.index, self.point = data, index, point
-
-    def __getattr__(self, name):
-        attr, i = getattr(self.data, name), self.index
-        value = (lambda *args: take(attr(*args), i)) if callable(attr) else take(attr, i)
-        setattr(self, name, value)
-        return value
-
-
-def readout(data, key, fn):
-    """``fn(data)``, computed once per chunk build and kept in its ``readouts``."""
-    if key not in data.readouts:
-        data.readouts[key] = fn(data)
-    return data.readouts[key]
+# chunks of probes
 
 
 class ChunkCache:
     """The latest build over a chunk of points (``load``: one batched pass of
-    ``_build``) and, for callers at one point, its rows (``_row``); a point
-    outside it is built alone, without a probe axis, through the same code.
-    No row refers back to the cache, so a dropped chunk is freed at once."""
+    ``_build``); a caller at one point reads the lone build of that point,
+    without a probe axis, through the same code.  No build refers back to
+    the cache, so a dropped chunk is freed at once."""
 
-    _last = None  # (points, order, build, first row of each point, rows made)
+    _last = None  # (points, order, build)
 
     def clear(self):
         self._last = None
@@ -719,26 +673,9 @@ class ChunkCache:
         last = self._last
         if last is None or last[1] != order or not np.array_equal(last[0], points):
             self.clear()  # a build that raises leaves no chunk loaded
-            rows = [tuple(p) for p in points.reshape(-1, points.shape[-1]).tolist()]
-            first = {p: i for i, p in reversed(list(enumerate(rows)))} if points.ndim > 1 else {rows[0]: None}
-            last = self._last = (points, order, self._build(points, order), first, {})
+            last = self._last = (points, order, self._build(points, order))
         return last[2]
 
-    def _row(self, point, order: int = 1) -> ProbeRow:
-        key = tuple(float(v) for v in point)
-        if self._last is None or self._last[1] != order or key not in self._last[3]:
-            self.load(key, order)
-        *_, data, first, rows = self._last
-        return rows.setdefault(first[key], ProbeRow(data, first[key], key))
-
-
-def per_probe(fn):
-    """A readout ``fn(self, build, *args)`` of a chunk build, turned into a
-    method taking a point: ``fn`` runs once per chunk build and the point
-    reads its row (of the build ``self._at(point)`` belongs to)."""
-
-    def at_point(self, point, *args):
-        row = self._at(point)
-        return take(readout(row.data, (fn.__name__,) + args, lambda data: fn(self, data, *args)), row.index)
-
-    return wraps(fn)(at_point)
+    def _lone(self, point, order: int = 1):
+        """The build at one point: ``load`` of the point alone."""
+        return self.load(point, order)

@@ -32,8 +32,6 @@ from .exterior import (
     check,
     combos,
     compounds,
-    per_probe,
-    readout,
     zero_forms,
 )
 from .jets import _out
@@ -131,13 +129,15 @@ def _duality_rows(m: MatrixForm, branch: float):
 @dataclass(eq=False)
 class BaseData:
     """All frame quantities at each point of a chunk, as jets with a leading
-    probe axis (``point`` holds one row per probe).
+    probe axis (``point`` holds one row per probe), or at one point, without
+    one (``point`` is that point).
 
     ``order`` is the jet order of the metric stage; the connection ``conn``
     lives one order lower and the curvature ``curv`` (``None`` below order 2)
     two lower, each a 4x4 ``MatrixForm``; ``frame_c2``, the degree-2 compound
     of ``frame_val``, moves 2-forms from the dx to the theta basis;
-    ``readouts`` caches the chunk's blocks and residuals.
+    ``_duality`` caches the duality rows of each branch and ``_blocks`` the
+    curvature blocks (``chunk_blocks``).
     """
 
     point: np.ndarray
@@ -150,7 +150,7 @@ class BaseData:
     conn: MatrixForm
     curv: MatrixForm | None
     _duality: dict = field(default_factory=dict, repr=False)
-    readouts: dict = field(default_factory=dict, repr=False)
+    _blocks: "SingerThorpe | None" = field(default=None, repr=False)
 
     def duality(self, branch: int):
         """(eta row, connection row, curvature row) on the chosen branch."""
@@ -169,13 +169,14 @@ class BaseData:
 
 class FrameBundle(ChunkCache):
     """Frame calculus over one chart metric, a ``ScalarField`` whose jet is
-    the 4x4 matrix of metric jets; ``load`` builds a chunk of base points,
-    the ``chunk_*`` readouts take it whole, ``base`` one point's row."""
+    the 4x4 matrix of metric jets; ``load`` builds a chunk of base points
+    and the ``chunk_*`` readouts take it whole; ``base`` builds one point
+    alone, and the per-point methods are the readouts of that build."""
 
     def __init__(self, metric):
         self.metric = metric
 
-    base = ChunkCache._row
+    base = ChunkCache._lone
 
     def _build(self, point, order):
         m = self.metric.jet(point, order)
@@ -207,9 +208,6 @@ class FrameBundle(ChunkCache):
             curv = conn.d_jets() + om @ om
         return BaseData(point, order, theta, theta_low, coeff[..., 0], frame_val, frame_c2, conn, curv)
 
-    def _at(self, point):
-        return self.base(point, 2)
-
     # -- residual diagnostics (at each probe of a chunk build) -------------
     def chunk_cartan(self, bd):
         """max |d(theta) + theta ^ omega| over the four components."""
@@ -240,19 +238,23 @@ class FrameBundle(ChunkCache):
             "flag-table": np.maximum(np.where(flags_ok, 0.0, 1.0), abs(st.s - expected.s_value)),
         }
 
-    # the same at one point, from its row of the loaded chunk
-    cartan_residual = per_probe(chunk_cartan)
-    duality_residuals = per_probe(chunk_duality)
+    # the same at one point, from its lone build
+    def cartan_residual(self, point):
+        return self.chunk_cartan(self.base(point, 2))
 
-    @per_probe
-    def singer_thorpe(self, bd) -> "SingerThorpe":
-        """Curvature blocks at a point, assembled once per chunk build."""
-        return chunk_blocks(bd)
+    def duality_residuals(self, point, branch: int) -> dict:
+        return self.chunk_duality(self.base(point, 2), branch)
+
+    def singer_thorpe(self, point) -> "SingerThorpe":
+        """Curvature blocks at a point."""
+        return chunk_blocks(self.base(point, 2))
 
 
 def chunk_blocks(bd) -> "SingerThorpe":
-    """The curvature blocks of a chunk build, assembled once per build."""
-    return readout(bd, "blocks", lambda bd: _assemble_blocks(_blocks_raw(bd), pairing_sign()))
+    """The curvature blocks of a build, assembled once per build."""
+    if bd._blocks is None:
+        bd._blocks = _assemble_blocks(_blocks_raw(bd), pairing_sign())
+    return bd._blocks
 
 
 def _blocks_raw(bd):

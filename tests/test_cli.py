@@ -375,6 +375,28 @@ def test_main_rejects_mistyped_config(tmp_path, capsys, change, key):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "model, profile, seed",
+    [
+        # c0^2 underflows to 0, so lam^2 = 0
+        ("sphere4", {"s": 1.0, "c0": 1e-308, "c1": 1.0}, 1),
+        # the rate 2 c0^2 s overflows to inf
+        ("sphere4", {"s": 1e308, "c0": 1.0, "c1": 1.0}, 1),
+        # r_min = -c1 / (2 c0^2 s) underflows to 0, where the radial factor is negative
+        ("complexHyperbolic", {"s": 1.5600458896039148e270, "c0": 1.219933237544069, "c1": -2.7864924743997717e-71}, 24),
+    ],
+    ids=["c0-underflow", "rate-overflow", "r_min-underflow"],
+)
+def test_main_rejects_a_profile_whose_constants_overflow(tmp_path, capsys, model, profile, seed):
+    cfg = dict(BS_SPHERE, model=model, profile=dict(profile, kind="bs"), probes=3, seed=seed)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and "'profile'" in err, err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("top", ["null", "42", '"abc"', "[]"])
 @pytest.mark.parametrize("override", [[], ["--seed", "3"], ["--probes", "2"], ["--tol", "1e-6"]])
 def test_main_rejects_non_object_config(tmp_path, capsys, top, override):
@@ -512,19 +534,6 @@ def test_nan_on_a_later_probe_fails_its_record(monkeypatch, config, cls, name, c
     record = next(r for r in report.records if r.check == check)
     assert np.isnan(record.value) and not record.passed
     assert not report.passed
-
-
-def test_run_reads_no_probe_rows(monkeypatch):
-    """The run path reduces the chunk arrays; it reads no row of a chunk build."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a probe row was read")
-
-    monkeypatch.setattr(exterior.ProbeRow, "__init__", refuse)
-    monkeypatch.setattr(exterior.ProbeRow, "__getattr__", refuse)
-    monkeypatch.setattr(exterior, "take", refuse)
-    for config in (BS_SPHERE, P_HYPER):
-        assert run(RunConfig.from_dict(dict(config, probes=cli.PROBE_CHUNK + 3))).passed
 
 
 def test_flag_table_checks_the_catalog_scalar(monkeypatch):
@@ -691,31 +700,46 @@ def _bits(x) -> bytes:
 
 @pytest.mark.parametrize("config", [BS_SPHERE, P_HYPER], ids=["X", "P"])
 def test_a_lone_point_reads_as_its_row_of_a_chunk(config):
-    """A point outside the loaded chunk is built alone, without a probe axis;
-    each readout the runner takes equals its row of a loaded chunk, bit for bit."""
+    """A per-point readout is the chunk readout of the point's lone build,
+    built without a probe axis; it equals probe i of the same readout over a
+    loaded chunk, bit for bit."""
     cfg = RunConfig.from_dict(dict(config, probes=cli.PROBE_CHUNK + 3))
     spec, prof = get_model(cfg.model), cfg.to_dict()["profile"]
+    # each chart method at one point, and the chunk readout it takes of the point's lone build
     if cfg.space == "X":
         chart = XSpaceChart(spec, cfg.branch, cfg.make_profile())
-        names = ("structure_residuals", "torsion_numeric", "torsion_closed")
+        names = {"structure_residuals": "chunk_residuals"}
     else:
         chart = PSpaceChart(spec, cfg.branch, prof["lam"], prof["mu"])
-        names = ("identity_residuals", "torsion_numeric", "torsion_closed")
+        names = {"identity_residuals": "chunk_identities"}
+    names |= {"torsion_numeric": "chunk_torsion_numeric", "torsion_closed": "chunk_torsion_closed"}
     points = chart.sample_points(cfg.probes, np.random.default_rng(cfg.seed))
+    fb = chart.frame
 
-    def readouts(pt):
-        x, fb = tuple(pt[3:]), chart.frame
+    def probe(x, i) -> bytes:
+        """Probe ``i`` of a chunk readout, as bytes; a value without a probe
+        axis is every probe's."""
+        if isinstance(x, dict):
+            return b"".join(probe(v, i) for _, v in sorted(x.items()))
+        if dataclasses.is_dataclass(x):
+            return b"".join(probe(getattr(x, f.name), i) for f in dataclasses.fields(x))
+        if isinstance(x, Multivector):
+            return _bits(x.coef[i] if x.probes else x.coef)
+        return _bits(x[i] if np.ndim(x) else x)
+
+    J = chart.load(points, 1)
+    bd = J.base
+    chunk = [fb.chunk_cartan(bd), frames4.chunk_blocks(bd), *(fb.chunk_duality(bd, b) for b in (1, -1))]
+    chunk += [getattr(chart, name)(J) for name in names.values()]
+
+    def lone(pt) -> bytes:
+        x = tuple(pt[3:])
         got = [fb.cartan_residual(x), fb.singer_thorpe(x), *(fb.duality_residuals(x, b) for b in (1, -1))]
         return b"".join(map(_bits, got + [getattr(chart, name)(tuple(pt)) for name in names]))
 
-    chart.frame.load(points[:, 3:], 2)
-    chart.load(points, 1)
-    rows = [readouts(pt) for pt in points]
-    chart.clear()
-    chart.frame.clear()
-    assert [readouts(pt) for pt in points] == rows
+    assert [lone(pt) for pt in points] == [b"".join(probe(x, i) for x in chunk) for i in range(len(points))]
     # and the lone builds carry no probe axis
-    assert chart.jets(tuple(points[0]), 1).data.phi.coef.ndim == 2
+    assert chart.jets(tuple(points[0]), 1).phi.coef.ndim == 2
 
 
 def _fail_at(monkeypatch, owner, name, target):
