@@ -18,7 +18,7 @@ import numpy as np
 from ..jets import Jet, libm
 
 
-class ProfileDomainError(ValueError):
+class ProfileDomainError(ValueError, ArithmeticError):
     pass
 
 

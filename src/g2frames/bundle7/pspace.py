@@ -32,7 +32,7 @@ from .chart import N, Chart, _promoted_rows, components, fiber_form, promote
 CHART_BOUND = math.pi - 0.1
 
 
-class ChartBoundError(ValueError):
+class ChartBoundError(ValueError, ArithmeticError):
     def __init__(self, norm):
         super().__init__(
             f"fiber coordinate norm {norm:.4f} outside the exponential chart "

@@ -22,7 +22,7 @@ MAX_DEPTH = 40
 RIEMANN_CHUNK = 4096
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(RuntimeError, ArithmeticError):
     pass
 
 

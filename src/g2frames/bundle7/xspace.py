@@ -39,7 +39,7 @@ HYP_TOL = 1e-7
 EDGE_MARGIN = 1e-2
 
 
-class DualityHypothesisError(ValueError):
+class DualityHypothesisError(ValueError, ArithmeticError):
     def __init__(self, branch, norm):
         side = "anti-self-dual (W+ = 0)" if branch == 1 else "self-dual (W- = 0)"
         super().__init__(

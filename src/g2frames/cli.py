@@ -24,20 +24,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bundle7.chart import SamplingError, torsion_gap
-from .bundle7.profiles import (
-    Profile,
-    ProfileDomainError,
-    bs_profile,
-    constant_profile,
-    two_of_three_report,
-)
-from .bundle7.pspace import ChartBoundError, PSpaceChart
-from .bundle7.radial import QuadratureError, radius_length, radius_length_riemann
+from .bundle7.chart import torsion_gap
+from .bundle7.profiles import Profile, bs_profile, constant_profile, two_of_three_report
+from .bundle7.pspace import PSpaceChart
+from .bundle7.radial import radius_length, radius_length_riemann
 from .bundle7.xspace import EDGE_MARGIN, XSpaceChart
 from .exterior import Multivector
-from .frames4 import NonSPDMetricError, ResidualError, pairing_sign
-from .g2point import DecompositionError, DegeneratePhiError, classify_norms, standard_phi
+from .frames4 import pairing_sign
+from .g2point import classify_norms, standard_phi
 from .models import MODEL_NAMES, get_model
 
 
@@ -45,28 +39,18 @@ class ConfigError(ValueError):
     pass
 
 
-# failures of the numerics on a valid config: exit 1 with one line, no traceback
-NUMERICAL_ERRORS = (
-    ResidualError,
-    DecompositionError,
-    DegeneratePhiError,
-    QuadratureError,
-    NonSPDMetricError,
-    ProfileDomainError,
-    ChartBoundError,
-    ArithmeticError,  # Python float overflow or division by zero
-)
-
-
 class NumericalFailure(RuntimeError):
-    """A numerical error of a run, prefixed with the stage (and probe) where it happened."""
+    """A numerical error of a run, prefixed with the stage (and probe) where it
+    happened.  Every failure of the numerics on a valid config is an
+    ArithmeticError (Python's float errors and the package's own numerical
+    errors): it exits 1 with one line, no traceback."""
 
 
 @contextmanager
 def _stage(where: str):
     try:
         yield
-    except NUMERICAL_ERRORS as exc:
+    except ArithmeticError as exc:
         raise NumericalFailure(f"{where}: {exc}") from exc
 
 
@@ -303,13 +287,13 @@ PROBE_CHUNK = 34
 
 
 def _chunk_values(stage: str, chart, values, points, first: int) -> dict:
-    """The named values at each probe of a chunk numbered from ``first``: the
-    frame pass, then the chart pass (``values`` of the chart build).  Both
-    builds are dropped when the pass ends."""
+    """The named values at each probe of a chunk (or at a lone point) numbered
+    from ``first``: the frame pass, then the chart pass (``values`` of the
+    chart build).  Both builds are dropped when the pass ends."""
     frame = chart.frame
     try:
         with _stage(f"frame records, probe {first}"):
-            out = {f"frames/{k}": v for k, v in frame.chunk_values(frame.load(points[:, 3:], 2), chart.model.expected).items()}
+            out = {f"frames/{k}": v for k, v in frame.chunk_values(frame.load(points[..., 3:], 2), chart.model.expected).items()}
         with _stage(f"{stage}, probe {first}"):
             return out | values(chart.load(points, 1))
     finally:
@@ -319,14 +303,18 @@ def _chunk_values(stage: str, chart, values, points, first: int) -> dict:
 
 def _probe_values(stage: str, chart, values, points) -> dict:
     """Each named value at every probe, in probe order.  A chunk whose pass raises
-    runs again as chunks of one, so an error names the stage and probe (from 0)."""
+    runs again at its probes as lone points, so an error names the stage and
+    probe (from 0) where a one-at-a-time run would; if none fails alone, the
+    chunk's error is raised."""
     chunks = []
     for first in range(0, len(points), PROBE_CHUNK):
         chunk = points[first : first + PROBE_CHUNK]
         try:
             chunks.append(_chunk_values(stage, chart, values, chunk, first))
-        except NumericalFailure:  # each chunk of one raises it again where a one-at-a-time run would
-            chunks += [_chunk_values(stage, chart, values, chunk[i : i + 1], first + i) for i in range(len(chunk))]
+        except NumericalFailure:
+            for i in range(len(chunk)):
+                _chunk_values(stage, chart, values, chunk[i], first + i)
+            raise
     return {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
 
 
@@ -341,7 +329,7 @@ def _frame_records(worst, tol) -> list:
 def _x_records(cfg: RunConfig, spec, chart: XSpaceChart, rng):
     try:
         points = chart.sample_points(cfg.probes, rng)
-    except SamplingError as exc:
+    except ValueError as exc:  # the chart's SamplingError, the one error sampling raises
         raise ConfigError(f"invalid value for key 'profile': no probe in its domain ({exc})") from None
 
     def values(J):
@@ -512,7 +500,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalFailure,) + NUMERICAL_ERRORS as exc:
+    except (NumericalFailure, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     if not args.quiet:

@@ -40,13 +40,13 @@ from .jets import table as jet_table
 DIM = 4
 
 
-class NonSPDMetricError(ValueError):
+class NonSPDMetricError(ValueError, ArithmeticError):
     def __init__(self, point, detail=""):
         self.point = tuple(point)
         super().__init__(f"metric not positive definite at {self.point} {detail}".strip())
 
 
-class ResidualError(RuntimeError):
+class ResidualError(RuntimeError, ArithmeticError):
     pass
 
 

@@ -21,13 +21,13 @@ VERT = (1, 2, 3)
 HORIZ = (4, 5, 6, 7)
 
 
-class DegeneratePhiError(ValueError):
+class DegeneratePhiError(ValueError, ArithmeticError):
     def __init__(self, rank: int):
         self.rank = rank
         super().__init__(f"degenerate 3-form: induced bilinear form has rank {rank}")
 
 
-class DecompositionError(ValueError):
+class DecompositionError(ValueError, ArithmeticError):
     def __init__(self, residual_phi: float, residual_psi: float, mem2: float, mem3: float):
         self.residual_phi = residual_phi
         self.residual_psi = residual_psi
@@ -98,22 +98,14 @@ def _unit_structure_split(branch: int):
 
 
 def _scale(lam, mu, v: int, h: int):
-    """lam**v * mu**h, at each probe for arrays of scales (libm's pow, as
-    ``float ** int``); a power that overflows, or a scale that underflows to
-    0, raises an ArithmeticError naming it, at the first such probe."""
-    if np.ndim(lam):
-        try:
-            out = libm(pow, lam, v) * libm(pow, mu, h)
-            if out.all():
-                return out
-        except OverflowError:
-            pass
-        return np.array([_scale(a, b, v, h) for a, b in zip(lam.tolist(), mu.tolist())])  # raises at the first failure
+    """lam**v * mu**h, at a point or at each probe for arrays of scales
+    (libm's pow, as ``float ** int``); a power that overflows, or a scale that
+    underflows to 0, raises an ArithmeticError naming lam and mu."""
     try:
-        out = lam**v * mu**h
+        out = libm(pow, lam, v) * libm(pow, mu, h)
     except OverflowError:
         raise OverflowError(f"lam**{v} * mu**{h} overflows at lam = {lam!r}, mu = {mu!r}") from None
-    if out == 0.0:
+    if not np.all(out):
         raise FloatingPointError(f"lam**{v} * mu**{h} underflows to 0 at lam = {lam!r}, mu = {mu!r}")
     return out
 

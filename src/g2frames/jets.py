@@ -28,6 +28,10 @@ class JetOrderError(ValueError):
         super().__init__(f"jet order {order} unavailable (supported: 0..{MAX_ORDER})")
 
 
+class JetDomainError(ValueError, ArithmeticError):
+    """Raised when a jet function is taken at a value outside its domain."""
+
+
 class JetTable:
     """Monomial bookkeeping shared by all jets of a given (nvars, order)."""
 
@@ -180,15 +184,6 @@ class Jet:
         tab = table(self.nvars, order)
         return Jet(tab, self.coef[..., : tab.size].copy())
 
-    def embed(self, dst_nvars: int, positions: tuple) -> "Jet":
-        """Reinterpret as a jet in more variables; ``positions[v]`` is the
-        destination slot of source variable ``v``."""
-        idx = _embed_index(self.nvars, self.order, dst_nvars, tuple(positions))
-        dst = table(dst_nvars, self.order)
-        coef = np.zeros(self.coef.shape[:-1] + (dst.size,))
-        coef[..., idx] = self.coef
-        return Jet(dst, coef)
-
     # -- ring operations ----------------------------------------------
     def _lift(self, other):
         if isinstance(other, Jet):
@@ -274,8 +269,9 @@ class Jet:
         return self.compose(_derivs(_power_derivs, self.value, p, self.order))
 
     def sqrt(self) -> "Jet":
-        if (self.coef[..., 0] <= 0.0).any():
-            raise ValueError("jet sqrt of non-positive value")
+        v = np.ravel(self.coef[..., 0])
+        if (v <= 0.0).any():
+            raise JetDomainError(f"jet sqrt of non-positive value {float(v[v <= 0.0][0])!r}")
         return self.power(0.5)
 
     def exp(self) -> "Jet":

@@ -12,14 +12,16 @@ import pytest
 from g2frames import cli, exterior, frames4
 from g2frames.bundle7 import chart as chart_module
 from g2frames.bundle7 import pspace as pspace_module
+from g2frames.bundle7 import xspace as xspace_module
 from g2frames.bundle7.profiles import ProfileDomainError
 from g2frames.bundle7.pspace import ChartBoundError, PSpaceChart
 from g2frames.bundle7.radial import QuadratureError
-from g2frames.bundle7.xspace import EDGE_MARGIN, XSpaceChart
+from g2frames.bundle7.xspace import EDGE_MARGIN, DualityHypothesisError, XSpaceChart
 from g2frames.cli import ConfigError, RunConfig, SUITES, list_suites, main, run
 from g2frames.exterior import Multivector, ScalarField
 from g2frames.frames4 import FrameBundle, NonSPDMetricError, ResidualError, pairing_sign
 from g2frames.g2point import DecompositionError, DegeneratePhiError
+from g2frames.jets import JetDomainError
 from g2frames.models import get_model
 
 BS_SPHERE = {
@@ -455,6 +457,8 @@ def test_main_numerical_failure_is_one_line(tmp_path, capsys):
         NonSPDMetricError((0.1, 0.2, 0.3, 0.4), "(pivot 2)"),
         ProfileDomainError("r = 0.65 outside the profile domain"),
         ChartBoundError(3.1),
+        DualityHypothesisError(-1, 2.5e-3),
+        JetDomainError("jet sqrt of non-positive value 0.0"),
     ],
     ids=lambda e: type(e).__name__,
 )
@@ -467,6 +471,17 @@ def test_main_maps_numerical_errors_to_exit_1(tmp_path, capsys, monkeypatch, err
     path.write_text(json.dumps(BS_SPHERE))
     assert main(["run", "--config", str(path), "--quiet"]) == 1
     assert capsys.readouterr().err == f"numerical failure: {error}\n"
+
+
+def test_duality_hypothesis_failing_in_a_run_is_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(xspace_module, "HYP_TOL", 1e-30)
+    cfg = dict(BS_SPHERE, model="fubiniStudy", probes=3, seed=1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: X records, probe 0: base model violates"), err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 # lam = 1e77 overflows the torsion of a valid coframe-bundle config to NaN
@@ -614,6 +629,21 @@ def test_overflowing_run_fails_with_one_line(tmp_path, capsys, config):
             dict(BS_SPHERE, params={"kappa": 1e-150}, probes=2, seed=1),
             "frame records, probe 0: jet reciprocal at v = 1.5244325217875997e+299: v**2 overflows",
         ),
+        # c0**2 v**-0.5 underflows to 0 at a probe, so a jet sqrt meets a non-positive value
+        (
+            dict(BS_SPHERE, branch=1, profile={"kind": "bs", "s": 1.0, "c0": 4.787901844699103e-111, "c1": 1e300}, probes=3, seed=80),
+            "X records, probe 0: jet sqrt of non-positive value 0.0",
+        ),
+        (
+            dict(
+                BS_SPHERE,
+                model="hyperbolic4",
+                profile={"kind": "bs", "s": 1.0, "c0": 8.314849955241102e-154, "c1": 3.086723064731605e263},
+                probes=3,
+                seed=3,
+            ),
+            "X records, probe 0: jet sqrt of non-positive value 0.0",
+        ),
     ],
     ids=[
         "P-lam-1e100",
@@ -623,6 +653,8 @@ def test_overflowing_run_fails_with_one_line(tmp_path, capsys, config):
         "X-lam-1e-200",
         "X-bs-c1-1e-300",
         "frame-kappa-1e-150",
+        "X-sqrt-sphere4",
+        "X-sqrt-hyperbolic4",
     ],
 )
 def test_numerical_failure_names_its_stage_and_probe(tmp_path, capsys, config, where):
